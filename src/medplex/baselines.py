@@ -15,7 +15,7 @@ from .errors import DataError, NumericError
 from . import data as D
 from .data import FeatureTable, LabelVector
 from . import evaluate as E
-from .model import _xavier, normalize_adjacency
+from .model import _xavier, gcn_layer, gcn_layer_backward, normalize_adjacency, propagate
 from .graph import build_relation_graph
 
 
@@ -55,27 +55,32 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def forward(kind: str, params: dict, x: np.ndarray, op=None):
-    """Class probabilities plus the intermediates the backward pass needs."""
+def _features(kind: str, x: np.ndarray, op=None) -> np.ndarray:
+    """What the first layer multiplies by w1: x, or op @ x for the GCN."""
     if kind == "mlp":
-        pre = x @ params["w1"] + params["b1"]
-    elif kind == "single_gcn":
+        return x
+    if kind == "single_gcn":
         if op is None:
             raise DataError("single_gcn forward needs the graph operator")
-        pre = op @ (x @ params["w1"])
+        return propagate(op, x)
+    raise DataError("unknown baseline kind %r" % kind)
+
+
+def _forward(kind: str, params: dict, feats: np.ndarray):
+    if kind == "mlp":
+        pre = feats @ params["w1"] + params["b1"]
+        h = np.maximum(pre, 0.0)
     else:
-        raise DataError("unknown baseline kind %r" % kind)
-    h = np.maximum(pre, 0.0)
+        h, pre = gcn_layer(feats, params["w1"])
     logits = h @ params["w2"] + params["b2"]
     return _softmax_rows(logits), (pre, h)
 
 
-def loss_and_grads(kind: str, params: dict, x: np.ndarray, labels: LabelVector, op=None):
-    """Cross-entropy over TRAIN rows; returns (loss, grads dict, probs)."""
+def _loss_and_grads(kind: str, params: dict, feats: np.ndarray, labels: LabelVector):
     train_idx = labels.rows_with(D.TRAIN)
     if train_idx.size == 0:
         raise DataError("baseline training needs at least one TRAIN row")
-    probs, (pre, h) = forward(kind, params, x, op)
+    probs, (pre, h) = _forward(kind, params, feats)
     p_true = probs[train_idx, labels.labels[train_idx]]
     with np.errstate(divide="ignore"):
         loss = float(-np.mean(np.log(p_true)))
@@ -86,13 +91,23 @@ def loss_and_grads(kind: str, params: dict, x: np.ndarray, labels: LabelVector, 
     dlogits[train_idx] = g / train_idx.size
     grads = {"w2": h.T @ dlogits, "b2": dlogits.sum(axis=0)}
     dh = dlogits @ params["w2"].T
-    dpre = np.where(pre > 0.0, dh, 0.0)
     if kind == "mlp":
-        grads["w1"] = x.T @ dpre
+        dpre = np.where(pre > 0.0, dh, 0.0)
+        grads["w1"] = feats.T @ dpre
         grads["b1"] = dpre.sum(axis=0)
     else:
-        grads["w1"] = x.T @ (op @ dpre)  # operator is symmetric
+        grads["w1"], _ = gcn_layer_backward(feats, pre, dh)
     return loss, grads, probs
+
+
+def forward(kind: str, params: dict, x: np.ndarray, op=None):
+    """Class probabilities plus the intermediates the backward pass needs."""
+    return _forward(kind, params, _features(kind, x, op))
+
+
+def loss_and_grads(kind: str, params: dict, x: np.ndarray, labels: LabelVector, op=None):
+    """Cross-entropy over TRAIN rows; returns (loss, grads dict, probs)."""
+    return _loss_and_grads(kind, params, _features(kind, x, op), labels)
 
 
 def _init_params(kind: str, in_dim: int, hidden: int, n_classes: int, seed: int) -> dict:
@@ -106,6 +121,8 @@ def _init_params(kind: str, in_dim: int, hidden: int, n_classes: int, seed: int)
 
 
 def _train(kind: str, x: np.ndarray, labels: LabelVector, cfg: BaselineConfig, op=None):
+    """Adam on the cross-entropy; x is propagated (for the GCN) once per fit."""
+    feats = _features(kind, x, op)
     val_idx = labels.rows_with(D.VAL)
     test_idx = labels.rows_with(D.TEST)
     c = labels.n_classes
@@ -116,7 +133,7 @@ def _train(kind: str, x: np.ndarray, labels: LabelVector, cfg: BaselineConfig, o
     best = (-np.inf, -1, {k: v.copy() for k, v in params.items()})
 
     for epoch in range(cfg.epochs):
-        loss, grads, probs = loss_and_grads(kind, params, x, labels, op)
+        loss, grads, probs = _loss_and_grads(kind, params, feats, labels)
         if not np.isfinite(loss):
             raise NumericError("non-finite baseline loss at epoch %d" % epoch)
         if val_idx.size:
@@ -157,7 +174,7 @@ def _train(kind: str, x: np.ndarray, labels: LabelVector, cfg: BaselineConfig, o
         "test_metrics": None,
     }
     if test_idx.size:
-        probs, _ = forward(kind, params, x, op)
+        probs, _ = _forward(kind, params, feats)
         pred = np.argmax(probs[test_idx], axis=1)
         report["test_metrics"] = E.metrics_report(pred, labels.labels[test_idx], c).to_json_dict()
     return BaselineModel(kind=kind, params=params, config=cfg, report=report, op=op)

@@ -141,30 +141,50 @@ def normalize_adjacency(graph: RelationGraph) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (a_hat.row, a_hat.col)), shape=(n, n)).tocsr()
 
 
+def propagate(op: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """op @ X, the only sparse product of a GCN layer.
+
+    The operator is symmetric and X does not depend on W, so a layer can be
+    evaluated as (op @ X) @ W: callers whose X stays fixed propagate it once.
+    """
+    if op.shape[0] != x.shape[0]:
+        raise DataError("operator size %d does not match %d rows" % (op.shape[0], x.shape[0]))
+    return op @ x
+
+
+def gcn_layer(ax: np.ndarray, w: np.ndarray):
+    """H = relu(AX @ W) from propagated features AX = op @ X; returns (H, pre)."""
+    if ax.shape[1] != w.shape[0]:
+        raise DataError("input width %d does not match weight rows %d" % (ax.shape[1], w.shape[0]))
+    pre = ax @ w
+    return np.maximum(pre, 0.0), pre
+
+
+def gcn_layer_backward(ax: np.ndarray, pre: np.ndarray, dh: np.ndarray):
+    """Returns (dW, dpre) with dW = AX^T dpre; makes no sparse product."""
+    dpre = np.where(pre > 0.0, dh, 0.0)
+    return ax.T @ dpre, dpre
+
+
 @dataclass
 class GcnCache:
     op: sp.csr_matrix
-    x: np.ndarray
+    ax: np.ndarray  # op @ x
     w: np.ndarray
     pre: np.ndarray
 
 
 def gcn_forward(op: sp.csr_matrix, x: np.ndarray, w: np.ndarray):
-    """H = relu(op @ X @ W); returns (H, cache)."""
-    if x.shape[1] != w.shape[0]:
-        raise DataError("input width %d does not match weight rows %d" % (x.shape[1], w.shape[0]))
-    if op.shape[0] != x.shape[0]:
-        raise DataError("operator size %d does not match %d rows" % (op.shape[0], x.shape[0]))
-    pre = op @ (x @ w)
-    return np.maximum(pre, 0.0), GcnCache(op, x, w, pre)
+    """H = relu(op @ X @ W), evaluated as (op @ X) @ W; returns (H, cache)."""
+    ax = propagate(op, x)
+    h, pre = gcn_layer(ax, w)
+    return h, GcnCache(op, ax, w, pre)
 
 
 def gcn_backward(cache: GcnCache, dh: np.ndarray):
     """Returns (dW, dX). Relies on the operator being symmetric."""
-    dpre = np.where(cache.pre > 0.0, dh, 0.0)
-    dxw = cache.op @ dpre
-    dw = cache.x.T @ dxw
-    dx = dxw @ cache.w.T
+    dw, dpre = gcn_layer_backward(cache.ax, cache.pre, dh)
+    dx = cache.op @ (dpre @ cache.w.T)
     return dw, dx
 
 
@@ -218,11 +238,13 @@ def discriminate_backward(cache: DiscCache, dscores: np.ndarray):
     return discriminate_backward_pre(cache, da)
 
 
-def corrupt_features(x: np.ndarray, seed) -> tuple:
-    """Row-shuffled copy of X plus the permutation used (one per step)."""
+def corrupt_features(x: np.ndarray, seed) -> np.ndarray:
+    """Row permutation that corrupts X into X[perm] (one per step).
+
+    Only the permutation is returned; model_forward makes the one copy.
+    """
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(x.shape[0])
-    return x[perm], perm
+    return rng.permutation(x.shape[0])
 
 
 @dataclass
@@ -298,8 +320,10 @@ class ForwardCache:
     h: list  # per-relation clean embeddings
     h_tilde: list  # per-relation corrupted embeddings
     summaries: list
-    gcn_caches: list
-    gcn_caches_tilde: list
+    ax: list  # per-relation op @ X
+    ax_tilde: list  # per-relation op @ X[perm]
+    pre: list  # per-relation pre-activations, clean
+    pre_tilde: list  # and corrupted
     summary_caches: list
     pooled: np.ndarray
     pooled_tilde: np.ndarray
@@ -309,23 +333,32 @@ class ForwardCache:
     perm: np.ndarray
 
 
-def model_forward(state: ModelState, ops: list, x: np.ndarray, perm: np.ndarray) -> ForwardCache:
-    """Run every relation encoder on clean and corrupted inputs, then pool."""
+def model_forward(state: ModelState, ops: list, x: np.ndarray, perm: np.ndarray,
+                  ax: list | None = None) -> ForwardCache:
+    """Run every relation encoder on clean and corrupted inputs, then pool.
+
+    ax, when given, is [propagate(op, x) for op in ops]; a caller whose X is
+    fixed passes it so the clean path makes no sparse product. The corrupted
+    path always makes one per relation, at the width of X.
+    """
     if len(ops) != state.dims.n_relations:
         raise DataError("operator count does not match n_relations")
+    if ax is None:
+        ax = [propagate(op, x) for op in ops]
     x_tilde = x[perm]
     h, h_t, s_list = [], [], []
-    gc, gct, sc = [], [], []
+    ax_t, pre, pre_t, sc = [], [], [], []
     for r in range(state.dims.n_relations):
         w = state.params["enc_w_%d" % r]
-        hr, c1 = gcn_forward(ops[r], x, w)
-        ht, c2 = gcn_forward(ops[r], x_tilde, w)
+        ax_t.append(propagate(ops[r], x_tilde))
+        hr, pr = gcn_layer(ax[r], w)
+        ht, pt = gcn_layer(ax_t[r], w)
         sr, c3 = readout_summary(hr)
         h.append(hr)
         h_t.append(ht)
         s_list.append(sr)
-        gc.append(c1)
-        gct.append(c2)
+        pre.append(pr)
+        pre_t.append(pt)
         sc.append(c3)
     pooled, att_w, pc = attentive_pool(h, state.params["att_logits"])
     pooled_t, _, pct = attentive_pool(h_t, state.params["att_logits"])
@@ -333,8 +366,10 @@ def model_forward(state: ModelState, ops: list, x: np.ndarray, perm: np.ndarray)
         h=h,
         h_tilde=h_t,
         summaries=s_list,
-        gcn_caches=gc,
-        gcn_caches_tilde=gct,
+        ax=ax,
+        ax_tilde=ax_t,
+        pre=pre,
+        pre_tilde=pre_t,
         summary_caches=sc,
         pooled=pooled,
         pooled_tilde=pooled_t,

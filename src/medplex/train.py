@@ -32,9 +32,10 @@ from .model import (
     corrupt_features,
     discriminate,
     discriminate_backward_pre,
-    gcn_backward,
+    gcn_layer_backward,
     model_forward,
     normalize_adjacency,
+    propagate,
     readout_summary,
     summary_backward,
 )
@@ -281,10 +282,14 @@ class StepResult:
 
 def loss_and_grads(state: ModelState, ops: list, x: np.ndarray,
                    labels: LabelVector, cfg: TrainingConfig,
-                   perm: np.ndarray) -> StepResult:
-    """One full objective evaluation; fills state.grads as a side effect."""
+                   perm: np.ndarray, ax: list | None = None) -> StepResult:
+    """One full objective evaluation; fills state.grads as a side effect.
+
+    ax is the per-relation op @ x (see model_forward); with it the call makes
+    one sparse product per relation, for the corrupted input only.
+    """
     state.zero_grads()
-    fc = model_forward(state, ops, x, perm)
+    fc = model_forward(state, ops, x, perm, ax)
     r_count = state.dims.n_relations
     dh = [np.zeros_like(h) for h in fc.h]
     dht = [np.zeros_like(h) for h in fc.h_tilde]
@@ -319,8 +324,8 @@ def loss_and_grads(state: ModelState, ops: list, x: np.ndarray,
     state.grads["cls_b"] += d_bc
 
     for r in range(r_count):
-        g_w1, _ = gcn_backward(fc.gcn_caches[r], dh[r])
-        g_w2, _ = gcn_backward(fc.gcn_caches_tilde[r], dht[r])
+        g_w1, _ = gcn_layer_backward(fc.ax[r], fc.pre[r], dh[r])
+        g_w2, _ = gcn_layer_backward(fc.ax_tilde[r], fc.pre_tilde[r], dht[r])
         state.grads["enc_w_%d" % r] += g_w1 + g_w2
 
     l2 = state.l2()
@@ -392,6 +397,7 @@ def fit(graph: MultiplexGraph, labels: LabelVector, cfg: TrainingConfig):
     state = ModelState(dims, seed=cfg.seed)
     adam = AdamState.for_model(state)
     ops = [normalize_adjacency(g) for g in graph.relations]
+    ax = [propagate(op, x) for op in ops]
     val_idx = labels.rows_with(D.VAL)
     test_idx = labels.rows_with(D.TEST)
 
@@ -406,8 +412,8 @@ def fit(graph: MultiplexGraph, labels: LabelVector, cfg: TrainingConfig):
     best_epoch = -1
 
     for epoch in range(cfg.epochs):
-        _, perm = corrupt_features(x, seed=[cfg.seed, epoch])
-        step = loss_and_grads(state, ops, x, labels, cfg, perm)
+        perm = corrupt_features(x, seed=[cfg.seed, epoch])
+        step = loss_and_grads(state, ops, x, labels, cfg, perm, ax)
         if not np.isfinite(step.total):
             raise NumericError("non-finite loss at epoch %d" % epoch)
         if val_idx.size:

@@ -22,3 +22,16 @@ def max_rel_err(analytic, numeric, floor=1e-6):
     assert analytic.shape == numeric.shape
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / scale))
+
+
+class CountingOp:
+    """A sparse operator that records the width of every product op @ M."""
+
+    def __init__(self, op):
+        self.op = op
+        self.shape = op.shape
+        self.widths = []
+
+    def __matmul__(self, other):
+        self.widths.append(other.shape[1] if other.ndim == 2 else 1)
+        return self.op @ other

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import fd_grad, max_rel_err
+from conftest import CountingOp, fd_grad, max_rel_err
+from medplex import baselines as B
 from medplex import data as D
 from medplex.baselines import (
     BaselineConfig,
@@ -18,6 +19,8 @@ from medplex.data import (
     split_masks,
 )
 from medplex.errors import DataError
+from medplex.graph import RelationGraph
+from medplex.model import normalize_adjacency
 from medplex.pipeline import (
     run_experiment,
     run_mlp_baseline,
@@ -166,6 +169,48 @@ def test_theta_one_gcn_degrades_to_relu_linear():
     assert probs == pytest.approx(z / z.sum(axis=1, keepdims=True), abs=1e-12)
     pred = np.argmax(probs, axis=1)
     assert np.mean(pred == labels) == 1.0
+
+
+def test_single_gcn_fit_propagates_once(monkeypatch):
+    rng = np.random.default_rng(37)
+    x, labels = two_blob_data(rng)
+    lv = masked_labels(labels)
+    for epochs in (0, 1, 30):
+        counting = []
+
+        def counting_adjacency(g):
+            counting.append(CountingOp(normalize_adjacency(g)))
+            return counting[-1]
+
+        monkeypatch.setattr(B, "normalize_adjacency", counting_adjacency)
+        model = fit_single_gcn(x, table_from(x), lv, theta=0.5,
+                               cfg=BaselineConfig(hidden_dim=4, epochs=epochs, seed=2))
+        assert len(model.report["rows"]) == epochs
+        assert len(counting) == 1 and counting[0].widths == [x.shape[1]], epochs
+
+
+def test_predict_proba_uses_the_operator_it_is_given():
+    rng = np.random.default_rng(38)
+    x, labels = two_blob_data(rng, gap=2.0)
+    model = fit_single_gcn(x, table_from(x), masked_labels(labels), theta=0.5,
+                           cfg=BaselineConfig(hidden_dim=6, epochs=50, seed=3))
+    p = model.params
+
+    def reference(x_, op_):
+        h = np.maximum(op_ @ (x_ @ p["w1"]), 0.0)
+        logits = h @ p["w2"] + p["b2"]
+        z = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return z / z.sum(axis=1, keepdims=True)
+
+    identity = normalize_adjacency(RelationGraph(n=x.shape[0], edges=np.zeros((0, 2))))
+    trained = model.predict_proba(x)
+    assert trained == pytest.approx(reference(x, model.op), abs=1e-12)
+    other = CountingOp(identity)
+    assert model.predict_proba(x, other) == pytest.approx(reference(x, identity), abs=1e-12)
+    assert other.widths == [x.shape[1]]
+    assert not np.allclose(model.predict_proba(x, identity), trained)
+    x_new = x + rng.normal(size=x.shape)
+    assert model.predict_proba(x_new) == pytest.approx(reference(x_new, model.op), abs=1e-12)
 
 
 def test_baselines_deterministic():

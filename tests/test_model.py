@@ -20,8 +20,11 @@ from medplex.model import (
     discriminate_backward,
     gcn_backward,
     gcn_forward,
+    gcn_layer,
+    gcn_layer_backward,
     load_checkpoint,
     normalize_adjacency,
+    propagate,
     readout_summary,
     save_checkpoint,
     summary_backward,
@@ -133,6 +136,49 @@ def test_gcn_gradients_match_fd():
     assert max_rel_err(dx.ravel(), fd_x) < 1e-4
 
 
+def test_reassociated_layer_matches_propagate_last():
+    """(op X) W and (op X)^T dpre against relu(op (X W)) and X^T (op dpre)."""
+    rng = np.random.default_rng(40)
+    n, f, d = 25, 6, 5
+    for trial in range(4):
+        iu, ju = np.triu_indices(n, k=1)
+        keep = rng.random(iu.shape[0]) < 0.3
+        edges = np.stack([iu[keep], ju[keep]], axis=1)
+        graphs = {
+            "edgeless": RelationGraph(n=n, edges=np.zeros((0, 2))),
+            "unweighted": RelationGraph(n=n, edges=edges),
+            "weighted": RelationGraph(n=n, edges=edges,
+                                      weights=rng.uniform(0.05, 2.0, edges.shape[0])),
+        }
+        x = rng.normal(size=(n, f))
+        w = rng.normal(size=(f, d))
+        dh = rng.normal(size=(n, d))
+        for kind, g in graphs.items():
+            op = normalize_adjacency(g)
+            old_pre = op @ (x @ w)
+            old_dpre = np.where(old_pre > 0.0, dh, 0.0)
+            old_dxw = op @ old_dpre
+
+            h, pre = gcn_layer(propagate(op, x), w)
+            dw, dpre = gcn_layer_backward(propagate(op, x), pre, dh)
+            assert np.max(np.abs(h - np.maximum(old_pre, 0.0))) <= 1e-12, kind
+            assert np.array_equal(dpre, old_dpre), kind
+            assert np.max(np.abs(dw - x.T @ old_dxw)) <= 1e-12, kind
+
+            # the finite-difference-pinned public layer is the same kernel
+            h2, cache = gcn_forward(op, x, w)
+            dw2, dx2 = gcn_backward(cache, dh)
+            assert np.array_equal(h2, h) and np.array_equal(dw2, dw), kind
+            assert np.max(np.abs(dx2 - old_dxw @ w.T)) <= 1e-12, kind
+
+
+def test_propagate_rejects_size_mismatch():
+    with pytest.raises(DataError):
+        propagate(identity_op(3), np.zeros((4, 2)))
+    with pytest.raises(DataError):
+        gcn_layer(np.zeros((3, 2)), np.zeros((3, 1)))
+
+
 # ---------------------------------------------------------------- readout
 
 
@@ -203,24 +249,25 @@ def test_discriminate_shape_mismatch():
 def test_corrupt_preserves_multiset():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(9, 4))
-    xt, perm = corrupt_features(x, seed=[3, 0])
+    perm = corrupt_features(x, seed=[3, 0])
+    xt = x[perm]
     assert np.array_equal(np.sort(xt, axis=0), np.sort(x, axis=0))
-    assert np.array_equal(xt, x[perm])
+    assert np.array_equal(np.sort(perm), np.arange(9))
 
 
 def test_corrupt_deterministic():
     x = np.arange(20.0).reshape(10, 2)
-    a, pa = corrupt_features(x, seed=[5, 1])
-    b, pb = corrupt_features(x, seed=[5, 1])
-    assert np.array_equal(a, b) and np.array_equal(pa, pb)
-    c, _ = corrupt_features(x, seed=[5, 2])
-    assert not np.array_equal(a, c)
+    pa = corrupt_features(x, seed=[5, 1])
+    pb = corrupt_features(x, seed=[5, 1])
+    assert np.array_equal(x[pa], x[pb]) and np.array_equal(pa, pb)
+    pc = corrupt_features(x, seed=[5, 2])
+    assert not np.array_equal(x[pa], x[pc])
 
 
 def test_corrupt_single_row():
     x = np.array([[1.0, 2.0]])
-    xt, perm = corrupt_features(x, seed=[0, 0])
-    assert np.array_equal(xt, x) and perm.tolist() == [0]
+    perm = corrupt_features(x, seed=[0, 0])
+    assert np.array_equal(x[perm], x) and perm.tolist() == [0]
 
 
 # ---------------------------------------------------------------- attention pool

@@ -4,13 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fd_grad, max_rel_err
+from conftest import CountingOp, fd_grad, max_rel_err
 from medplex import data as D
+from medplex import train as T
 from medplex.data import LabelVector, SynthConfig, generate_synthetic_cohort, split_masks
 from medplex.errors import DataError, NumericError
-from medplex.model import ModelDims, ModelState, normalize_adjacency
+from medplex.model import (
+    ModelDims,
+    ModelState,
+    classify,
+    model_forward,
+    normalize_adjacency,
+    propagate,
+)
 from medplex.graph import RelationGraph
-from medplex.pipeline import assign_masks, build_graph_for
+from medplex.pipeline import assign_masks, build_graph_for, pooled_probs
 from medplex.train import (
     AdamState,
     TrainingConfig,
@@ -374,6 +382,29 @@ def test_beta_zero_leaves_only_l2_on_head():
     assert np.array_equal(state.grads["cls_b"], 2.0 * cfg.gamma * state.params["cls_b"])
 
 
+def test_loss_and_grads_propagates_only_the_corrupted_input():
+    rng = np.random.default_rng(28)
+    n, f, d, r_count, c = 12, 7, 4, 3, 2
+    cfg = TrainingConfig(learning_rate=0.01, embed_dim=d, n_relations=r_count,
+                         thetas=(0.5,), alpha=0.7, beta=0.9, gamma=0.02)
+    ops = random_ops(rng, n, r_count)
+    x = rng.normal(size=(n, f))
+    labels = labeled_vector(rng.integers(0, c, size=n), [D.TRAIN] * 8 + [D.VAL] * 4)
+    perm = rng.permutation(n)
+
+    reference = ModelState(ModelDims(n, f, d, r_count, c), seed=3)
+    expected = loss_and_grads(reference, ops, x, labels, cfg, perm)
+
+    state = ModelState(ModelDims(n, f, d, r_count, c), seed=3)
+    counting = [CountingOp(op) for op in ops]
+    ax = [propagate(op, x) for op in ops]
+    step = loss_and_grads(state, counting, x, labels, cfg, perm, ax)
+    assert [op.widths for op in counting] == [[f]] * r_count
+    assert step.total == expected.total
+    for name in state.param_order:
+        assert np.array_equal(state.grads[name], reference.grads[name]), name
+
+
 # ---------------------------------------------------------------- fit
 
 
@@ -448,3 +479,30 @@ def test_fit_rejects_mismatched_shapes():
     bad = preset_config("synth", n_relations=3, thetas=(0.5, 0.5, 0.5), epochs=2)
     with pytest.raises(DataError):
         fit(graph, masked, bad)
+
+
+def test_fit_makes_two_sparse_products_per_epoch(monkeypatch):
+    graph, masked, cfg = synth_setup(seed=8, epochs=7)
+    counting = []
+
+    def counting_adjacency(g):
+        counting.append(CountingOp(normalize_adjacency(g)))
+        return counting[-1]
+
+    monkeypatch.setattr(T, "normalize_adjacency", counting_adjacency)
+    _, report = fit(graph, masked, cfg)
+    in_dim = graph.attributes.x.shape[1]
+    # op @ X once per relation, then op @ X[perm] once per relation per epoch
+    assert len(counting) == cfg.n_relations == 2
+    assert [op.widths for op in counting] == [[in_dim] * (1 + report.epochs_run)] * 2
+
+
+def test_pooled_probs_match_training_forward_exactly():
+    graph, masked, cfg = synth_setup(seed=9, epochs=5)
+    state, _ = fit(graph, masked, cfg)
+    ops = [normalize_adjacency(g) for g in graph.relations]
+    x = graph.attributes.x
+    fc = model_forward(state, ops, x, np.arange(graph.n_nodes),
+                       [propagate(op, x) for op in ops])
+    expected, _ = classify(fc.pooled, state.params["cls_w"], state.params["cls_b"])
+    assert np.array_equal(pooled_probs(state, graph), expected)
