@@ -55,32 +55,26 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _features(kind: str, x: np.ndarray, op=None) -> np.ndarray:
-    """What the first layer multiplies by w1: x, or op @ x for the GCN."""
+def _forward(kind: str, params: dict, x: np.ndarray, op=None, ax=None):
+    """Class probabilities plus the first layer's (cache, h); ax = op @ x if at hand."""
     if kind == "mlp":
-        return x
-    if kind == "single_gcn":
+        cache = x @ params["w1"] + params["b1"]
+        h = np.maximum(cache, 0.0)
+    elif kind == "single_gcn":
         if op is None:
             raise DataError("single_gcn forward needs the graph operator")
-        return propagate(op, x)
-    raise DataError("unknown baseline kind %r" % kind)
-
-
-def _forward(kind: str, params: dict, feats: np.ndarray):
-    if kind == "mlp":
-        pre = feats @ params["w1"] + params["b1"]
-        h = np.maximum(pre, 0.0)
+        h, cache = gcn_layer(op, x, params["w1"], ax)
     else:
-        h, pre = gcn_layer(feats, params["w1"])
+        raise DataError("unknown baseline kind %r" % kind)
     logits = h @ params["w2"] + params["b2"]
-    return _softmax_rows(logits), (pre, h)
+    return _softmax_rows(logits), (cache, h)
 
 
-def _loss_and_grads(kind: str, params: dict, feats: np.ndarray, labels: LabelVector):
+def _loss_and_grads(kind: str, params: dict, x: np.ndarray, labels: LabelVector, op, ax):
     train_idx = labels.rows_with(D.TRAIN)
     if train_idx.size == 0:
         raise DataError("baseline training needs at least one TRAIN row")
-    probs, (pre, h) = _forward(kind, params, feats)
+    probs, (cache, h) = _forward(kind, params, x, op, ax)
     p_true = probs[train_idx, labels.labels[train_idx]]
     with np.errstate(divide="ignore"):
         loss = float(-np.mean(np.log(p_true)))
@@ -92,22 +86,22 @@ def _loss_and_grads(kind: str, params: dict, feats: np.ndarray, labels: LabelVec
     grads = {"w2": h.T @ dlogits, "b2": dlogits.sum(axis=0)}
     dh = dlogits @ params["w2"].T
     if kind == "mlp":
-        dpre = np.where(pre > 0.0, dh, 0.0)
-        grads["w1"] = feats.T @ dpre
+        dpre = np.where(cache > 0.0, dh, 0.0)
+        grads["w1"] = x.T @ dpre
         grads["b1"] = dpre.sum(axis=0)
     else:
-        grads["w1"], _ = gcn_layer_backward(feats, pre, dh)
+        grads["w1"], _ = gcn_layer_backward(cache, dh)
     return loss, grads, probs
 
 
 def forward(kind: str, params: dict, x: np.ndarray, op=None):
     """Class probabilities plus the intermediates the backward pass needs."""
-    return _forward(kind, params, _features(kind, x, op))
+    return _forward(kind, params, x, op)
 
 
 def loss_and_grads(kind: str, params: dict, x: np.ndarray, labels: LabelVector, op=None):
     """Cross-entropy over TRAIN rows; returns (loss, grads dict, probs)."""
-    return _loss_and_grads(kind, params, _features(kind, x, op), labels)
+    return _loss_and_grads(kind, params, x, labels, op, None)
 
 
 def _init_params(kind: str, in_dim: int, hidden: int, n_classes: int, seed: int) -> dict:
@@ -122,7 +116,7 @@ def _init_params(kind: str, in_dim: int, hidden: int, n_classes: int, seed: int)
 
 def _train(kind: str, x: np.ndarray, labels: LabelVector, cfg: BaselineConfig, op=None):
     """Adam on the cross-entropy; x is propagated (for the GCN) once per fit."""
-    feats = _features(kind, x, op)
+    ax = propagate(op, x) if kind == "single_gcn" else None
     val_idx = labels.rows_with(D.VAL)
     test_idx = labels.rows_with(D.TEST)
     c = labels.n_classes
@@ -133,7 +127,7 @@ def _train(kind: str, x: np.ndarray, labels: LabelVector, cfg: BaselineConfig, o
     best = (-np.inf, -1, {k: v.copy() for k, v in params.items()})
 
     for epoch in range(cfg.epochs):
-        loss, grads, probs = _loss_and_grads(kind, params, feats, labels)
+        loss, grads, probs = _loss_and_grads(kind, params, x, labels, op, ax)
         if not np.isfinite(loss):
             raise NumericError("non-finite baseline loss at epoch %d" % epoch)
         if val_idx.size:
@@ -174,7 +168,7 @@ def _train(kind: str, x: np.ndarray, labels: LabelVector, cfg: BaselineConfig, o
         "test_metrics": None,
     }
     if test_idx.size:
-        probs, _ = _forward(kind, params, feats)
+        probs, _ = _forward(kind, params, x, op, ax)
         pred = np.argmax(probs[test_idx], axis=1)
         report["test_metrics"] = E.metrics_report(pred, labels.labels[test_idx], c).to_json_dict()
     return BaselineModel(kind=kind, params=params, config=cfg, report=report, op=op)

@@ -142,49 +142,65 @@ def normalize_adjacency(graph: RelationGraph) -> sp.csr_matrix:
 
 
 def propagate(op: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """op @ X, the only sparse product of a GCN layer.
-
-    The operator is symmetric and X does not depend on W, so a layer can be
-    evaluated as (op @ X) @ W: callers whose X stays fixed propagate it once.
-    """
+    """op @ X, the sparse product of a GCN layer."""
     if op.shape[0] != x.shape[0]:
         raise DataError("operator size %d does not match %d rows" % (op.shape[0], x.shape[0]))
     return op @ x
 
 
-def gcn_layer(ax: np.ndarray, w: np.ndarray):
-    """H = relu(AX @ W) from propagated features AX = op @ X; returns (H, pre)."""
-    if ax.shape[1] != w.shape[0]:
-        raise DataError("input width %d does not match weight rows %d" % (ax.shape[1], w.shape[0]))
-    pre = ax @ w
-    return np.maximum(pre, 0.0), pre
+def propagates_first(in_width: int, out_width: int) -> bool:
+    """Whether a GCN layer evaluates op X W as (op @ X) @ W, not op @ (X @ W).
 
-
-def gcn_layer_backward(ax: np.ndarray, pre: np.ndarray, dh: np.ndarray):
-    """Returns (dW, dpre) with dW = AX^T dpre; makes no sparse product."""
-    dpre = np.where(pre > 0.0, dh, 0.0)
-    return ax.T @ dpre, dpre
+    The operator is symmetric, so both give the same H and dW. Propagating
+    first makes the one forward sparse product at the input width and leaves
+    the backward pass none (dW = (op X)^T dpre); applying W first makes it at
+    the output width, and the backward pass makes one more (op @ dpre). The
+    narrower forward product wins; ties propagate first.
+    """
+    return in_width <= out_width
 
 
 @dataclass
 class GcnCache:
     op: sp.csr_matrix
-    ax: np.ndarray  # op @ x
+    x: np.ndarray
+    ax: np.ndarray | None  # op @ x when the layer propagated first, else None
     w: np.ndarray
     pre: np.ndarray
 
 
+def gcn_layer(op: sp.csr_matrix, x: np.ndarray, w: np.ndarray, ax: np.ndarray | None = None):
+    """H = relu(op @ X @ W); returns (H, cache).
+
+    ax = op @ x, from a caller whose X stays fixed across calls, makes the
+    layer (op X) W with no sparse product. Without it the association
+    follows propagates_first.
+    """
+    if x.shape[1] != w.shape[0]:
+        raise DataError("input width %d does not match weight rows %d" % (x.shape[1], w.shape[0]))
+    if ax is None and propagates_first(x.shape[1], w.shape[1]):
+        ax = propagate(op, x)
+    pre = ax @ w if ax is not None else propagate(op, x @ w)
+    return np.maximum(pre, 0.0), GcnCache(op, x, ax, w, pre)
+
+
+def gcn_layer_backward(cache: GcnCache, dh: np.ndarray):
+    """Returns (dW, dpre); a layer that propagated first makes no sparse product."""
+    dpre = np.where(cache.pre > 0.0, dh, 0.0)
+    if cache.ax is not None:
+        return cache.ax.T @ dpre, dpre
+    return cache.x.T @ propagate(cache.op, dpre), dpre
+
+
 def gcn_forward(op: sp.csr_matrix, x: np.ndarray, w: np.ndarray):
-    """H = relu(op @ X @ W), evaluated as (op @ X) @ W; returns (H, cache)."""
-    ax = propagate(op, x)
-    h, pre = gcn_layer(ax, w)
-    return h, GcnCache(op, ax, w, pre)
+    """H = relu(op @ X @ W); returns (H, cache). See propagates_first."""
+    return gcn_layer(op, x, w)
 
 
 def gcn_backward(cache: GcnCache, dh: np.ndarray):
     """Returns (dW, dX). Relies on the operator being symmetric."""
-    dw, dpre = gcn_layer_backward(cache.ax, cache.pre, dh)
-    dx = cache.op @ (dpre @ cache.w.T)
+    dw, dpre = gcn_layer_backward(cache, dh)
+    dx = propagate(cache.op, dpre @ cache.w.T)
     return dw, dx
 
 
@@ -320,10 +336,8 @@ class ForwardCache:
     h: list  # per-relation clean embeddings
     h_tilde: list  # per-relation corrupted embeddings
     summaries: list
-    ax: list  # per-relation op @ X
-    ax_tilde: list  # per-relation op @ X[perm]
-    pre: list  # per-relation pre-activations, clean
-    pre_tilde: list  # and corrupted
+    gcn_caches: list
+    gcn_caches_tilde: list
     summary_caches: list
     pooled: np.ndarray
     pooled_tilde: np.ndarray
@@ -334,31 +348,29 @@ class ForwardCache:
 
 
 def model_forward(state: ModelState, ops: list, x: np.ndarray, perm: np.ndarray,
-                  ax: list | None = None) -> ForwardCache:
+                  ax: list) -> ForwardCache:
     """Run every relation encoder on clean and corrupted inputs, then pool.
 
-    ax, when given, is [propagate(op, x) for op in ops]; a caller whose X is
-    fixed passes it so the clean path makes no sparse product. The corrupted
-    path always makes one per relation, at the width of X.
+    ax is [propagate(op, x) for op in ops], computed once by a caller whose X
+    stays fixed, so the clean path makes no sparse product. The corrupted
+    path makes one per relation, plus one in its backward pass when X is
+    wider than the embedding (see propagates_first).
     """
     if len(ops) != state.dims.n_relations:
         raise DataError("operator count does not match n_relations")
-    if ax is None:
-        ax = [propagate(op, x) for op in ops]
     x_tilde = x[perm]
     h, h_t, s_list = [], [], []
-    ax_t, pre, pre_t, sc = [], [], [], []
+    gc, gct, sc = [], [], []
     for r in range(state.dims.n_relations):
         w = state.params["enc_w_%d" % r]
-        ax_t.append(propagate(ops[r], x_tilde))
-        hr, pr = gcn_layer(ax[r], w)
-        ht, pt = gcn_layer(ax_t[r], w)
+        hr, c1 = gcn_layer(ops[r], x, w, ax[r])
+        ht, c2 = gcn_layer(ops[r], x_tilde, w)
         sr, c3 = readout_summary(hr)
         h.append(hr)
         h_t.append(ht)
         s_list.append(sr)
-        pre.append(pr)
-        pre_t.append(pt)
+        gc.append(c1)
+        gct.append(c2)
         sc.append(c3)
     pooled, att_w, pc = attentive_pool(h, state.params["att_logits"])
     pooled_t, _, pct = attentive_pool(h_t, state.params["att_logits"])
@@ -366,10 +378,8 @@ def model_forward(state: ModelState, ops: list, x: np.ndarray, perm: np.ndarray,
         h=h,
         h_tilde=h_t,
         summaries=s_list,
-        ax=ax,
-        ax_tilde=ax_t,
-        pre=pre,
-        pre_tilde=pre_t,
+        gcn_caches=gc,
+        gcn_caches_tilde=gct,
         summary_caches=sc,
         pooled=pooled,
         pooled_tilde=pooled_t,

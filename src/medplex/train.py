@@ -282,11 +282,10 @@ class StepResult:
 
 def loss_and_grads(state: ModelState, ops: list, x: np.ndarray,
                    labels: LabelVector, cfg: TrainingConfig,
-                   perm: np.ndarray, ax: list | None = None) -> StepResult:
+                   perm: np.ndarray, ax: list) -> StepResult:
     """One full objective evaluation; fills state.grads as a side effect.
 
-    ax is the per-relation op @ x (see model_forward); with it the call makes
-    one sparse product per relation, for the corrupted input only.
+    ax is [propagate(op, x) for op in ops], as model_forward takes it.
     """
     state.zero_grads()
     fc = model_forward(state, ops, x, perm, ax)
@@ -324,8 +323,8 @@ def loss_and_grads(state: ModelState, ops: list, x: np.ndarray,
     state.grads["cls_b"] += d_bc
 
     for r in range(r_count):
-        g_w1, _ = gcn_layer_backward(fc.ax[r], fc.pre[r], dh[r])
-        g_w2, _ = gcn_layer_backward(fc.ax_tilde[r], fc.pre_tilde[r], dht[r])
+        g_w1, _ = gcn_layer_backward(fc.gcn_caches[r], dh[r])
+        g_w2, _ = gcn_layer_backward(fc.gcn_caches_tilde[r], dht[r])
         state.grads["enc_w_%d" % r] += g_w1 + g_w2
 
     l2 = state.l2()

@@ -45,6 +45,7 @@ from medplex.model import (
     gcn_backward,
     gcn_forward,
     normalize_adjacency,
+    propagate,
     readout_summary,
     summary_backward,
 )
@@ -205,13 +206,14 @@ def test_01_gradient_suite():
     mask = np.array([0] * 6 + [1, 1] + [2, 2] + [3, 3], dtype=np.int8)
     labels = LabelVector(rng.integers(0, c2, size=n2), mask, c2)
     perm = rng.permutation(n2)
-    loss_and_grads(state, ops, x2, labels, cfg, perm)
+    ax2 = [propagate(op, x2) for op in ops]
+    loss_and_grads(state, ops, x2, labels, cfg, perm, ax2)
     analytic = np.concatenate([state.grads[k].ravel() for k in state.param_order])
 
     def f_total(v):
         probe = ModelState(ModelDims(n2, f2, d2, r2, c2), seed=1)
         probe.unflatten(v)
-        return loss_and_grads(probe, ops, x2, labels, cfg, perm).total
+        return loss_and_grads(probe, ops, x2, labels, cfg, perm, ax2).total
 
     numeric = fd_grad(f_total, state.flatten())
     check("objective", analytic, numeric)

@@ -192,25 +192,27 @@ def test_single_gcn_fit_propagates_once(monkeypatch):
 def test_predict_proba_uses_the_operator_it_is_given():
     rng = np.random.default_rng(38)
     x, labels = two_blob_data(rng, gap=2.0)
-    model = fit_single_gcn(x, table_from(x), masked_labels(labels), theta=0.5,
-                           cfg=BaselineConfig(hidden_dim=6, epochs=50, seed=3))
-    p = model.params
-
-    def reference(x_, op_):
-        h = np.maximum(op_ @ (x_ @ p["w1"]), 0.0)
-        logits = h @ p["w2"] + p["b2"]
-        z = np.exp(logits - logits.max(axis=1, keepdims=True))
-        return z / z.sum(axis=1, keepdims=True)
-
     identity = normalize_adjacency(RelationGraph(n=x.shape[0], edges=np.zeros((0, 2))))
-    trained = model.predict_proba(x)
-    assert trained == pytest.approx(reference(x, model.op), abs=1e-12)
-    other = CountingOp(identity)
-    assert model.predict_proba(x, other) == pytest.approx(reference(x, identity), abs=1e-12)
-    assert other.widths == [x.shape[1]]
-    assert not np.allclose(model.predict_proba(x, identity), trained)
     x_new = x + rng.normal(size=x.shape)
-    assert model.predict_proba(x_new) == pytest.approx(reference(x_new, model.op), abs=1e-12)
+    # a hidden layer wider than x propagates x first, a narrower one x @ w1
+    for hidden, widths in ((6, [x.shape[1]]), (3, [3])):
+        model = fit_single_gcn(x, table_from(x), masked_labels(labels), theta=0.5,
+                               cfg=BaselineConfig(hidden_dim=hidden, epochs=50, seed=3))
+        p = model.params
+
+        def reference(x_, op_):
+            h = np.maximum(op_ @ (x_ @ p["w1"]), 0.0)
+            logits = h @ p["w2"] + p["b2"]
+            z = np.exp(logits - logits.max(axis=1, keepdims=True))
+            return z / z.sum(axis=1, keepdims=True)
+
+        trained = model.predict_proba(x)
+        assert trained == pytest.approx(reference(x, model.op), abs=1e-12)
+        other = CountingOp(identity)
+        assert model.predict_proba(x, other) == pytest.approx(reference(x, identity), abs=1e-12)
+        assert other.widths == widths
+        assert not np.allclose(model.predict_proba(x, identity), trained)
+        assert model.predict_proba(x_new) == pytest.approx(reference(x_new, model.op), abs=1e-12)
 
 
 def test_baselines_deterministic():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from conftest import fd_grad, max_rel_err
+from conftest import CountingOp, fd_grad, max_rel_err
 from medplex.errors import DataError, NumericError
 from medplex.graph import RelationGraph, build_weighted_full_graph
 from medplex.model import (
@@ -25,6 +25,7 @@ from medplex.model import (
     load_checkpoint,
     normalize_adjacency,
     propagate,
+    propagates_first,
     readout_summary,
     save_checkpoint,
     summary_backward,
@@ -119,27 +120,29 @@ def test_gcn_relu_kills_negative():
 
 def test_gcn_gradients_match_fd():
     rng = np.random.default_rng(4)
-    n, f, d = 7, 5, 3
+    n, f = 7, 5
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(iu.shape[0]) < 0.5
     op = normalize_adjacency(RelationGraph(n=n, edges=np.stack([iu[keep], ju[keep]], axis=1)))
     x = rng.normal(size=(n, f))
-    w = rng.normal(size=(f, d))
-    r = rng.normal(size=(n, d))  # random projection so the loss is scalar
+    for d in (3, 8):  # applies W first, then propagates first
+        w = rng.normal(size=(f, d))
+        r = rng.normal(size=(n, d))  # random projection so the loss is scalar
 
-    h, cache = gcn_forward(op, x, w)
-    dw, dx = gcn_backward(cache, r)
+        h, cache = gcn_forward(op, x, w)
+        assert (cache.ax is not None) == propagates_first(f, d)
+        dw, dx = gcn_backward(cache, r)
 
-    fd_w = fd_grad(lambda v: float(np.sum(gcn_forward(op, x, v.reshape(f, d))[0] * r)), w.ravel())
-    fd_x = fd_grad(lambda v: float(np.sum(gcn_forward(op, v.reshape(n, f), w)[0] * r)), x.ravel())
-    assert max_rel_err(dw.ravel(), fd_w) < 1e-4
-    assert max_rel_err(dx.ravel(), fd_x) < 1e-4
+        fd_w = fd_grad(lambda v: float(np.sum(gcn_forward(op, x, v.reshape(f, d))[0] * r)), w.ravel())
+        fd_x = fd_grad(lambda v: float(np.sum(gcn_forward(op, v.reshape(n, f), w)[0] * r)), x.ravel())
+        assert max_rel_err(dw.ravel(), fd_w) < 1e-4, d
+        assert max_rel_err(dx.ravel(), fd_x) < 1e-4, d
 
 
-def test_reassociated_layer_matches_propagate_last():
-    """(op X) W and (op X)^T dpre against relu(op (X W)) and X^T (op dpre)."""
+def test_gcn_layer_matches_propagate_last():
+    """Both associations against relu(op (X W)) and X^T (op dpre)."""
     rng = np.random.default_rng(40)
-    n, f, d = 25, 6, 5
+    n, f = 25, 6
     for trial in range(4):
         iu, ju = np.triu_indices(n, k=1)
         keep = rng.random(iu.shape[0]) < 0.3
@@ -151,32 +154,49 @@ def test_reassociated_layer_matches_propagate_last():
                                       weights=rng.uniform(0.05, 2.0, edges.shape[0])),
         }
         x = rng.normal(size=(n, f))
-        w = rng.normal(size=(f, d))
-        dh = rng.normal(size=(n, d))
-        for kind, g in graphs.items():
-            op = normalize_adjacency(g)
-            old_pre = op @ (x @ w)
-            old_dpre = np.where(old_pre > 0.0, dh, 0.0)
-            old_dxw = op @ old_dpre
+        for d in (4, 9):
+            w = rng.normal(size=(f, d))
+            dh = rng.normal(size=(n, d))
+            for kind, g in graphs.items():
+                op = normalize_adjacency(g)
+                old_pre = op @ (x @ w)
+                old_dpre = np.where(old_pre > 0.0, dh, 0.0)
+                old_dxw = op @ old_dpre
 
-            h, pre = gcn_layer(propagate(op, x), w)
-            dw, dpre = gcn_layer_backward(propagate(op, x), pre, dh)
-            assert np.max(np.abs(h - np.maximum(old_pre, 0.0))) <= 1e-12, kind
-            assert np.array_equal(dpre, old_dpre), kind
-            assert np.max(np.abs(dw - x.T @ old_dxw)) <= 1e-12, kind
+                # propagated once by the caller, and chosen from the widths
+                for h, cache in (gcn_layer(op, x, w, propagate(op, x)), gcn_layer(op, x, w)):
+                    dw, dpre = gcn_layer_backward(cache, dh)
+                    assert np.max(np.abs(h - np.maximum(old_pre, 0.0))) <= 1e-12, kind
+                    assert np.array_equal(dpre, old_dpre), kind
+                    assert np.max(np.abs(dw - x.T @ old_dxw)) <= 1e-12, kind
 
-            # the finite-difference-pinned public layer is the same kernel
-            h2, cache = gcn_forward(op, x, w)
-            dw2, dx2 = gcn_backward(cache, dh)
-            assert np.array_equal(h2, h) and np.array_equal(dw2, dw), kind
-            assert np.max(np.abs(dx2 - old_dxw @ w.T)) <= 1e-12, kind
+                # the finite-difference-pinned public layer is the same kernel
+                h2, cache2 = gcn_forward(op, x, w)
+                dw2, dx2 = gcn_backward(cache2, dh)
+                assert np.array_equal(h2, h) and np.array_equal(dw2, dw), kind
+                assert np.max(np.abs(dx2 - old_dxw @ w.T)) <= 1e-12, kind
+
+
+def test_gcn_layer_propagates_the_narrower_side():
+    rng = np.random.default_rng(41)
+    n = 9
+    iu, ju = np.triu_indices(n, k=1)
+    op = normalize_adjacency(RelationGraph(n=n, edges=np.stack([iu, ju], axis=1)))
+    for f, d, widths in ((3, 5, [3]), (5, 5, [5]), (7, 5, [5, 5])):
+        counting = CountingOp(op)
+        h, cache = gcn_layer(counting, rng.normal(size=(n, f)), rng.normal(size=(f, d)))
+        gcn_layer_backward(cache, np.ones_like(h))
+        assert counting.widths == widths, (f, d)
+        assert propagates_first(f, d) == (len(widths) == 1)
 
 
 def test_propagate_rejects_size_mismatch():
     with pytest.raises(DataError):
         propagate(identity_op(3), np.zeros((4, 2)))
     with pytest.raises(DataError):
-        gcn_layer(np.zeros((3, 2)), np.zeros((3, 1)))
+        gcn_layer(identity_op(3), np.zeros((3, 2)), np.zeros((3, 1)))
+    with pytest.raises(DataError):  # applies W first
+        gcn_forward(identity_op(3), np.zeros((4, 5)), np.zeros((5, 2)))
 
 
 # ---------------------------------------------------------------- readout

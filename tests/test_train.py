@@ -345,27 +345,29 @@ def random_ops(rng, n, r_count):
 
 def test_full_objective_gradient_matches_fd():
     rng = np.random.default_rng(26)
-    n, f, d, r_count, c = 12, 8, 4, 2, 3
-    cfg = TrainingConfig(learning_rate=0.01, embed_dim=d, n_relations=r_count,
-                         thetas=(0.5, 0.5), alpha=0.7, beta=0.9, gamma=0.02)
-    state = ModelState(ModelDims(n, f, d, r_count, c), seed=5)
+    n, f, r_count, c = 12, 8, 2, 3
     ops = random_ops(rng, n, r_count)
     x = rng.normal(size=(n, f))
+    ax = [propagate(op, x) for op in ops]
     mask = np.array([D.TRAIN] * 6 + [D.VAL, D.VAL] + [D.TEST] * 2 + [D.UNLABELED] * 2)
     labels = labeled_vector(rng.integers(0, c, size=n), mask)
     perm = rng.permutation(n)
+    for d in (4, 8):  # the corrupted path applies W first, then propagates first
+        cfg = TrainingConfig(learning_rate=0.01, embed_dim=d, n_relations=r_count,
+                             thetas=(0.5, 0.5), alpha=0.7, beta=0.9, gamma=0.02)
+        state = ModelState(ModelDims(n, f, d, r_count, c), seed=5)
 
-    loss_and_grads(state, ops, x, labels, cfg, perm)
-    analytic = np.concatenate([state.grads[k].ravel() for k in state.param_order])
-    base = state.flatten()
+        loss_and_grads(state, ops, x, labels, cfg, perm, ax)
+        analytic = np.concatenate([state.grads[k].ravel() for k in state.param_order])
+        base = state.flatten()
 
-    def f_total(v):
-        probe = ModelState(ModelDims(n, f, d, r_count, c), seed=5)
-        probe.unflatten(v)
-        return loss_and_grads(probe, ops, x, labels, cfg, perm).total
+        def f_total(v):
+            probe = ModelState(ModelDims(n, f, d, r_count, c), seed=5)
+            probe.unflatten(v)
+            return loss_and_grads(probe, ops, x, labels, cfg, perm, ax).total
 
-    numeric = fd_grad(f_total, base)
-    assert max_rel_err(analytic, numeric, floor=1e-5) < 1e-4
+        numeric = fd_grad(f_total, base)
+        assert max_rel_err(analytic, numeric, floor=1e-5) < 1e-4, d
 
 
 def test_beta_zero_leaves_only_l2_on_head():
@@ -377,44 +379,40 @@ def test_beta_zero_leaves_only_l2_on_head():
     ops = random_ops(rng, n, 1)
     x = rng.normal(size=(n, f))
     labels = labeled_vector(rng.integers(0, c, size=n), [D.TRAIN] * n)
-    loss_and_grads(state, ops, x, labels, cfg, rng.permutation(n))
+    loss_and_grads(state, ops, x, labels, cfg, rng.permutation(n), [propagate(ops[0], x)])
     assert np.array_equal(state.grads["cls_w"], 2.0 * cfg.gamma * state.params["cls_w"])
     assert np.array_equal(state.grads["cls_b"], 2.0 * cfg.gamma * state.params["cls_b"])
 
 
 def test_loss_and_grads_propagates_only_the_corrupted_input():
     rng = np.random.default_rng(28)
-    n, f, d, r_count, c = 12, 7, 4, 3, 2
-    cfg = TrainingConfig(learning_rate=0.01, embed_dim=d, n_relations=r_count,
-                         thetas=(0.5,), alpha=0.7, beta=0.9, gamma=0.02)
+    n, f, r_count, c = 12, 7, 3, 2
     ops = random_ops(rng, n, r_count)
     x = rng.normal(size=(n, f))
+    ax = [propagate(op, x) for op in ops]
     labels = labeled_vector(rng.integers(0, c, size=n), [D.TRAIN] * 8 + [D.VAL] * 4)
     perm = rng.permutation(n)
-
-    reference = ModelState(ModelDims(n, f, d, r_count, c), seed=3)
-    expected = loss_and_grads(reference, ops, x, labels, cfg, perm)
-
-    state = ModelState(ModelDims(n, f, d, r_count, c), seed=3)
-    counting = [CountingOp(op) for op in ops]
-    ax = [propagate(op, x) for op in ops]
-    step = loss_and_grads(state, counting, x, labels, cfg, perm, ax)
-    assert [op.widths for op in counting] == [[f]] * r_count
-    assert step.total == expected.total
-    for name in state.param_order:
-        assert np.array_equal(state.grads[name], reference.grads[name]), name
+    # op @ X[perm] at the input width; or, for inputs wider than the
+    # embedding, op @ (X[perm] W) and op @ dpre at the embedding width
+    for d, widths in ((7, [f]), (10, [f]), (4, [4, 4])):
+        cfg = TrainingConfig(learning_rate=0.01, embed_dim=d, n_relations=r_count,
+                             thetas=(0.5,), alpha=0.7, beta=0.9, gamma=0.02)
+        state = ModelState(ModelDims(n, f, d, r_count, c), seed=3)
+        counting = [CountingOp(op) for op in ops]
+        loss_and_grads(state, counting, x, labels, cfg, perm, ax)
+        assert [op.widths for op in counting] == [widths] * r_count, d
 
 
 # ---------------------------------------------------------------- fit
 
 
-def synth_setup(seed=0, epochs=60, **cfg_over):
+def synth_setup(seed=0, epochs=60, embed_dim=8, **cfg_over):
     scfg = SynthConfig(n=60, n_classes=2, n_types=2, cols_per_type=4,
                        separations=(3.0, 3.0), noise_std=1.0,
                        embed_dim=4, embed_separation=2.0, embed_noise_std=1.0,
                        seed=seed)
     table, embeddings, labels, _ = generate_synthetic_cohort(scfg)
-    cfg = preset_config("synth", embed_dim=8, epochs=epochs, seed=seed, **cfg_over)
+    cfg = preset_config("synth", embed_dim=embed_dim, epochs=epochs, seed=seed, **cfg_over)
     masked = assign_masks(labels, cfg)
     graph = build_graph_for(table, embeddings, cfg)
     return graph, masked, cfg
@@ -481,8 +479,7 @@ def test_fit_rejects_mismatched_shapes():
         fit(graph, masked, bad)
 
 
-def test_fit_makes_two_sparse_products_per_epoch(monkeypatch):
-    graph, masked, cfg = synth_setup(seed=8, epochs=7)
+def test_fit_sparse_products_per_epoch(monkeypatch):
     counting = []
 
     def counting_adjacency(g):
@@ -490,19 +487,32 @@ def test_fit_makes_two_sparse_products_per_epoch(monkeypatch):
         return counting[-1]
 
     monkeypatch.setattr(T, "normalize_adjacency", counting_adjacency)
-    _, report = fit(graph, masked, cfg)
-    in_dim = graph.attributes.x.shape[1]
-    # op @ X once per relation, then op @ X[perm] once per relation per epoch
-    assert len(counting) == cfg.n_relations == 2
-    assert [op.widths for op in counting] == [[in_dim] * (1 + report.epochs_run)] * 2
+    # in_dim is 12: 4 embedding plus 8 clinical columns
+    for embed_dim in (16, 12, 8):
+        graph, masked, cfg = synth_setup(seed=8, epochs=7, embed_dim=embed_dim)
+        counting.clear()
+        _, report = fit(graph, masked, cfg)
+        in_dim = graph.attributes.x.shape[1]
+        # op @ X once per relation; then, per relation and epoch, op @ X[perm]
+        # or, for inputs wider than the embedding, op @ (X[perm] W) and op @ dpre
+        per_epoch = [in_dim] if in_dim <= embed_dim else [embed_dim] * 2
+        assert len(counting) == cfg.n_relations == 2
+        assert [op.widths for op in counting] == [[in_dim] + per_epoch * report.epochs_run] * 2
 
 
-def test_pooled_probs_match_training_forward_exactly():
-    graph, masked, cfg = synth_setup(seed=9, epochs=5)
-    state, _ = fit(graph, masked, cfg)
-    ops = [normalize_adjacency(g) for g in graph.relations]
-    x = graph.attributes.x
-    fc = model_forward(state, ops, x, np.arange(graph.n_nodes),
-                       [propagate(op, x) for op in ops])
-    expected, _ = classify(fc.pooled, state.params["cls_w"], state.params["cls_b"])
-    assert np.array_equal(pooled_probs(state, graph), expected)
+def test_pooled_probs_match_training_forward():
+    # exactly while the input is no wider than the embedding, where inference
+    # propagates first like the training's clean path; to rounding otherwise
+    for embed_dim in (16, 8):
+        graph, masked, cfg = synth_setup(seed=9, epochs=5, embed_dim=embed_dim)
+        state, _ = fit(graph, masked, cfg)
+        ops = [normalize_adjacency(g) for g in graph.relations]
+        x = graph.attributes.x
+        fc = model_forward(state, ops, x, np.arange(graph.n_nodes),
+                           [propagate(op, x) for op in ops])
+        expected, _ = classify(fc.pooled, state.params["cls_w"], state.params["cls_b"])
+        got = pooled_probs(state, graph)
+        if x.shape[1] <= embed_dim:
+            assert np.array_equal(got, expected)
+        else:
+            assert np.max(np.abs(got - expected)) <= 1e-12
