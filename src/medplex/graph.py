@@ -46,12 +46,37 @@ def _unit_rows(values: np.ndarray) -> np.ndarray:
     return values / safe
 
 
-def cosine_matrix(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """All-pairs cosine similarities between rows of a and rows of b (or a)."""
-    a = np.asarray(a, dtype=np.float64)
-    ua = _unit_rows(a)
+# Rows per similarity tile. A tile holds at most _TILE x n float64s, so graph
+# building needs O(_TILE * n + E) memory rather than the full n x n matrix.
+_TILE = 256
+
+
+def _similar_pairs(
+    a: np.ndarray, theta: float | None, b: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Row pairs whose clipped cosine similarity is strictly above theta.
+
+    Without b, pairs (i, j) of a's rows with i < j; with b, every pair of a row
+    i of a and a row j of b. Returns the pairs row-major as an (E, 2) int64
+    array, computed one tile of a's rows at a time. theta None keeps every pair
+    and returns its similarity, clamped at 0, as the edge weight; otherwise the
+    weights are None.
+    """
+    ua = _unit_rows(np.asarray(a, dtype=np.float64))
     ub = ua if b is None else _unit_rows(np.asarray(b, dtype=np.float64))
-    return np.clip(ua @ ub.T, -1.0, 1.0)
+    pairs, weights = [np.empty((0, 2), dtype=np.int64)], [np.empty(0)]
+    for lo in range(0, ua.shape[0], _TILE):
+        first = lo if b is None else 0  # columns before lo lie below the diagonal
+        sims = ua[lo:lo + _TILE] @ ub[first:].T
+        np.clip(sims, -1.0, 1.0, out=sims)
+        keep = np.ones(sims.shape, dtype=bool) if theta is None else sims > theta
+        if b is None:
+            keep = np.triu(keep, k=1)
+        i, j = np.nonzero(keep)
+        pairs.append(np.stack([i + lo, j + first], axis=1))
+        if theta is None:
+            weights.append(np.maximum(sims[i, j], 0.0))
+    return np.concatenate(pairs), (np.concatenate(weights) if theta is None else None)
 
 
 @dataclass
@@ -74,8 +99,11 @@ class RelationGraph:
             if np.any(self.edges[:, 0] >= self.edges[:, 1]):
                 raise DataError("edges must satisfy i < j (no self loops)")
             keys = self.edges[:, 0] * self.n + self.edges[:, 1]
-            if np.unique(keys).size != keys.size:
-                raise DataError("duplicate edges")
+            # builds emit strictly increasing keys; only other inputs pay for a sort
+            if not np.all(keys[1:] > keys[:-1]):
+                keys = np.sort(keys)
+                if np.any(keys[1:] == keys[:-1]):
+                    raise DataError("duplicate edges")
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=np.float64).ravel()
             if self.weights.shape[0] != self.edges.shape[0]:
@@ -88,11 +116,7 @@ class RelationGraph:
         return self.edges.shape[0]
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        if self.edges.size:
-            np.add.at(deg, self.edges[:, 0], 1)
-            np.add.at(deg, self.edges[:, 1], 1)
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
     def edge_set(self) -> set:
         return {(int(i), int(j)) for i, j in self.edges}
@@ -107,12 +131,10 @@ def build_relation_graph(block: np.ndarray, theta: float, relation_index: int = 
     block = np.asarray(block, dtype=np.float64)
     if block.ndim != 2 or block.shape[1] < 1:
         raise DataError("relation block must be 2-d with at least one column")
-    sims = cosine_matrix(block)
-    n = block.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    keep = sims[iu, ju] > theta
-    edges = np.stack([iu[keep], ju[keep]], axis=1)
-    return RelationGraph(n=n, edges=edges, relation_index=relation_index, threshold=float(theta))
+    edges, _ = _similar_pairs(block, float(theta))
+    return RelationGraph(
+        n=block.shape[0], edges=edges, relation_index=relation_index, threshold=float(theta)
+    )
 
 
 def build_weighted_full_graph(block: np.ndarray, relation_index: int = 0) -> RelationGraph:
@@ -124,13 +146,10 @@ def build_weighted_full_graph(block: np.ndarray, relation_index: int = 0) -> Rel
     block = np.asarray(block, dtype=np.float64)
     if block.ndim != 2 or block.shape[1] < 1:
         raise DataError("relation block must be 2-d with at least one column")
-    sims = cosine_matrix(block)
-    n = block.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    weights = np.maximum(sims[iu, ju], 0.0)
-    edges = np.stack([iu, ju], axis=1)
+    edges, weights = _similar_pairs(block, None)
     return RelationGraph(
-        n=n, edges=edges, relation_index=relation_index, threshold=None, weights=weights
+        n=block.shape[0], edges=edges, relation_index=relation_index, threshold=None,
+        weights=weights,
     )
 
 
@@ -248,16 +267,11 @@ def attach_new_nodes(
     relations = []
     for r, old in enumerate(g.relations):
         cols = g.partition.columns_of(r)
-        sims = cosine_matrix(g.table.values[:, cols], new_norm.values[:, cols])  # (n_old, m)
-        if old.weights is not None:
-            oi, nj = np.nonzero(np.ones_like(sims, dtype=bool))
-            w_new = np.maximum(sims[oi, nj], 0.0)
-            edges = np.concatenate([old.edges, np.stack([oi, n_old + nj], axis=1)])
-            weights = np.concatenate([old.weights, w_new])
-        else:
-            oi, nj = np.nonzero(sims > g.thetas[r])
-            edges = np.concatenate([old.edges, np.stack([oi, n_old + nj], axis=1)])
-            weights = None
+        theta = None if old.weights is not None else g.thetas[r]
+        pairs, w_new = _similar_pairs(g.table.values[:, cols], theta, new_norm.values[:, cols])
+        pairs[:, 1] += n_old
+        edges = np.concatenate([old.edges, pairs])
+        weights = None if w_new is None else np.concatenate([old.weights, w_new])
         relations.append(
             RelationGraph(
                 n=n_old + m,
@@ -328,15 +342,24 @@ def pairwise_class_similarity(
     return out
 
 
+_WRITE_CHUNK = 1 << 16  # edges formatted per string operation
+
+
 def write_edge_list(path, graph: RelationGraph) -> None:
     """One `i j [weight]` line per edge, i < j, row-major order."""
+    columns = [graph.edges[:, 0], graph.edges[:, 1]]
+    line = "%d %d\n"
+    if graph.weights is not None:
+        columns.append(graph.weights)
+        line = "%d %d %.17g\n"
+    width = len(columns)
     with open(path, "w") as fh:
-        if graph.weights is None:
-            for i, j in graph.edges:
-                fh.write("%d %d\n" % (i, j))
-        else:
-            for (i, j), w in zip(graph.edges, graph.weights):
-                fh.write("%d %d %.17g\n" % (i, j, w))
+        for lo in range(0, graph.n_edges, _WRITE_CHUNK):
+            k = min(_WRITE_CHUNK, graph.n_edges - lo)
+            fields = [None] * (k * width)
+            for c, col in enumerate(columns):
+                fields[c::width] = col[lo:lo + k].tolist()
+            fh.write((line * k) % tuple(fields))
 
 
 def write_multiplex(out_dir, g: MultiplexGraph) -> dict:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from medplex import graph as graph_module
 from medplex.clustering import ClusterPartition
 from medplex.data import (
     EmbeddingTable,
@@ -18,10 +21,12 @@ from medplex.graph import (
     build_multiplex,
     build_relation_graph,
     build_weighted_full_graph,
-    cosine_matrix,
     cosine_similarity,
     pairwise_class_similarity,
+    write_edge_list,
 )
+
+TILE = graph_module._TILE
 
 
 def table_from(values, names=None, ids=None):
@@ -41,6 +46,24 @@ def brute_force_edges(block, theta):
             if cosine_similarity(block[i], block[j]) > theta:
                 edges.add((i, j))
     return edges
+
+
+def full_matrix_sims(a, b=None):
+    """Reference: the whole clipped cosine matrix in one product."""
+    def unit(x):
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
+        return x / np.where(norms > 0, norms, 1.0)
+    ua = unit(a)
+    ub = ua if b is None else unit(b)
+    return np.clip(ua @ ub.T, -1.0, 1.0)
+
+
+def full_matrix_edges(block, theta):
+    """Reference build: full cosine matrix and triu_indices, row-major i < j."""
+    sims = full_matrix_sims(block)
+    iu, ju = np.triu_indices(block.shape[0], k=1)
+    keep = sims[iu, ju] > theta
+    return np.stack([iu[keep], ju[keep]], axis=1)
 
 
 # ---------------------------------------------------------------- cosine
@@ -67,20 +90,27 @@ def test_cosine_length_mismatch():
         cosine_similarity([1.0], [1.0, 2.0])
 
 
-def test_cosine_matrix_matches_pairwise():
+def test_similar_pairs_match_pairwise_cosine():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(7, 4))
-    m = cosine_matrix(a)
-    for i in range(7):
-        for j in range(7):
-            assert m[i, j] == pytest.approx(cosine_similarity(a[i], a[j]), abs=1e-12)
+    b = rng.normal(size=(5, 4))
+    cos = np.array([[cosine_similarity(a[i], b[j]) for j in range(5)] for i in range(7)])
+    for theta in (-0.5, 0.0, 0.3):
+        pairs, weights = graph_module._similar_pairs(a, theta, b)
+        assert weights is None
+        assert pairs.tolist() == np.argwhere(cos > theta).tolist()
+    pairs, weights = graph_module._similar_pairs(a, None, b)
+    assert pairs.tolist() == np.argwhere(np.ones((7, 5))).tolist()
+    assert np.abs(weights - np.maximum(cos, 0.0).ravel()).max() < 1e-12
 
 
 def test_cosine_scale_invariance():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(5, 3))
     scaled = a * rng.uniform(0.1, 10.0, size=(5, 1))
-    assert np.abs(cosine_matrix(a) - cosine_matrix(scaled)).max() < 1e-12
+    _, w = graph_module._similar_pairs(a, None)
+    _, w_scaled = graph_module._similar_pairs(scaled, None)
+    assert np.abs(w - w_scaled).max() < 1e-12
 
 
 # ---------------------------------------------------------------- relation graphs
@@ -139,15 +169,99 @@ def test_node_permutation_equivariance():
     assert gp.edge_set() == expected
 
 
+@pytest.mark.parametrize("n", [1, TILE - 1, TILE, TILE + 1, 2 * TILE + 3])
+def test_tiled_build_equals_full_matrix_reference(n):
+    rng = np.random.default_rng(n)
+    block = rng.normal(size=(n, 3))
+    for theta in (-0.3, 0.2, 0.8):
+        g = build_relation_graph(block, theta)
+        assert np.array_equal(g.edges, full_matrix_edges(block, theta))
+
+
+@pytest.mark.parametrize("n", [TILE + 1, 2 * TILE + 3])
+def test_tiled_build_with_duplicate_rows_at_theta(n):
+    # rows repeat four prototypes with exact similarities 1, 0 and -1, so whole
+    # blocks of pairs sit exactly at each theta in every summation order
+    protos = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.5], [-4.0, 0.0, 0.0]])
+    block = protos[np.random.default_rng(n).integers(0, 4, size=n)]
+    for theta in (-1.0, 0.0, 1.0):
+        g = build_relation_graph(block, theta)
+        assert np.array_equal(g.edges, full_matrix_edges(block, theta))
+    assert build_relation_graph(block, 1.0).n_edges == 0
+    assert build_relation_graph(block, 0.0).edge_set() == brute_force_edges(block, 0.0)
+
+
+def test_tiled_weighted_and_rectangular_pairs_equal_full_matrix():
+    rng = np.random.default_rng(16)
+    a = rng.normal(size=(2 * TILE + 3, 3))
+    b = rng.normal(size=(7, 3))
+    n = a.shape[0]
+    g = build_weighted_full_graph(a)
+    iu, ju = np.triu_indices(n, k=1)
+    assert np.array_equal(g.edges, np.stack([iu, ju], axis=1))
+    # BLAS may pick another kernel for a tile than for the whole matrix
+    ulps = 4 * np.finfo(np.float64).eps
+    assert np.abs(g.weights - np.maximum(full_matrix_sims(a)[iu, ju], 0.0)).max() <= ulps
+    sims = full_matrix_sims(a, b)
+    pairs, _ = graph_module._similar_pairs(a, 0.4, b)
+    assert np.array_equal(pairs, np.argwhere(sims > 0.4))
+    pairs, weights = graph_module._similar_pairs(a, None, b)
+    assert np.array_equal(pairs, np.argwhere(np.ones(sims.shape)))
+    assert np.abs(weights - np.maximum(sims, 0.0).ravel()).max() <= ulps
+
+
+def test_build_memory_stays_below_full_matrix():
+    n = 3000
+    block = np.random.default_rng(17).normal(size=(n, 4))
+    tracemalloc.start()
+    try:
+        g = build_relation_graph(block, 0.999999)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n_edges < 1000
+    assert peak < n * n * 8 / 4
+
+
 def test_degrees_and_edge_invariants():
     g = RelationGraph(n=4, edges=np.array([[0, 1], [0, 2], [2, 3]]))
     assert g.degrees().tolist() == [2, 1, 2, 1]
+    assert RelationGraph(n=3, edges=np.empty((0, 2))).degrees().tolist() == [0, 0, 0]
     with pytest.raises(DataError, match="i < j"):
         RelationGraph(n=3, edges=np.array([[1, 0]]))
     with pytest.raises(DataError, match="duplicate edges"):
         RelationGraph(n=3, edges=np.array([[0, 1], [0, 1]]))
+    with pytest.raises(DataError, match="duplicate edges"):
+        RelationGraph(n=4, edges=np.array([[0, 1], [0, 2], [0, 2], [2, 3]]))
+    with pytest.raises(DataError, match="duplicate edges"):
+        RelationGraph(n=4, edges=np.array([[2, 3], [0, 1], [2, 3]]))
+    unsorted = RelationGraph(n=4, edges=np.array([[2, 3], [0, 2], [0, 1]]))
+    assert unsorted.degrees().tolist() == [2, 1, 2, 1]
     with pytest.raises(DataError, match="outside"):
         RelationGraph(n=2, edges=np.array([[0, 5]]))
+
+
+def test_write_edge_list_golden_bytes(tmp_path):
+    edges = np.array([[0, 1], [0, 3], [2, 3]])
+    path = tmp_path / "edges.txt"
+    write_edge_list(path, RelationGraph(n=4, edges=edges))
+    assert path.read_bytes() == b"0 1\n0 3\n2 3\n"
+    write_edge_list(path, RelationGraph(n=4, edges=edges, weights=[0.1, 1 / 3, 0.0]))
+    assert path.read_bytes() == b"0 1 0.10000000000000001\n0 3 0.33333333333333331\n2 3 0\n"
+    write_edge_list(path, RelationGraph(n=4, edges=np.empty((0, 2))))
+    assert path.read_bytes() == b""
+
+
+def test_write_edge_list_chunks_match_line_by_line(tmp_path, monkeypatch):
+    monkeypatch.setattr(graph_module, "_WRITE_CHUNK", 4)
+    rng = np.random.default_rng(18)
+    g = build_weighted_full_graph(rng.normal(size=(6, 3)))  # 15 edges: 3 full chunks + 3
+    path = tmp_path / "edges.txt"
+    write_edge_list(path, g)
+    expected = "".join("%d %d %.17g\n" % (i, j, w) for (i, j), w in zip(g.edges, g.weights))
+    assert path.read_text() == expected
+    write_edge_list(path, RelationGraph(n=g.n, edges=g.edges[:8]))
+    assert path.read_text() == "".join("%d %d\n" % (i, j) for i, j in g.edges[:8])
 
 
 # ---------------------------------------------------------------- weighted full graph
