@@ -24,7 +24,7 @@ from . import __version__
 from . import data as D
 from . import evaluate as E
 from . import pipeline
-from .clustering import ClusterPartition, kmeans_columns, load_manual_split, save_partition
+from .clustering import kmeans_columns, load_manual_split, save_partition
 from .data import Normalizer, SynthConfig
 from .graph import pairwise_class_similarity, write_multiplex
 from .model import load_checkpoint, save_checkpoint

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -342,24 +342,27 @@ def pairwise_class_similarity(
     return out
 
 
-_WRITE_CHUNK = 1 << 16  # edges formatted per string operation
+_WRITE_CHUNK = 1 << 16  # edges joined per write
 
 
 def write_edge_list(path, graph: RelationGraph) -> None:
-    """One `i j [weight]` line per edge, i < j, row-major order."""
-    columns = [graph.edges[:, 0], graph.edges[:, 1]]
-    line = "%d %d\n"
-    if graph.weights is not None:
-        columns.append(graph.weights)
-        line = "%d %d %.17g\n"
-    width = len(columns)
+    """One `i j [weight]` line per edge, i < j, in the graph's edge order, which
+    is row-major for every built graph. No id is formatted per edge: words[i] is
+    "i " and words[n + j] is "j\\n", so a chunk of edges is one gather and one join.
+    """
+    n = graph.n
+    ids = list(map(str, range(n)))
+    words = np.array([s + " " for s in ids] + [s + "\n" for s in ids], dtype=object)
     with open(path, "w") as fh:
         for lo in range(0, graph.n_edges, _WRITE_CHUNK):
-            k = min(_WRITE_CHUNK, graph.n_edges - lo)
-            fields = [None] * (k * width)
-            for c, col in enumerate(columns):
-                fields[c::width] = col[lo:lo + k].tolist()
-            fh.write((line * k) % tuple(fields))
+            pairs = graph.edges[lo:lo + _WRITE_CHUNK]
+            if graph.weights is None:
+                cells = words[pairs + (0, n)]
+            else:
+                cells = np.empty((len(pairs), 3), dtype=object)
+                cells[:, :2] = words[pairs]
+                cells[:, 2] = ["%.17g\n" % w for w in graph.weights[lo:lo + _WRITE_CHUNK].tolist()]
+            fh.write("".join(cells.ravel().tolist()))
 
 
 def write_multiplex(out_dir, g: MultiplexGraph) -> dict:

@@ -9,7 +9,7 @@ which is symmetric, so transposes never appear in the backward passes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp

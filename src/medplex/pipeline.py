@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from . import data as D
 from .data import (
     EmbeddingTable,
     FeatureTable,
@@ -27,7 +26,7 @@ from .graph import MultiplexGraph, attach_new_nodes, build_multiplex
 from .model import ModelState, attentive_pool, classify, gcn_forward, normalize_adjacency
 from .train import TrainingConfig, TrainReport, fit
 from .baselines import BaselineConfig, BaselineModel, fit_mlp, fit_single_gcn
-from .evaluate import metrics_report, subsample_train
+from .evaluate import subsample_train
 
 
 @dataclass

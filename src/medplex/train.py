@@ -36,7 +36,6 @@ from .model import (
     model_forward,
     normalize_adjacency,
     propagate,
-    readout_summary,
     summary_backward,
 )
 

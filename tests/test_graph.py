@@ -264,6 +264,52 @@ def test_write_edge_list_chunks_match_line_by_line(tmp_path, monkeypatch):
     assert path.read_text() == "".join("%d %d\n" % (i, j) for i, j in g.edges[:8])
 
 
+def line_by_line(g):
+    if g.weights is None:
+        return "".join("%d %d\n" % (i, j) for i, j in g.edges.tolist())
+    rows = zip(g.edges.tolist(), g.weights.tolist())
+    return "".join("%d %d %.17g\n" % (i, j, w) for (i, j), w in rows)
+
+
+def test_write_edge_list_ids_across_digit_widths(tmp_path):
+    ends = [0, 9, 10, 99, 100, 999, 1000]
+    edges = [(i, j) for k, i in enumerate(ends) for j in ends[k + 1:]]
+    weights = np.random.default_rng(19).uniform(-1.0, 1.0, size=len(edges))
+    weights[:4] = [0.0, 1.0, 1 / 3, 1e-300]
+    path = tmp_path / "edges.txt"
+    for w in (None, weights):
+        g = RelationGraph(n=1001, edges=edges, weights=w)
+        write_edge_list(path, g)
+        assert path.read_text() == line_by_line(g)
+
+
+def test_write_edge_list_keeps_stored_order(tmp_path, monkeypatch):
+    monkeypatch.setattr(graph_module, "_WRITE_CHUNK", 7)
+    path = tmp_path / "edges.txt"
+    for weighted in (False, True):
+        g, _ = make_trained_multiplex(weighted=weighted)
+        new = table_from(np.random.default_rng(20).normal(size=(3, 6)), ids=["a", "b", "c"])
+        ext = attach_new_nodes(g, new, empty_embeddings(["a", "b", "c"])).relations[0]
+        keys = ext.edges[:, 0] * ext.n + ext.edges[:, 1]
+        assert np.any(keys[1:] < keys[:-1])  # old edges, then the new pairs: not row-major
+        write_edge_list(path, ext)
+        assert path.read_text() == line_by_line(ext)
+
+
+def test_write_edge_list_memory_stays_below_output(tmp_path):
+    n = 2000
+    g = RelationGraph(n=n, edges=np.stack(np.triu_indices(n, k=1), axis=1))
+    path = tmp_path / "edges.txt"
+    tracemalloc.start()
+    try:
+        write_edge_list(path, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # neither the whole file nor a list of every line is ever held
+    assert peak < path.stat().st_size / 2
+
+
 # ---------------------------------------------------------------- weighted full graph
 
 
