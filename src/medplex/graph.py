@@ -345,14 +345,21 @@ def pairwise_class_similarity(
 _WRITE_CHUNK = 1 << 16  # edges joined per write
 
 
-def write_edge_list(path, graph: RelationGraph) -> None:
+def _id_words(n: int) -> np.ndarray:
+    """Object array of 2n id strings: "i " at index i and "j\\n" at n + j."""
+    ids = list(map(str, range(n)))
+    return np.array([s + " " for s in ids] + [s + "\n" for s in ids], dtype=object)
+
+
+def write_edge_list(path, graph: RelationGraph, words: np.ndarray | None = None) -> None:
     """One `i j [weight]` line per edge, i < j, in the graph's edge order, which
-    is row-major for every built graph. No id is formatted per edge: words[i] is
-    "i " and words[n + j] is "j\\n", so a chunk of edges is one gather and one join.
+    is row-major for every built graph. No id is formatted per edge: words is
+    _id_words(graph.n), built here unless a caller writing several graphs over
+    the same nodes passes it, so a chunk of edges is one gather and one join.
     """
     n = graph.n
-    ids = list(map(str, range(n)))
-    words = np.array([s + " " for s in ids] + [s + "\n" for s in ids], dtype=object)
+    if words is None:
+        words = _id_words(n)
     with open(path, "w") as fh:
         for lo in range(0, graph.n_edges, _WRITE_CHUNK):
             pairs = graph.edges[lo:lo + _WRITE_CHUNK]
@@ -369,9 +376,10 @@ def write_multiplex(out_dir, g: MultiplexGraph) -> dict:
     """Write per-relation edge lists plus a JSON manifest; returns the manifest."""
     os.makedirs(out_dir, exist_ok=True)
     rel_meta = []
+    words = _id_words(g.n_nodes)
     for r, graph in enumerate(g.relations):
         fname = "edges_r%d.txt" % r
-        write_edge_list(os.path.join(out_dir, fname), graph)
+        write_edge_list(os.path.join(out_dir, fname), graph, words)
         deg = graph.degrees()
         rel_meta.append(
             {

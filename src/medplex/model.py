@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .errors import DataError, NumericError
-from .graph import RelationGraph
+from .graph import _TILE, RelationGraph
 
 CHECKPOINT_VERSION = 1
 
@@ -119,26 +119,22 @@ def normalize_adjacency(graph: RelationGraph) -> sp.csr_matrix:
     """Symmetric operator D^-1/2 (A + I) D^-1/2 with degrees from A + I.
 
     Weighted graphs contribute their weights to A; the self loop is always 1,
-    so degrees stay strictly positive.
+    so degrees stay strictly positive. A + I is built as CSR from the stored
+    upper triangle and scaled in place, row factor first, so the transient
+    memory stays within a small multiple of the returned operator.
     """
     n = graph.n
-    if graph.edges.size:
-        i = graph.edges[:, 0]
-        j = graph.edges[:, 1]
-        w = graph.weights if graph.weights is not None else np.ones(i.shape[0])
-        rows = np.concatenate([i, j, np.arange(n)])
-        cols = np.concatenate([j, i, np.arange(n)])
-        vals = np.concatenate([w, w, np.ones(n)])
-    else:
-        rows = cols = np.arange(n)
-        vals = np.ones(n)
-    a_hat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
+    i, j = graph.edges[:, 0], graph.edges[:, 1]
+    w = graph.weights if graph.weights is not None else np.ones(graph.n_edges)
+    upper = sp.csr_matrix((w, (i, j)), shape=(n, n))
+    a_hat = upper + upper.T + sp.identity(n, format="csr")
     deg = np.asarray(a_hat.sum(axis=1)).ravel()
     if np.any(deg <= 0):
         raise NumericError("non-positive degree in normalized adjacency")
     dinv = 1.0 / np.sqrt(deg)
-    vals = a_hat.data * dinv[a_hat.row] * dinv[a_hat.col]
-    return sp.coo_matrix((vals, (a_hat.row, a_hat.col)), shape=(n, n)).tocsr()
+    a_hat.data *= np.repeat(dinv, np.diff(a_hat.indptr))
+    a_hat.data *= dinv[a_hat.indices]
+    return a_hat
 
 
 def propagate(op: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
@@ -146,6 +142,39 @@ def propagate(op: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     if op.shape[0] != x.shape[0]:
         raise DataError("operator size %d does not match %d rows" % (op.shape[0], x.shape[0]))
     return op @ x
+
+
+# Share of nonzeros (nnz / n^2) from which propagate_block multiplies the
+# operator as dense tiles rather than as CSR. On 144 columns and one BLAS
+# thread, tiles overtook CSR at about 0.17 for n = 1000 and 0.12 for n = 3000.
+_DENSE_FROM = 0.14
+
+
+def propagate_block(op: sp.csr_matrix, xs: np.ndarray) -> np.ndarray:
+    """op @ XS for a wide block XS of stacked inputs, by CSR or by dense tiles.
+
+    Below _DENSE_FROM the CSR product is used; each of its columns is bitwise
+    the column of op @ x for the stacked x it came from. A denser operator is
+    densified _TILE rows at a time, and each tile's _TILE x _TILE column blocks
+    are multiplied into XS and summed left to right. The fixed inner dimension
+    keeps the bytes equal at 1 and 2 BLAS threads, where one full-width
+    product per tile differs. Memory besides the output is one _TILE x n
+    tile buffer, never the n x n operator.
+    """
+    n = op.shape[0]
+    if op.nnz < _DENSE_FROM * n * n:
+        return propagate(op, xs)
+    if n != xs.shape[0]:
+        raise DataError("operator size %d does not match %d rows" % (n, xs.shape[0]))
+    out = np.empty((n, xs.shape[1]))
+    buf = np.empty((min(_TILE, n), n))  # every tile is densified into it
+    for lo in range(0, n, _TILE):
+        tile = op[lo:lo + _TILE].toarray(out=buf[:min(_TILE, n - lo)])
+        acc = tile[:, :_TILE] @ xs[:_TILE]
+        for c in range(_TILE, n, _TILE):
+            acc += tile[:, c:c + _TILE] @ xs[c:c + _TILE]
+        out[lo:lo + _TILE] = acc
+    return out
 
 
 def propagates_first(in_width: int, out_width: int) -> bool:
@@ -257,7 +286,9 @@ def discriminate_backward(cache: DiscCache, dscores: np.ndarray):
 def corrupt_features(x: np.ndarray, seed) -> np.ndarray:
     """Row permutation that corrupts X into X[perm] (one per step).
 
-    Only the permutation is returned; model_forward makes the one copy.
+    Only the permutation is returned. It depends on the seed alone, so a
+    trainer may gather the corrupted rows of many steps at once and propagate
+    them as one block (see propagate_block); model_forward copies X[perm].
     """
     rng = np.random.default_rng(seed)
     return rng.permutation(x.shape[0])
@@ -348,13 +379,16 @@ class ForwardCache:
 
 
 def model_forward(state: ModelState, ops: list, x: np.ndarray, perm: np.ndarray,
-                  ax: list) -> ForwardCache:
+                  ax: list, ax_tilde: list | None = None) -> ForwardCache:
     """Run every relation encoder on clean and corrupted inputs, then pool.
 
     ax is [propagate(op, x) for op in ops], computed once by a caller whose X
-    stays fixed, so the clean path makes no sparse product. The corrupted
-    path makes one per relation, plus one in its backward pass when X is
-    wider than the embedding (see propagates_first).
+    stays fixed, so the clean path makes no sparse product. ax_tilde, if
+    given, is [op @ x[perm] for op in ops] (fit slices it from a block made
+    by propagate_block), and the corrupted path makes no sparse product
+    either. Without it the corrupted path makes one per relation, plus one
+    in its backward pass when X is wider than the embedding (see
+    propagates_first).
     """
     if len(ops) != state.dims.n_relations:
         raise DataError("operator count does not match n_relations")
@@ -364,7 +398,7 @@ def model_forward(state: ModelState, ops: list, x: np.ndarray, perm: np.ndarray,
     for r in range(state.dims.n_relations):
         w = state.params["enc_w_%d" % r]
         hr, c1 = gcn_layer(ops[r], x, w, ax[r])
-        ht, c2 = gcn_layer(ops[r], x_tilde, w)
+        ht, c2 = gcn_layer(ops[r], x_tilde, w, None if ax_tilde is None else ax_tilde[r])
         sr, c3 = readout_summary(hr)
         h.append(hr)
         h_t.append(ht)

@@ -36,10 +36,15 @@ from .model import (
     model_forward,
     normalize_adjacency,
     propagate,
+    propagate_block,
+    propagates_first,
     summary_backward,
 )
 
 SCORE_CLAMP = 1e-7
+# Columns of corrupted features propagated at once: fit makes one block
+# product per relation every max(1, _BLOCK_COLUMNS // in_dim) epochs.
+_BLOCK_COLUMNS = 144
 
 
 @dataclass
@@ -281,13 +286,15 @@ class StepResult:
 
 def loss_and_grads(state: ModelState, ops: list, x: np.ndarray,
                    labels: LabelVector, cfg: TrainingConfig,
-                   perm: np.ndarray, ax: list) -> StepResult:
+                   perm: np.ndarray, ax: list, ax_tilde: list | None = None) -> StepResult:
     """One full objective evaluation; fills state.grads as a side effect.
 
-    ax is [propagate(op, x) for op in ops], as model_forward takes it.
+    ax is [propagate(op, x) for op in ops] and ax_tilde, if given,
+    [op @ x[perm] for op in ops], as model_forward takes them. With both, the
+    step makes no sparse product while X is no wider than the embedding.
     """
     state.zero_grads()
-    fc = model_forward(state, ops, x, perm, ax)
+    fc = model_forward(state, ops, x, perm, ax, ax_tilde)
     r_count = state.dims.n_relations
     dh = [np.zeros_like(h) for h in fc.h]
     dht = [np.zeros_like(h) for h in fc.h_tilde]
@@ -368,6 +375,43 @@ def _mask_digest(mask: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(mask, dtype=np.int8).tobytes()).hexdigest()
 
 
+def _propagate_epochs(x: np.ndarray, ops: list, perms: list) -> list:
+    """[[op @ x[p] for op in ops] for p in perms] from one propagate_block per op.
+
+    The rows of all perms are gathered into one n x len(perms)*in_dim block.
+    Each product is split into per-epoch copies at once, so one block product
+    is alive at a time and a finished epoch holds on to no block.
+    """
+    n = x.shape[0]
+    xs = x[np.stack(perms, axis=1)].reshape(n, -1)
+    products = [[c.copy() for c in np.hsplit(propagate_block(op, xs), len(perms))]
+                for op in ops]
+    return [list(epoch) for epoch in zip(*products)]
+
+
+def _corrupted_inputs(x: np.ndarray, ops: list, cfg: TrainingConfig):
+    """Yields (perm, ax_tilde) for each of cfg.epochs epochs.
+
+    The permutations depend only on (cfg.seed, epoch), not on the parameters.
+    So where the layer propagates first, the products of k = max(1,
+    _BLOCK_COLUMNS // in_dim) epochs are made at once (_propagate_epochs),
+    the last block stopping at cfg.epochs. On the W-first side ax_tilde is
+    None and the layer propagates per epoch.
+    """
+    d = x.shape[1]
+    if not propagates_first(d, cfg.embed_dim):
+        for epoch in range(cfg.epochs):
+            yield corrupt_features(x, seed=[cfg.seed, epoch]), None
+        return
+    k = max(1, _BLOCK_COLUMNS // d)
+    for start in range(0, cfg.epochs, k):
+        perms = [corrupt_features(x, seed=[cfg.seed, e])
+                 for e in range(start, min(start + k, cfg.epochs))]
+        products = _propagate_epochs(x, ops, perms)
+        for perm in perms:
+            yield perm, products.pop(0)  # frees each epoch's products after use
+
+
 def fit(graph: MultiplexGraph, labels: LabelVector, cfg: TrainingConfig):
     """Train on one multiplex graph; returns (best ModelState, TrainReport).
 
@@ -409,9 +453,8 @@ def fit(graph: MultiplexGraph, labels: LabelVector, cfg: TrainingConfig):
     best_val = -np.inf
     best_epoch = -1
 
-    for epoch in range(cfg.epochs):
-        perm = corrupt_features(x, seed=[cfg.seed, epoch])
-        step = loss_and_grads(state, ops, x, labels, cfg, perm, ax)
+    for epoch, (perm, ax_tilde) in enumerate(_corrupted_inputs(x, ops, cfg)):
+        step = loss_and_grads(state, ops, x, labels, cfg, perm, ax, ax_tilde)
         if not np.isfinite(step.total):
             raise NumericError("non-finite loss at epoch %d" % epoch)
         if val_idx.size:

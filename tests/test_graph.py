@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from medplex.graph import (
     cosine_similarity,
     pairwise_class_similarity,
     write_edge_list,
+    write_multiplex,
 )
 
 TILE = graph_module._TILE
@@ -311,6 +313,20 @@ def test_write_edge_list_memory_stays_below_output(tmp_path):
 
 
 # ---------------------------------------------------------------- weighted full graph
+
+
+def test_write_multiplex_builds_the_id_table_once(tmp_path, monkeypatch):
+    calls = []
+    real = graph_module._id_words
+    monkeypatch.setattr(graph_module, "_id_words", lambda n: calls.append(n) or real(n))
+    for weighted in (False, True):
+        g, _ = make_trained_multiplex(weighted=weighted)
+        calls.clear()
+        manifest = write_multiplex(tmp_path, g)
+        assert calls == [g.n_nodes]
+        for r, rel in enumerate(g.relations):
+            assert (tmp_path / ("edges_r%d.txt" % r)).read_text() == line_by_line(rel)
+        assert json.loads((tmp_path / "multiplex.json").read_text()) == manifest
 
 
 def test_weighted_full_graph_n3():

@@ -1,13 +1,17 @@
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.special import expit
 
 from conftest import CountingOp, fd_grad, max_rel_err
+from medplex import model as model_module
+from medplex.data import EmbeddingTable, FeatureTable, SynthConfig, generate_synthetic_cohort
 from medplex.errors import DataError, NumericError
-from medplex.graph import RelationGraph, build_weighted_full_graph
+from medplex.graph import RelationGraph, attach_new_nodes, build_weighted_full_graph
 from medplex.model import (
     ModelDims,
     ModelState,
@@ -25,11 +29,14 @@ from medplex.model import (
     load_checkpoint,
     normalize_adjacency,
     propagate,
+    propagate_block,
     propagates_first,
     readout_summary,
     save_checkpoint,
     summary_backward,
 )
+from medplex.pipeline import build_graph_for
+from medplex.train import preset_config
 
 
 def dense_normalized(graph):
@@ -92,6 +99,146 @@ def test_adjacency_weighted_matches_oracle():
     block = rng.normal(size=(8, 3))
     g = build_weighted_full_graph(block)
     assert normalize_adjacency(g).toarray() == pytest.approx(dense_normalized(g), abs=1e-12)
+
+
+def coo_normalized(graph):
+    """The COO construction normalize_adjacency used before it built CSR directly."""
+    n = graph.n
+    if graph.edges.size:
+        i = graph.edges[:, 0]
+        j = graph.edges[:, 1]
+        w = graph.weights if graph.weights is not None else np.ones(i.shape[0])
+        rows = np.concatenate([i, j, np.arange(n)])
+        cols = np.concatenate([j, i, np.arange(n)])
+        vals = np.concatenate([w, w, np.ones(n)])
+    else:
+        rows = cols = np.arange(n)
+        vals = np.ones(n)
+    a_hat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
+    deg = np.asarray(a_hat.sum(axis=1)).ravel()
+    dinv = 1.0 / np.sqrt(deg)
+    vals = a_hat.data * dinv[a_hat.row] * dinv[a_hat.col]
+    return sp.coo_matrix((vals, (a_hat.row, a_hat.col)), shape=(n, n)).tocsr()
+
+
+def assert_same_csr(a, b):
+    assert a.shape == b.shape
+    for name in ("data", "indices", "indptr"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def random_graph(rng, n, p, weighted=False):
+    iu, ju = np.triu_indices(n, k=1)
+    keep = rng.random(iu.shape[0]) < p
+    w = rng.uniform(0.0, 1.0, int(keep.sum())) if weighted else None
+    return RelationGraph(n=n, edges=np.stack([iu[keep], ju[keep]], axis=1), weights=w)
+
+
+def test_adjacency_bytes_equal_coo_construction():
+    rng = np.random.default_rng(42)
+    for n, p in ((1, 0.0), (2, 1.0), (7, 0.0), (40, 0.3), (300, 0.05), (300, 0.4)):
+        g = random_graph(rng, n, p)
+        assert_same_csr(normalize_adjacency(g), coo_normalized(g))
+
+
+def test_adjacency_bytes_equal_coo_construction_after_attach():
+    scfg = SynthConfig(n=140, n_classes=2, n_types=2, cols_per_type=3, embed_dim=2, seed=43)
+    table, emb, _, _ = generate_synthetic_cohort(scfg)
+
+    def rows(lo, hi):
+        ids = table.row_ids[lo:hi]
+        return (FeatureTable(table.values[lo:hi], list(table.column_names),
+                             list(table.column_kinds), ids),
+                EmbeddingTable(emb.values[lo:hi], ids))
+
+    g = build_graph_for(*rows(0, 120), preset_config("synth", seed=43))
+    ext = attach_new_nodes(g, *rows(120, 140))
+    unsorted = 0
+    for rel in ext.relations:
+        keys = rel.edges[:, 0] * rel.n + rel.edges[:, 1]
+        unsorted += bool(np.any(keys[1:] < keys[:-1]))
+        assert_same_csr(normalize_adjacency(rel), coo_normalized(rel))
+    assert unsorted  # old edges, then the arrivals' pairs: not row-major
+
+
+def test_adjacency_weighted_agrees_with_coo_construction():
+    # degrees are summed in another order, so weights may differ in the last bits
+    rng = np.random.default_rng(44)
+    eps = np.finfo(np.float64).eps
+    graphs = [random_graph(rng, n, p, weighted=True) for n, p in ((5, 0.6), (200, 0.3))]
+    graphs.append(build_weighted_full_graph(rng.normal(size=(150, 3))))
+    for g in graphs:
+        got, ref = normalize_adjacency(g).toarray(), coo_normalized(g).toarray()
+        assert np.max(np.abs(got - ref)) <= 4 * eps
+
+
+def test_adjacency_memory_stays_near_output():
+    g = random_graph(np.random.default_rng(45), 1000, 0.2)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        op = normalize_adjacency(g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    out = op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
+    assert peak < 3.5 * out, (peak, out)
+
+
+# ---------------------------------------------------------------- block products
+
+
+def stacked(x, perms):
+    """[x[p0] | x[p1] | ...], the block fit propagates for len(perms) epochs."""
+    return x[np.stack(perms, axis=1)].reshape(x.shape[0], -1)
+
+
+@pytest.mark.parametrize("n", [1, 255, 257, 513])
+def test_propagate_block_matches_per_input_products(n, monkeypatch):
+    rng = np.random.default_rng(46 + n)
+    x = rng.normal(size=(n, 5))
+    ops = {
+        "edgeless": identity_op(n),
+        "sparse": normalize_adjacency(random_graph(rng, n, 0.02)),
+        "dense": normalize_adjacency(random_graph(rng, n, 0.4)),
+    }
+    tiles = -(-n // 256)
+    for kind, op in ops.items():
+        for k in (8, 3):  # a full block and a final short one
+            perms = [rng.permutation(n) for _ in range(k)]
+            expected = np.hstack([op @ x[p] for p in perms])
+            xs = stacked(x, perms)
+            csr = op.nnz < model_module._DENSE_FROM * n * n
+            counting = CountingOp(op)
+            got = propagate_block(counting, xs)
+            if csr:
+                assert np.array_equal(got, expected), kind
+                assert counting.widths == [5 * k], kind
+            else:
+                assert np.max(np.abs(got - expected)) <= 1e-12, kind
+                assert counting.widths == [5 * k] * tiles * tiles, kind
+    assert [op.nnz < model_module._DENSE_FROM * n * n for op in ops.values()] == (
+        [False, False, False] if n == 1 else [True, True, False])
+    # each branch on every operator
+    perms = [rng.permutation(n) for _ in range(4)]
+    for dense_from in (0.0, np.inf):
+        monkeypatch.setattr(model_module, "_DENSE_FROM", dense_from)
+        for kind, op in ops.items():
+            expected = np.hstack([op @ x[p] for p in perms])
+            got = propagate_block(op, stacked(x, perms))
+            if dense_from:
+                assert np.array_equal(got, expected), kind
+            else:
+                assert np.max(np.abs(got - expected)) <= 1e-12, kind
+
+
+def test_propagate_block_rejects_size_mismatch(monkeypatch):
+    for dense_from in (0.0, np.inf):
+        monkeypatch.setattr(model_module, "_DENSE_FROM", dense_from)
+        with pytest.raises(DataError):
+            propagate_block(identity_op(3), np.zeros((4, 2)))
 
 
 # ---------------------------------------------------------------- gcn layer

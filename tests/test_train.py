@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import CountingOp, fd_grad, max_rel_err
+import medplex
 from medplex import data as D
+from medplex import model as M
 from medplex import train as T
 from medplex.data import LabelVector, SynthConfig, generate_synthetic_cohort, split_masks
 from medplex.errors import DataError, NumericError
@@ -16,6 +22,7 @@ from medplex.model import (
     model_forward,
     normalize_adjacency,
     propagate,
+    propagate_block,
 )
 from medplex.graph import RelationGraph
 from medplex.pipeline import assign_masks, build_graph_for, pooled_probs
@@ -406,8 +413,8 @@ def test_loss_and_grads_propagates_only_the_corrupted_input():
 # ---------------------------------------------------------------- fit
 
 
-def synth_setup(seed=0, epochs=60, embed_dim=8, **cfg_over):
-    scfg = SynthConfig(n=60, n_classes=2, n_types=2, cols_per_type=4,
+def synth_setup(seed=0, epochs=60, embed_dim=8, n=60, **cfg_over):
+    scfg = SynthConfig(n=n, n_classes=2, n_types=2, cols_per_type=4,
                        separations=(3.0, 3.0), noise_std=1.0,
                        embed_dim=4, embed_separation=2.0, embed_noise_std=1.0,
                        seed=seed)
@@ -489,15 +496,107 @@ def test_fit_sparse_products_per_epoch(monkeypatch):
     monkeypatch.setattr(T, "normalize_adjacency", counting_adjacency)
     # in_dim is 12: 4 embedding plus 8 clinical columns
     for embed_dim in (16, 12, 8):
-        graph, masked, cfg = synth_setup(seed=8, epochs=7, embed_dim=embed_dim)
+        graph, masked, cfg = synth_setup(seed=8, epochs=30, embed_dim=embed_dim)
         counting.clear()
         _, report = fit(graph, masked, cfg)
         in_dim = graph.attributes.x.shape[1]
-        # op @ X once per relation; then, per relation and epoch, op @ X[perm]
-        # or, for inputs wider than the embedding, op @ (X[perm] W) and op @ dpre
-        per_epoch = [in_dim] if in_dim <= embed_dim else [embed_dim] * 2
+        assert report.epochs_run == cfg.epochs
+        if in_dim <= embed_dim:
+            # op @ X once per relation, then one product per block of k epochs'
+            # corrupted inputs (n = 60 is one dense tile); no block past cfg.epochs
+            k = T._BLOCK_COLUMNS // in_dim
+            after = [min(k, cfg.epochs - e) * in_dim for e in range(0, cfg.epochs, k)]
+            assert after == [144, 144, 72]
+        else:
+            # per epoch, op @ (X[perm] W) and op @ dpre at the embedding width
+            after = [embed_dim] * 2 * report.epochs_run
         assert len(counting) == cfg.n_relations == 2
-        assert [op.widths for op in counting] == [[in_dim] + per_epoch * report.epochs_run] * 2
+        assert [op.widths for op in counting] == [[in_dim] + after] * 2
+
+
+def test_fit_blocks_match_per_epoch_products(monkeypatch):
+    widths = []
+
+    def recording_block(op, xs):
+        widths.append(xs.shape[1])
+        return propagate_block(op, xs)
+
+    # in_dim 12 gives blocks of k = 12 epochs
+    for over in (dict(epochs=29),  # 2 * 12 + 5: the last block is short
+                 dict(epochs=80, learning_rate=1e-12, patience=5)):  # stops mid-block
+        graph, masked, cfg = synth_setup(seed=11, n=300, embed_dim=16, **over)
+        n, in_dim = graph.attributes.x.shape
+        k = T._BLOCK_COLUMNS // in_dim
+        ops = [normalize_adjacency(g) for g in graph.relations]
+        assert max(op.nnz for op in ops) >= M._DENSE_FROM * n * n  # tiles run too
+        widths.clear()
+        with monkeypatch.context() as m:
+            m.setattr(T, "propagate_block", recording_block)
+            state, report = fit(graph, masked, cfg)
+        # the reference propagates each epoch's X[perm] alone, by CSR
+        with monkeypatch.context() as m:
+            m.setattr(T, "_BLOCK_COLUMNS", 1)
+            m.setattr(M, "_DENSE_FROM", np.inf)
+            ref_state, ref_report = fit(graph, masked, cfg)
+
+        assert report.epochs_run % k and report.epochs_run == ref_report.epochs_run
+        assert report.stopped_early == ref_report.stopped_early == (cfg.epochs == 80)
+        assert report.best_epoch == ref_report.best_epoch
+        assert np.max(np.abs(state.flatten() - ref_state.flatten())) <= 1e-9
+        for row, ref in zip(report.rows, ref_report.rows, strict=True):
+            for key in ("total", "infomax", "consensus", "supervised", "l2"):
+                assert row[key] == pytest.approx(ref[key], abs=1e-9), key
+            assert row["val_micro"] == ref["val_micro"]
+        # ceil(epochs_run / k) blocks per relation, none past cfg.epochs
+        starts = range(0, report.epochs_run, k)
+        assert widths == [min(k, cfg.epochs - e) * in_dim for e in starts for _ in ops]
+
+
+_FIT_DIGEST = """
+import hashlib, json
+from medplex.data import SynthConfig, generate_synthetic_cohort
+from medplex.pipeline import assign_masks, build_graph_for
+from medplex.train import fit, preset_config
+table, emb, labels, _ = generate_synthetic_cohort(SynthConfig(n=600, seed=12))
+cfg = preset_config("synth", epochs=20, seed=12)
+state, report = fit(build_graph_for(table, emb, cfg), assign_masks(labels, cfg), cfg)
+blob = state.flatten().tobytes() + json.dumps(report.to_json_dict(), sort_keys=True).encode()
+print(hashlib.sha256(blob).hexdigest())
+"""
+
+
+def test_fit_bytes_equal_across_blas_threads():
+    # n = 600 spans three tiles of a dense operator; the thread count must be
+    # set before numpy loads, hence one process per count
+    src = os.path.dirname(os.path.dirname(os.path.abspath(medplex.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _FIT_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+def test_fit_never_holds_a_dense_operator():
+    n = 2000
+    table, emb, labels, _ = generate_synthetic_cohort(SynthConfig(n=n, seed=13))
+    cfg = preset_config("synth", n_relations=1, thetas=(0.55,), epochs=2, seed=13)
+    graph = build_graph_for(table, emb, cfg)
+    masked = assign_masks(labels, cfg)
+    assert 2 * graph.relations[0].n_edges + n >= M._DENSE_FROM * n * n
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fit(graph, masked, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n, peak
 
 
 def test_pooled_probs_match_training_forward():
