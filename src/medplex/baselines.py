@@ -15,8 +15,9 @@ from .errors import DataError, NumericError
 from . import data as D
 from .data import FeatureTable, LabelVector
 from . import evaluate as E
-from .model import _xavier, gcn_layer, gcn_layer_backward, normalize_adjacency, propagate
+from .model import FlatParams, _xavier, gcn_layer, gcn_layer_backward, normalize_adjacency, propagate
 from .graph import build_relation_graph
+from .train import AdamState, adam_step
 
 
 @dataclass
@@ -86,7 +87,7 @@ def _loss_and_grads(kind: str, params: dict, x: np.ndarray, labels: LabelVector,
     grads = {"w2": h.T @ dlogits, "b2": dlogits.sum(axis=0)}
     dh = dlogits @ params["w2"].T
     if kind == "mlp":
-        dpre = np.where(cache > 0.0, dh, 0.0)
+        dpre = dh * (cache > 0.0)
         grads["w1"] = x.T @ dpre
         grads["b1"] = dpre.sum(axis=0)
     else:
@@ -115,16 +116,19 @@ def _init_params(kind: str, in_dim: int, hidden: int, n_classes: int, seed: int)
 
 
 def _train(kind: str, x: np.ndarray, labels: LabelVector, cfg: BaselineConfig, op=None):
-    """Adam on the cross-entropy; x is propagated (for the GCN) once per fit."""
+    """Adam (train.adam_step) on the cross-entropy; x is propagated (for the
+    GCN) once per fit."""
     ax = propagate(op, x) if kind == "single_gcn" else None
     val_idx = labels.rows_with(D.VAL)
     test_idx = labels.rows_with(D.TEST)
     c = labels.n_classes
-    params = _init_params(kind, x.shape[1], cfg.hidden_dim, c, cfg.seed)
-    adam_m = {k: np.zeros_like(v) for k, v in params.items()}
-    adam_v = {k: np.zeros_like(v) for k, v in params.items()}
+    init = _init_params(kind, x.shape[1], cfg.hidden_dim, c, cfg.seed)
+    state = FlatParams({k: v.shape for k, v in init.items()})
+    state.load_params(init)
+    params = state.params
+    adam = AdamState.for_model(state)
     rows = []
-    best = (-np.inf, -1, {k: v.copy() for k, v in params.items()})
+    best = (-np.inf, -1, state.copy_params())
 
     for epoch in range(cfg.epochs):
         loss, grads, probs = _loss_and_grads(kind, params, x, labels, op, ax)
@@ -137,26 +141,15 @@ def _train(kind: str, x: np.ndarray, labels: LabelVector, cfg: BaselineConfig, o
             val_micro = float("nan")
         rows.append({"epoch": epoch, "loss": loss, "val_micro": val_micro})
         if val_idx.size and val_micro > best[0]:
-            best = (val_micro, epoch, {k: v.copy() for k, v in params.items()})
-
-        t = epoch + 1
-        for name in sorted(params):
-            g = grads[name]
-            if not np.all(np.isfinite(g)):
-                raise NumericError("non-finite baseline gradient: %s" % name)
-            adam_m[name] = 0.9 * adam_m[name] + 0.1 * g
-            adam_v[name] = 0.999 * adam_v[name] + 0.001 * g * g
-            m_hat = adam_m[name] / (1.0 - 0.9 ** t)
-            v_hat = adam_v[name] / (1.0 - 0.999 ** t)
-            params[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
-            if not np.all(np.isfinite(params[name])):
-                raise NumericError("non-finite baseline parameter: %s" % name)
+            best = (val_micro, epoch, state.copy_params())
+        for name, g in grads.items():
+            state.grads[name] = g
+        adam_step(state, adam, cfg.learning_rate)
 
         if val_idx.size and cfg.patience and epoch - max(best[1], 0) >= cfg.patience:
             break
 
-    if val_idx.size and best[1] >= 0:
-        params = best[2]
+    params = best[2] if val_idx.size and best[1] >= 0 else state.copy_params()
     report = {
         "kind": kind,
         "rows": rows,

@@ -1,9 +1,10 @@
 """Model parameters and differentiable building blocks.
 
 Every forward op returns a cache holding exactly what its hand-written
-backward needs. Gradients are accumulated into ModelState.grads as plain
-dense arrays; the only sparse object is the normalized adjacency operator,
-which is symmetric, so transposes never appear in the backward passes.
+backward needs. Parameters and gradients live in ModelState as views of one
+flat vector each; the only sparse object is the normalized adjacency
+operator, which is symmetric, so transposes never appear in the backward
+passes.
 """
 
 from __future__ import annotations
@@ -39,7 +40,84 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-class ModelState:
+class _Views(dict):
+    """Name -> view into one flat vector. Assigning to a name copies the value
+    into its view, so the vector never goes stale behind a rebound entry."""
+
+    def __setitem__(self, name, value):
+        view = self[name]
+        if np.shape(value) != view.shape:
+            raise DataError("%s has shape %s, expected %s" % (name, np.shape(value), view.shape))
+        view[...] = value
+
+
+class FlatParams:
+    """Named parameters and their gradients, as views of one flat vector each.
+
+    `flat` and `grad` hold every parameter in param_order; `params` and
+    `grads` map each name to its view. Whole-vector operations (L2, finiteness
+    checks, Adam) act on the vectors; error messages name the parameter.
+    """
+
+    def __init__(self, shapes: dict):
+        self._order = list(shapes)
+        self._shapes = [tuple(s) for s in shapes.values()]
+        self._bounds = np.cumsum([0] + [int(np.prod(s, dtype=int)) for s in self._shapes])
+        self.flat = np.zeros(self._bounds[-1])
+        self.grad = np.zeros(self._bounds[-1])
+        self.params = self._views(self.flat)
+        self.grads = self._views(self.grad)
+
+    def _views(self, vec: np.ndarray) -> dict:
+        views = _Views()
+        for name, shape, lo, hi in zip(self._order, self._shapes, self._bounds, self._bounds[1:]):
+            dict.__setitem__(views, name, vec[lo:hi].reshape(shape))
+        return views
+
+    @property
+    def param_order(self) -> list[str]:
+        return list(self._order)
+
+    def zero_grads(self) -> None:
+        self.grad.fill(0.0)
+
+    def l2(self) -> float:
+        # numpy's pairwise sum, not a BLAS dot: the bytes stay equal across thread counts
+        return float(np.sum(self.flat * self.flat))
+
+    def add_l2_grads(self, gamma: float) -> None:
+        if gamma == 0.0:
+            return
+        self.grad += 2.0 * gamma * self.flat
+
+    def check_finite(self, what: str = "parameter", vec: np.ndarray | None = None) -> None:
+        """Raises NumericError naming the first parameter with a non-finite value
+        in vec (default: the parameters)."""
+        finite = np.isfinite(self.flat if vec is None else vec)
+        if not finite.all():
+            at = int(np.argmin(finite))
+            name = self._order[int(np.searchsorted(self._bounds, at, side="right")) - 1]
+            raise NumericError("non-finite %s: %s" % (what, name))
+
+    def copy_params(self) -> dict:
+        return dict(self._views(self.flat.copy()))
+
+    def load_params(self, params: dict) -> None:
+        for name in self._order:
+            if name not in params:
+                raise DataError("missing parameter %s" % name)
+            self.params[name] = params[name]  # a wrong shape raises DataError
+
+    def flatten(self) -> np.ndarray:
+        return self.flat.copy()
+
+    def unflatten(self, flat: np.ndarray) -> None:
+        if flat.size != self.flat.size:
+            raise DataError("flat vector has %d values, expected %d" % (flat.size, self.flat.size))
+        self.flat[...] = flat
+
+
+class ModelState(FlatParams):
     """All trainable parameters, their gradients, and the parameter order.
 
     Order is frozen (it is also the checkpoint blob order): per-relation
@@ -51,68 +129,18 @@ class ModelState:
         dims.validate()
         self.dims = dims
         self.seed = seed
-        rng = np.random.default_rng(seed)
-        self.params: dict[str, np.ndarray] = {}
-        for r in range(dims.n_relations):
-            self.params["enc_w_%d" % r] = _xavier(rng, dims.in_dim, dims.hidden_dim)
-        for r in range(dims.n_relations):
-            self.params["disc_m_%d" % r] = _xavier(rng, dims.hidden_dim, dims.hidden_dim)
-        self.params["consensus"] = rng.normal(0.0, 0.01, size=(dims.n_nodes, dims.hidden_dim))
-        self.params["att_logits"] = np.zeros(dims.n_relations)
-        self.params["cls_w"] = _xavier(rng, dims.hidden_dim, dims.n_classes)
-        self.params["cls_b"] = np.zeros(dims.n_classes)
-        self.grads: dict[str, np.ndarray] = {}
-        self.zero_grads()
-
-    @property
-    def param_order(self) -> list[str]:
-        r = self.dims.n_relations
-        return (
-            ["enc_w_%d" % i for i in range(r)]
-            + ["disc_m_%d" % i for i in range(r)]
-            + ["consensus", "att_logits", "cls_w", "cls_b"]
-        )
-
-    def zero_grads(self) -> None:
-        for name, p in self.params.items():
-            self.grads[name] = np.zeros_like(p)
-
-    def l2(self) -> float:
-        return float(sum(np.sum(p * p) for p in self.params.values()))
-
-    def add_l2_grads(self, gamma: float) -> None:
-        if gamma == 0.0:
-            return
-        for name, p in self.params.items():
-            self.grads[name] += 2.0 * gamma * p
-
-    def check_finite(self, what: str = "parameter") -> None:
-        for name in self.param_order:
-            if not np.all(np.isfinite(self.params[name])):
-                raise NumericError("non-finite %s: %s" % (what, name))
-
-    def copy_params(self) -> dict:
-        return {k: v.copy() for k, v in self.params.items()}
-
-    def load_params(self, params: dict) -> None:
-        for name in self.param_order:
-            if name not in params:
-                raise DataError("missing parameter %s" % name)
-            if params[name].shape != self.params[name].shape:
-                raise DataError("parameter %s has wrong shape" % name)
-            self.params[name] = params[name].copy()
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([self.params[k].ravel() for k in self.param_order])
-
-    def unflatten(self, flat: np.ndarray) -> None:
-        pos = 0
-        for name in self.param_order:
-            size = self.params[name].size
-            self.params[name] = flat[pos : pos + size].reshape(self.params[name].shape).copy()
-            pos += size
-        if pos != flat.size:
-            raise DataError("flat vector has %d values, expected %d" % (flat.size, pos))
+        r, f, d, c = dims.n_relations, dims.in_dim, dims.hidden_dim, dims.n_classes
+        shapes = {"enc_w_%d" % i: (f, d) for i in range(r)}
+        shapes.update(("disc_m_%d" % i, (d, d)) for i in range(r))
+        shapes.update(consensus=(dims.n_nodes, d), att_logits=(r,), cls_w=(d, c), cls_b=(c,))
+        super().__init__(shapes)
+        rng = np.random.default_rng(seed)  # draws in param_order; logits and bias stay 0
+        for i in range(r):
+            self.params["enc_w_%d" % i] = _xavier(rng, f, d)
+        for i in range(r):
+            self.params["disc_m_%d" % i] = _xavier(rng, d, d)
+        self.params["consensus"] = rng.normal(0.0, 0.01, size=(dims.n_nodes, d))
+        self.params["cls_w"] = _xavier(rng, d, c)
 
 
 def normalize_adjacency(graph: RelationGraph) -> sp.csr_matrix:
@@ -215,7 +243,7 @@ def gcn_layer(op: sp.csr_matrix, x: np.ndarray, w: np.ndarray, ax: np.ndarray | 
 
 def gcn_layer_backward(cache: GcnCache, dh: np.ndarray):
     """Returns (dW, dpre); a layer that propagated first makes no sparse product."""
-    dpre = np.where(cache.pre > 0.0, dh, 0.0)
+    dpre = dh * (cache.pre > 0.0)  # a multiply by the mask; np.where is several times slower
     if cache.ax is not None:
         return cache.ax.T @ dpre, dpre
     return cache.x.T @ propagate(cache.op, dpre), dpre
@@ -246,8 +274,9 @@ def readout_summary(h: np.ndarray):
 
 
 def summary_backward(cache: SummaryCache, ds: np.ndarray) -> np.ndarray:
+    """dH, every row the same: a read-only broadcast view of one row."""
     row = ds * cache.s * (1.0 - cache.s) / cache.n
-    return np.broadcast_to(row, (cache.n, row.shape[0])).copy()
+    return np.broadcast_to(row, (cache.n, row.shape[0]))
 
 
 @dataclass
@@ -288,7 +317,7 @@ def corrupt_features(x: np.ndarray, seed) -> np.ndarray:
 
     Only the permutation is returned. It depends on the seed alone, so a
     trainer may gather the corrupted rows of many steps at once and propagate
-    them as one block (see propagate_block); model_forward copies X[perm].
+    them as one block (see propagate_block).
     """
     rng = np.random.default_rng(seed)
     return rng.permutation(x.shape[0])
@@ -304,14 +333,18 @@ def attentive_pool(hs: list, att_logits: np.ndarray):
     """Relation-weighted sum of embeddings, weights = softmax of the logits.
 
     Returns (pooled, weights, cache). Weights are shared across nodes; they
-    are the model's estimate of how informative each relation is.
+    are the model's estimate of how informative each relation is. The sum is
+    taken element by element, so a row's result does not depend on how many
+    rows are pooled with it.
     """
     if len(hs) != att_logits.shape[0]:
         raise DataError("one attention logit per relation required")
     z = att_logits - att_logits.max()
     e = np.exp(z)
     weights = e / e.sum()
-    pooled = np.tensordot(weights, np.stack(hs), axes=1)
+    pooled = weights[0] * hs[0]
+    for w, h in zip(weights[1:], hs[1:]):
+        pooled += w * h
     return pooled, weights, PoolCache(list(hs), weights)
 
 
@@ -319,7 +352,7 @@ def attentive_pool_backward(cache: PoolCache, dpooled: np.ndarray):
     """Returns (dhs list, dlogits)."""
     w = cache.weights
     dhs = [w[r] * dpooled for r in range(w.shape[0])]
-    dw = np.array([float(np.sum(dpooled * h)) for h in cache.hs])
+    dw = np.array([np.einsum("i,i->", dpooled.ravel(), h.ravel()) for h in cache.hs])
     dlogits = w * (dw - float(np.dot(w, dw)))
     return dhs, dlogits
 
@@ -362,63 +395,86 @@ def classify_backward_from_logits(cache: ClassifyCache, dlogits: np.ndarray):
 
 @dataclass
 class ForwardCache:
-    """Everything one training step computes before the losses."""
+    """Everything one training step computes before the losses.
 
-    h: list  # per-relation clean embeddings
-    h_tilde: list  # per-relation corrupted embeddings
-    summaries: list
-    gcn_caches: list
-    gcn_caches_tilde: list
+    Each relation's embeddings stack 2n rows: the n clean rows on top, the n
+    corrupted rows (X[perm]) below. The pool stacks the same way.
+    """
+
+    layers: list  # per relation: GcnCaches covering the 2n rows top to bottom
+    h: list  # per relation: 2n x d embeddings
+    summaries: list  # per relation: readout of the clean rows
     summary_caches: list
-    pooled: np.ndarray
-    pooled_tilde: np.ndarray
+    pool: np.ndarray  # 2n x d
     pool_cache: PoolCache
-    pool_cache_tilde: PoolCache
     att_weights: np.ndarray
     perm: np.ndarray
+
+    @property
+    def pooled(self) -> np.ndarray:
+        """The clean pool, the n top rows."""
+        return self.pool[: self.pool.shape[0] // 2]
+
+
+def _stacked_input(op, x: np.ndarray, perm: np.ndarray, ax: np.ndarray,
+                   ax_tilde: np.ndarray | None, out_width: int) -> np.ndarray:
+    """op @ [X; X[perm]] as one 2n-row array, or only op @ X where the
+    corrupted rows apply W first (no ax_tilde and X wider than out_width)."""
+    n = x.shape[0]
+    if ax.shape[0] == 2 * n:
+        return ax
+    if ax.shape[0] != n:
+        raise DataError("propagated input has %d rows, expected %d or %d"
+                        % (ax.shape[0], n, 2 * n))
+    if ax_tilde is None:
+        if not propagates_first(x.shape[1], out_width):
+            return ax
+        ax_tilde = propagate(op, x[perm])
+    return np.concatenate([ax, ax_tilde])
 
 
 def model_forward(state: ModelState, ops: list, x: np.ndarray, perm: np.ndarray,
                   ax: list, ax_tilde: list | None = None) -> ForwardCache:
-    """Run every relation encoder on clean and corrupted inputs, then pool.
+    """Run every relation encoder once on the clean and corrupted rows, stacked.
 
-    ax is [propagate(op, x) for op in ops], computed once by a caller whose X
-    stays fixed, so the clean path makes no sparse product. ax_tilde, if
-    given, is [op @ x[perm] for op in ops] (fit slices it from a block made
-    by propagate_block), and the corrupted path makes no sparse product
-    either. Without it the corrupted path makes one per relation, plus one
-    in its backward pass when X is wider than the embedding (see
-    propagates_first).
+    ax[r] holds propagate(ops[r], x) in its first n rows. fit passes 2n-row
+    arrays whose last n rows hold ops[r] @ x[perm], so the step makes no
+    sparse product. An n-row ax[r] is stacked over ax_tilde[r] = ops[r] @
+    x[perm] if given. Without it the corrupted rows are propagated here: by
+    one product at the input width, or, where X is wider than the embedding,
+    by op @ (X[perm] W) forward and one more product in the backward pass
+    (see propagates_first).
     """
     if len(ops) != state.dims.n_relations:
         raise DataError("operator count does not match n_relations")
-    x_tilde = x[perm]
-    h, h_t, s_list = [], [], []
-    gc, gct, sc = [], [], []
+    n = x.shape[0]
+    layers, h, s_list, sc = [], [], [], []
     for r in range(state.dims.n_relations):
         w = state.params["enc_w_%d" % r]
-        hr, c1 = gcn_layer(ops[r], x, w, ax[r])
-        ht, c2 = gcn_layer(ops[r], x_tilde, w, None if ax_tilde is None else ax_tilde[r])
-        sr, c3 = readout_summary(hr)
+        a = _stacked_input(ops[r], x, perm, ax[r], None if ax_tilde is None else ax_tilde[r],
+                           w.shape[1])
+        if a.shape[1] != w.shape[0]:
+            raise DataError("input width %d does not match weight rows %d"
+                            % (a.shape[1], w.shape[0]))
+        pre = a @ w
+        layers.append([GcnCache(ops[r], x, a, w, pre)])
+        if a.shape[0] == n:  # the corrupted rows apply W first
+            _, bottom = gcn_layer(ops[r], x[perm], w)
+            layers[-1].append(bottom)
+            pre = np.concatenate([pre, bottom.pre])
+        hr = np.maximum(pre, 0.0)
+        sr, c3 = readout_summary(hr[:n])
         h.append(hr)
-        h_t.append(ht)
         s_list.append(sr)
-        gc.append(c1)
-        gct.append(c2)
         sc.append(c3)
-    pooled, att_w, pc = attentive_pool(h, state.params["att_logits"])
-    pooled_t, _, pct = attentive_pool(h_t, state.params["att_logits"])
+    pool, att_w, pc = attentive_pool(h, state.params["att_logits"])
     return ForwardCache(
+        layers=layers,
         h=h,
-        h_tilde=h_t,
         summaries=s_list,
-        gcn_caches=gc,
-        gcn_caches_tilde=gct,
         summary_caches=sc,
-        pooled=pooled,
-        pooled_tilde=pooled_t,
+        pool=pool,
         pool_cache=pc,
-        pool_cache_tilde=pct,
         att_weights=att_w,
         perm=perm,
     )

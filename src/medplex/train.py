@@ -23,6 +23,7 @@ from . import data as D
 from .data import LabelVector
 from .graph import MultiplexGraph
 from .model import (
+    FlatParams,
     ForwardCache,
     ModelDims,
     ModelState,
@@ -141,52 +142,69 @@ def preset_config(name: str, **overrides) -> TrainingConfig:
 
 @dataclass
 class InfomaxCache:
-    cache_pos: object
-    cache_neg: object
-    da_pos: np.ndarray
-    da_neg: np.ndarray
+    disc: object  # DiscCache over the 2n stacked rows
+    da: np.ndarray  # loss gradient at the 2n pre-sigmoid scores
+    split: bool  # whether the rows came as two arrays
 
 
-def infomax_loss(h: np.ndarray, h_tilde: np.ndarray, s: np.ndarray, m: np.ndarray):
+def infomax_loss(h: np.ndarray, h_tilde: np.ndarray | None, s: np.ndarray, m: np.ndarray):
     """Mean binary cross-entropy over n clean (label 1) and n corrupted rows.
 
-    Scores are clamped to [1e-7, 1 - 1e-7] before the logs; clamped terms
-    contribute zero gradient. Returns (loss, cache).
+    h_tilde None takes h as the 2n-row stack of both, clean rows on top, as
+    the training step holds them. Scores are clamped to [1e-7, 1 - 1e-7]
+    before the logs; clamped terms contribute zero gradient. Returns
+    (loss, cache).
     """
-    n = h.shape[0]
-    pos, cpos = discriminate(h, s, m)
-    neg, cneg = discriminate(h_tilde, s, m)
-    pos_c = np.clip(pos, SCORE_CLAMP, 1.0 - SCORE_CLAMP)
-    neg_c = np.clip(neg, SCORE_CLAMP, 1.0 - SCORE_CLAMP)
-    loss = float((-np.log(pos_c).sum() - np.log(1.0 - neg_c).sum()) / (2 * n))
-    da_pos = np.where(pos == pos_c, pos - 1.0, 0.0) / (2 * n)
-    da_neg = np.where(neg == neg_c, neg, 0.0) / (2 * n)
-    return loss, InfomaxCache(cpos, cneg, da_pos, da_neg)
+    hs = h if h_tilde is None else np.concatenate([h, h_tilde])
+    n2 = hs.shape[0]
+    n = n2 // 2
+    scores, disc = discriminate(hs, s, m)
+    clamped = np.clip(scores, SCORE_CLAMP, 1.0 - SCORE_CLAMP)
+    loss = float((-np.log(clamped[:n]).sum() - np.log(1.0 - clamped[n:]).sum()) / n2)
+    label = np.arange(n2) < n  # 1 for the clean rows, 0 for the corrupted
+    da = np.where(scores == clamped, scores - label, 0.0) / n2
+    return loss, InfomaxCache(disc, da, h_tilde is not None)
 
 
 def infomax_backward(cache: InfomaxCache):
-    """Returns (dh, dh_tilde, ds, dm) for one relation's infomax loss."""
-    dh, ds1, dm1 = discriminate_backward_pre(cache.cache_pos, cache.da_pos)
-    dht, ds2, dm2 = discriminate_backward_pre(cache.cache_neg, cache.da_neg)
-    return dh, dht, ds1 + ds2, dm1 + dm2
+    """Returns (dh, dh_tilde, ds, dm) for one relation's infomax loss.
+
+    For a stacked input dh covers all 2n rows and dh_tilde is None.
+    """
+    dh, ds, dm = discriminate_backward_pre(cache.disc, cache.da)
+    if cache.split:
+        n = dh.shape[0] // 2
+        return dh[:n], dh[n:], ds, dm
+    return dh, None, ds, dm
 
 
-def consensus_loss(o: np.ndarray, pooled: np.ndarray, pooled_tilde: np.ndarray):
+def consensus_loss(o: np.ndarray, pooled: np.ndarray, pooled_tilde: np.ndarray | None):
     """Pull the consensus matrix toward the clean pool, push from the corrupt.
 
-    Mean over all n*d entries of (O - Q)^2 - (O - Q~)^2. Returns
-    (loss, do, dpooled, dpooled_tilde) at unit scale.
+    Mean over all n*d entries of (O - Q)^2 - (O - Q~)^2. pooled_tilde None
+    takes pooled as the 2n-row stack [Q; Q~]. Returns (loss, do, dpooled,
+    dpooled_tilde) at unit scale; for a stacked input dpooled is stacked too
+    and dpooled_tilde is None.
     """
-    if o.shape != pooled.shape or o.shape != pooled_tilde.shape:
-        raise DataError("consensus inputs must share one shape")
+    if pooled_tilde is not None:
+        if o.shape != pooled.shape or o.shape != pooled_tilde.shape:
+            raise DataError("consensus inputs must share one shape")
+        q = np.concatenate([pooled, pooled_tilde])
+    elif pooled.shape != (2 * o.shape[0],) + o.shape[1:]:
+        raise DataError("stacked pool must have twice the consensus rows")
+    else:
+        q = pooled
     nd = o.size
-    d_clean = o - pooled
-    d_corr = o - pooled_tilde
-    loss = float((np.sum(d_clean ** 2) - np.sum(d_corr ** 2)) / nd)
-    do = 2.0 * (d_clean - d_corr) / nd
-    dpooled = -2.0 * d_clean / nd
-    dpooled_tilde = 2.0 * d_corr / nd
-    return loss, do, dpooled, dpooled_tilde
+    q = q.reshape((2,) + o.shape)
+    dq = o - q  # [O - Q, O - Q~], scaled into the gradient in place below
+    flat = dq.reshape(2, -1)
+    sq = np.einsum("ij,ij->i", flat, flat)
+    loss = float((sq[0] - sq[1]) / nd)
+    do = (q[1] - q[0]) * (2.0 / nd)
+    dq *= np.array([-2.0 / nd, 2.0 / nd]).reshape((2,) + (1,) * o.ndim)
+    if pooled_tilde is not None:
+        return loss, do, dq[0], dq[1]
+    return loss, do, dq.reshape(pooled.shape), None
 
 
 def supervised_loss(y_hat: np.ndarray, labels: LabelVector):
@@ -243,33 +261,41 @@ def micle_loss(z1: np.ndarray, z2: np.ndarray, tau: float) -> float:
 
 @dataclass
 class AdamState:
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
-    def for_model(cls, state: ModelState) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in state.params.items()},
-            v={k: np.zeros_like(p) for k, p in state.params.items()},
-        )
+    def for_model(cls, state: FlatParams) -> "AdamState":
+        return cls(m=np.zeros_like(state.flat), v=np.zeros_like(state.flat))
 
 
-def adam_step(state: ModelState, adam: AdamState, lr: float,
+def adam_step(state: FlatParams, adam: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update from state.grads into state.params."""
+    """One bias-corrected Adam update from state.grad into state.flat.
+
+    Whole-vector operations in the order of m = beta1 m + (1 - beta1) g,
+    v = beta2 v + (1 - beta2) g^2, p -= lr m_hat / (sqrt(v_hat) + eps), so
+    the update is bitwise that of the same expressions per parameter.
+    """
     adam.t += 1
     c1 = 1.0 - beta1 ** adam.t
     c2 = 1.0 - beta2 ** adam.t
-    for name in state.param_order:
-        g = state.grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient: %s" % name)
-        adam.m[name] = beta1 * adam.m[name] + (1.0 - beta1) * g
-        adam.v[name] = beta2 * adam.v[name] + (1.0 - beta2) * (g * g)
-        m_hat = adam.m[name] / c1
-        v_hat = adam.v[name] / c2
-        state.params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    g = state.grad
+    state.check_finite("gradient", g)
+    adam.m *= beta1
+    adam.m += (1.0 - beta1) * g
+    g2 = g * g
+    g2 *= 1.0 - beta2
+    adam.v *= beta2
+    adam.v += g2
+    step = adam.m / c1
+    step *= lr
+    denom = adam.v / c2
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    state.flat -= step
     state.check_finite("parameter after update")
 
 
@@ -287,51 +313,46 @@ class StepResult:
 def loss_and_grads(state: ModelState, ops: list, x: np.ndarray,
                    labels: LabelVector, cfg: TrainingConfig,
                    perm: np.ndarray, ax: list, ax_tilde: list | None = None) -> StepResult:
-    """One full objective evaluation; fills state.grads as a side effect.
+    """One full objective evaluation; writes every entry of state.grads.
 
-    ax is [propagate(op, x) for op in ops] and ax_tilde, if given,
-    [op @ x[perm] for op in ops], as model_forward takes them. With both, the
-    step makes no sparse product while X is no wider than the embedding.
+    ax and ax_tilde are as model_forward takes them: fit passes 2n-row ax
+    stacks, [op @ x; op @ x[perm]], and the step makes no sparse product.
+    Each relation's infomax, its share of the pool and consensus, and its
+    backward pass down to dW run once on the 2n stacked rows.
     """
-    state.zero_grads()
     fc = model_forward(state, ops, x, perm, ax, ax_tilde)
+    n = x.shape[0]
     r_count = state.dims.n_relations
-    dh = [np.zeros_like(h) for h in fc.h]
-    dht = [np.zeros_like(h) for h in fc.h_tilde]
+    grads = state.grads
 
+    dh = []
     infomax_sum = 0.0
     for r in range(r_count):
-        loss_r, icache = infomax_loss(
-            fc.h[r], fc.h_tilde[r], fc.summaries[r], state.params["disc_m_%d" % r]
-        )
+        loss_r, icache = infomax_loss(fc.h[r], None, fc.summaries[r],
+                                      state.params["disc_m_%d" % r])
         infomax_sum += loss_r
-        g_h, g_ht, g_s, g_m = infomax_backward(icache)
-        state.grads["disc_m_%d" % r] += g_m
-        dh[r] += g_h
-        dht[r] += g_ht
-        dh[r] += summary_backward(fc.summary_caches[r], g_s)
+        g_h, _, g_s, grads["disc_m_%d" % r] = infomax_backward(icache)
+        g_h[:n] += summary_backward(fc.summary_caches[r], g_s)
+        dh.append(g_h)
 
     o = state.params["consensus"]
-    cs, d_o, d_pool, d_pool_t = consensus_loss(o, fc.pooled, fc.pooled_tilde)
-    state.grads["consensus"] += cfg.alpha * d_o
-    dhs, dlog = attentive_pool_backward(fc.pool_cache, cfg.alpha * d_pool)
-    dhs_t, dlog_t = attentive_pool_backward(fc.pool_cache_tilde, cfg.alpha * d_pool_t)
-    for r in range(r_count):
-        dh[r] += dhs[r]
-        dht[r] += dhs_t[r]
-    state.grads["att_logits"] += dlog + dlog_t
+    cs, d_o, d_pool, _ = consensus_loss(o, fc.pool, None)
+    d_pool *= cfg.alpha
+    dhs, grads["att_logits"] = attentive_pool_backward(fc.pool_cache, d_pool)
+    for g_h, g_pool in zip(dh, dhs):
+        g_h += g_pool
+    del d_pool, dhs  # 2n-row temporaries, dropped before the backward passes
 
     probs, ccache = classify(o, state.params["cls_w"], state.params["cls_b"])
     sup, dlogits = supervised_loss(probs, labels)
-    d_o2, d_wc, d_bc = classify_backward_from_logits(ccache, cfg.beta * dlogits)
-    state.grads["consensus"] += d_o2
-    state.grads["cls_w"] += d_wc
-    state.grads["cls_b"] += d_bc
+    d_o2, grads["cls_w"], grads["cls_b"] = classify_backward_from_logits(ccache, cfg.beta * dlogits)
+    np.add(cfg.alpha * d_o, d_o2, out=grads["consensus"])
 
     for r in range(r_count):
-        g_w1, _ = gcn_layer_backward(fc.gcn_caches[r], dh[r])
-        g_w2, _ = gcn_layer_backward(fc.gcn_caches_tilde[r], dht[r])
-        state.grads["enc_w_%d" % r] += g_w1 + g_w2
+        # one layer over all 2n rows, or the clean rows' and a W-first bottom's
+        dws = [gcn_layer_backward(c, dh[r][lo:lo + c.pre.shape[0]])[0]
+               for c, lo in zip(fc.layers[r], (0, n))]
+        grads["enc_w_%d" % r] = sum(dws[1:], dws[0])
 
     l2 = state.l2()
     state.add_l2_grads(cfg.gamma)
@@ -375,41 +396,34 @@ def _mask_digest(mask: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(mask, dtype=np.int8).tobytes()).hexdigest()
 
 
-def _propagate_epochs(x: np.ndarray, ops: list, perms: list) -> list:
-    """[[op @ x[p] for op in ops] for p in perms] from one propagate_block per op.
-
-    The rows of all perms are gathered into one n x len(perms)*in_dim block.
-    Each product is split into per-epoch copies at once, so one block product
-    is alive at a time and a finished epoch holds on to no block.
-    """
-    n = x.shape[0]
-    xs = x[np.stack(perms, axis=1)].reshape(n, -1)
-    products = [[c.copy() for c in np.hsplit(propagate_block(op, xs), len(perms))]
-                for op in ops]
-    return [list(epoch) for epoch in zip(*products)]
-
-
-def _corrupted_inputs(x: np.ndarray, ops: list, cfg: TrainingConfig):
-    """Yields (perm, ax_tilde) for each of cfg.epochs epochs.
+def _corrupted_inputs(x: np.ndarray, ops: list, cfg: TrainingConfig, stacks: list):
+    """Yields the permutation of each of cfg.epochs epochs.
 
     The permutations depend only on (cfg.seed, epoch), not on the parameters.
-    So where the layer propagates first, the products of k = max(1,
-    _BLOCK_COLUMNS // in_dim) epochs are made at once (_propagate_epochs),
-    the last block stopping at cfg.epochs. On the W-first side ax_tilde is
-    None and the layer propagates per epoch.
+    Where the layer propagates first, stacks are fit's 2n-row inputs and the
+    products op @ x[perm] of k = max(1, _BLOCK_COLUMNS // in_dim) epochs are
+    made at once, one propagate_block per op, the last block stopping at
+    cfg.epochs. Before each yield the epoch's columns of every block are
+    written into the bottom half of its stack. On the W-first side the
+    stacks hold n rows and the step propagates per epoch.
     """
-    d = x.shape[1]
-    if not propagates_first(d, cfg.embed_dim):
+    n, d = x.shape
+    if stacks[0].shape[0] == n:
         for epoch in range(cfg.epochs):
-            yield corrupt_features(x, seed=[cfg.seed, epoch]), None
+            yield corrupt_features(x, seed=[cfg.seed, epoch])
         return
     k = max(1, _BLOCK_COLUMNS // d)
     for start in range(0, cfg.epochs, k):
         perms = [corrupt_features(x, seed=[cfg.seed, e])
                  for e in range(start, min(start + k, cfg.epochs))]
-        products = _propagate_epochs(x, ops, perms)
-        for perm in perms:
-            yield perm, products.pop(0)  # frees each epoch's products after use
+        xs = x[np.stack(perms, axis=1)].reshape(n, -1)
+        blocks = [propagate_block(op, xs) for op in ops]
+        del xs  # the gathered rows are not needed past the products
+        for i, perm in enumerate(perms):
+            for stack, block in zip(stacks, blocks):
+                stack[n:] = block[:, i * d:(i + 1) * d]
+            yield perm
+        del blocks  # before the next block's products are made
 
 
 def fit(graph: MultiplexGraph, labels: LabelVector, cfg: TrainingConfig):
@@ -439,7 +453,14 @@ def fit(graph: MultiplexGraph, labels: LabelVector, cfg: TrainingConfig):
     state = ModelState(dims, seed=cfg.seed)
     adam = AdamState.for_model(state)
     ops = [normalize_adjacency(g) for g in graph.relations]
-    ax = [propagate(op, x) for op in ops]
+    # op @ x on top; where the layer propagates first, a bottom half takes
+    # each epoch's op @ x[perm] (see _corrupted_inputs)
+    n = graph.n_nodes
+    rows = 2 * n if propagates_first(x.shape[1], cfg.embed_dim) else n
+    stacks = []
+    for op in ops:
+        stacks.append(np.empty((rows, x.shape[1])))
+        stacks[-1][:n] = propagate(op, x)
     val_idx = labels.rows_with(D.VAL)
     test_idx = labels.rows_with(D.TEST)
 
@@ -453,8 +474,8 @@ def fit(graph: MultiplexGraph, labels: LabelVector, cfg: TrainingConfig):
     best_val = -np.inf
     best_epoch = -1
 
-    for epoch, (perm, ax_tilde) in enumerate(_corrupted_inputs(x, ops, cfg)):
-        step = loss_and_grads(state, ops, x, labels, cfg, perm, ax, ax_tilde)
+    for epoch, perm in enumerate(_corrupted_inputs(x, ops, cfg, stacks)):
+        step = loss_and_grads(state, ops, x, labels, cfg, perm, stacks)
         if not np.isfinite(step.total):
             raise NumericError("non-finite loss at epoch %d" % epoch)
         if val_idx.size:

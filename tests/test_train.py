@@ -337,6 +337,58 @@ def test_adam_rejects_non_finite_gradient():
         adam_step(state, adam, lr=0.01)
 
 
+def per_parameter_adam(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam applied one named array at a time, the reference for the flat step."""
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for name, g in grads.items():
+        m[name] = beta1 * m[name] + (1.0 - beta1) * g
+        v[name] = beta2 * v[name] + (1.0 - beta2) * (g * g)
+        params[name] = params[name] - lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)
+
+
+def test_flat_adam_is_bitwise_the_per_parameter_update():
+    rng = np.random.default_rng(40)
+    state = ModelState(ModelDims(5, 3, 4, 2, 3), seed=1)
+    adam = AdamState.for_model(state)
+    ref = state.copy_params()
+    m = {k: np.zeros_like(p) for k, p in ref.items()}
+    v = {k: np.zeros_like(p) for k, p in ref.items()}
+    for t in range(1, 51):
+        grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=p.shape)
+                 for k, p in ref.items()}
+        for name, g in grads.items():
+            state.grads[name] = g
+        adam_step(state, adam, lr=0.01)
+        per_parameter_adam(ref, grads, m, v, t, lr=0.01)
+        for name in state.param_order:
+            assert np.array_equal(state.params[name], ref[name]), (t, name)
+
+
+def test_params_and_flat_vector_move_together():
+    # every way of writing parameters keeps the named arrays views of the flat
+    # vector: one Adam step must move both alike
+    state = ModelState(ModelDims(4, 3, 2, 2, 2), seed=0)
+    other = ModelState(ModelDims(4, 3, 2, 2, 2), seed=7)
+    writes = {
+        "load_params": lambda: state.load_params(other.copy_params()),
+        "unflatten": lambda: state.unflatten(other.flatten()),
+        "copy_params round trip": lambda: state.load_params(state.copy_params()),
+    }
+    for how, write in writes.items():
+        write()
+        adam = AdamState.for_model(state)
+        for name in state.param_order:
+            state.grads[name] = np.full_like(state.params[name], 1.5)
+        before = {k: p.copy() for k, p in state.params.items()}
+        adam_step(state, adam, lr=0.01)
+        moved = np.concatenate([state.params[k].ravel() for k in state.param_order])
+        assert np.array_equal(moved, state.flatten()), how
+        assert not any(np.array_equal(state.params[k], before[k]) for k in before), how
+    with pytest.raises(DataError):
+        state.grads["cls_b"] = np.zeros(5)
+
+
 # ---------------------------------------------------------------- full objective
 
 
@@ -408,6 +460,112 @@ def test_loss_and_grads_propagates_only_the_corrupted_input():
         counting = [CountingOp(op) for op in ops]
         loss_and_grads(state, counting, x, labels, cfg, perm, ax)
         assert [op.widths for op in counting] == [widths] * r_count, d
+
+
+def two_pass_loss_and_grads(state, ops, x, labels, cfg, perm, ax, ax_tilde=None):
+    """The step as it was before the clean and corrupted rows were stacked:
+    every layer, loss and backward pass run once on each n-row half.
+    Returns (total, {name: gradient})."""
+    params, r_count, n = state.params, state.dims.n_relations, x.shape[0]
+    grads = {k: np.zeros_like(p) for k, p in params.items()}
+    h, ht, summaries, caches, caches_t, scaches = [], [], [], [], [], []
+    for r in range(r_count):
+        w = params["enc_w_%d" % r]
+        hr, c1 = M.gcn_layer(ops[r], x, w, ax[r])
+        hrt, c2 = M.gcn_layer(ops[r], x[perm], w, None if ax_tilde is None else ax_tilde[r])
+        sr, c3 = M.readout_summary(hr)
+        h.append(hr), ht.append(hrt), summaries.append(sr)
+        caches.append(c1), caches_t.append(c2), scaches.append(c3)
+    dh = [np.zeros_like(a) for a in h]
+    dht = [np.zeros_like(a) for a in ht]
+    infomax_sum = 0.0
+    for r in range(r_count):
+        pos, cpos = M.discriminate(h[r], summaries[r], params["disc_m_%d" % r])
+        neg, cneg = M.discriminate(ht[r], summaries[r], params["disc_m_%d" % r])
+        pos_c = np.clip(pos, T.SCORE_CLAMP, 1.0 - T.SCORE_CLAMP)
+        neg_c = np.clip(neg, T.SCORE_CLAMP, 1.0 - T.SCORE_CLAMP)
+        infomax_sum += float((-np.log(pos_c).sum() - np.log(1.0 - neg_c).sum()) / (2 * n))
+        g_h, ds1, dm1 = M.discriminate_backward_pre(
+            cpos, np.where(pos == pos_c, pos - 1.0, 0.0) / (2 * n))
+        g_ht, ds2, dm2 = M.discriminate_backward_pre(
+            cneg, np.where(neg == neg_c, neg, 0.0) / (2 * n))
+        grads["disc_m_%d" % r] += dm1 + dm2
+        dh[r] += g_h + M.summary_backward(scaches[r], ds1 + ds2)
+        dht[r] += g_ht
+    o = params["consensus"]
+    pooled, _, pcache = M.attentive_pool(h, params["att_logits"])
+    pooled_t, _, pcache_t = M.attentive_pool(ht, params["att_logits"])
+    d_clean, d_corr = o - pooled, o - pooled_t
+    cs = float((np.sum(d_clean ** 2) - np.sum(d_corr ** 2)) / o.size)
+    grads["consensus"] += cfg.alpha * 2.0 * (d_clean - d_corr) / o.size
+    dhs, dlog = M.attentive_pool_backward(pcache, cfg.alpha * -2.0 * d_clean / o.size)
+    dhs_t, dlog_t = M.attentive_pool_backward(pcache_t, cfg.alpha * 2.0 * d_corr / o.size)
+    grads["att_logits"] += dlog + dlog_t
+    probs, ccache = classify(o, params["cls_w"], params["cls_b"])
+    sup, dlogits = supervised_loss(probs, labels)
+    d_o, d_w, d_b = M.classify_backward_from_logits(ccache, cfg.beta * dlogits)
+    grads["consensus"] += d_o
+    grads["cls_w"] += d_w
+    grads["cls_b"] += d_b
+    for r in range(r_count):
+        g_w1, _ = M.gcn_layer_backward(caches[r], dh[r] + dhs[r])
+        g_w2, _ = M.gcn_layer_backward(caches_t[r], dht[r] + dhs_t[r])
+        grads["enc_w_%d" % r] += g_w1 + g_w2
+    l2 = float(sum(np.sum(p * p) for p in params.values()))
+    for name, p in params.items():
+        grads[name] += 2.0 * cfg.gamma * p
+    return total_loss(infomax_sum, cs, sup, l2, cfg), grads
+
+
+def test_stacked_step_matches_two_pass_reference():
+    rng = np.random.default_rng(41)
+    n, f, r_count, c = 14, 6, 3, 3
+    ops = random_ops(rng, n, r_count - 1)
+    ops.append(normalize_adjacency(RelationGraph(n=n, edges=np.zeros((0, 2), dtype=int))))
+    x = rng.normal(size=(n, f))
+    mask = [D.TRAIN] * 8 + [D.VAL] * 3 + [D.TEST] * 3
+    labels = labeled_vector(rng.integers(0, c, size=n), mask)
+    perm = rng.permutation(n)
+    ax = [propagate(op, x) for op in ops]
+    ax_tilde = [propagate(op, x[perm]) for op in ops]
+    stacks = [np.concatenate([a, at]) for a, at in zip(ax, ax_tilde)]
+    # (ax, ax_tilde) for the stacked step, then ax_tilde for the reference
+    inputs = {"without ax_tilde": (ax, None, None),
+              "with ax_tilde": (ax, ax_tilde, ax_tilde),
+              "fit's 2n-row stacks": (stacks, None, ax_tilde)}
+    for d in (4, 9):  # below and above in_dim
+        cfg = TrainingConfig(learning_rate=0.01, embed_dim=d, n_relations=r_count,
+                             thetas=(0.5,), alpha=0.7, beta=0.9, gamma=0.02)
+        for how, (a, at, ref_at) in inputs.items():
+            state = ModelState(ModelDims(n, f, d, r_count, c), seed=8)
+            state.params["att_logits"] = rng.normal(size=r_count)
+            ref_total, ref_grads = two_pass_loss_and_grads(state, ops, x, labels, cfg, perm,
+                                                          ax, ref_at)
+            step = loss_and_grads(state, ops, x, labels, cfg, perm, a, at)
+            assert abs(step.total - ref_total) <= 1e-12, (d, how)
+            for name in state.param_order:
+                err = np.max(np.abs(state.grads[name] - ref_grads[name]))
+                assert err <= 1e-12, (d, how, name, err)
+
+
+def test_stacked_losses_match_split_losses():
+    rng = np.random.default_rng(42)
+    n, d = 7, 3
+    h, ht, o, p, pt = (rng.normal(size=(n, d)) for _ in range(5))
+    s, m = rng.normal(size=d), rng.normal(size=(d, d))
+    loss, cache = infomax_loss(h, ht, s, m)
+    loss_s, cache_s = infomax_loss(np.concatenate([h, ht]), None, s, m)
+    dh, dht, ds, dm = infomax_backward(cache)
+    dhs, none, ds_s, dm_s = infomax_backward(cache_s)
+    assert loss == loss_s and none is None
+    assert np.array_equal(np.concatenate([dh, dht]), dhs)
+    assert np.array_equal(ds, ds_s) and np.array_equal(dm, dm_s)
+    loss, do, dp, dpt = consensus_loss(o, p, pt)
+    loss_s, do_s, dq, none = consensus_loss(o, np.concatenate([p, pt]), None)
+    assert loss == loss_s and none is None and np.array_equal(do, do_s)
+    assert np.array_equal(np.concatenate([dp, dpt]), dq)
+    with pytest.raises(DataError):
+        consensus_loss(o, p, None)
 
 
 # ---------------------------------------------------------------- fit
