@@ -30,7 +30,6 @@ from .graph import (
     attach_new_nodes,
     build_multiplex,
     build_relation_graph,
-    build_weighted_full_graph,
     cosine_similarity,
     pairwise_class_similarity,
 )

@@ -5,19 +5,25 @@ and checked the same way."""
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataError, NumericError
-from . import data as D
+from .errors import DataError
 from .data import FeatureTable, LabelVector
-from . import evaluate as E
-from .model import FlatParams, _xavier, gcn_layer, gcn_layer_backward, normalize_adjacency, propagate
+from .model import (
+    FlatParams,
+    _xavier,
+    classify,
+    classify_backward_from_logits,
+    gcn_layer,
+    gcn_layer_backward,
+    normalize_adjacency,
+    propagate,
+)
 from .graph import build_relation_graph
-from .train import AdamState, adam_step
+from .train import held_out_metrics, select_epochs, supervised_loss
 
 
 @dataclass
@@ -50,14 +56,9 @@ class BaselineModel:
         return forward(self.kind, self.params, x, op)[0]
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _forward(kind: str, params: dict, x: np.ndarray, op=None, ax=None):
-    """Class probabilities plus the first layer's (cache, h); ax = op @ x if at hand."""
+def forward(kind: str, params: dict, x: np.ndarray, op=None, ax=None):
+    """Class probabilities plus the caches of the first layer and the head;
+    ax = op @ x if at hand."""
     if kind == "mlp":
         cache = x @ params["w1"] + params["b1"]
         h = np.maximum(cache, 0.0)
@@ -67,25 +68,17 @@ def _forward(kind: str, params: dict, x: np.ndarray, op=None, ax=None):
         h, cache = gcn_layer(op, x, params["w1"], ax)
     else:
         raise DataError("unknown baseline kind %r" % kind)
-    logits = h @ params["w2"] + params["b2"]
-    return _softmax_rows(logits), (cache, h)
+    probs, head = classify(h, params["w2"], params["b2"])
+    return probs, (cache, head)
 
 
-def _loss_and_grads(kind: str, params: dict, x: np.ndarray, labels: LabelVector, op, ax):
-    train_idx = labels.rows_with(D.TRAIN)
-    if train_idx.size == 0:
-        raise DataError("baseline training needs at least one TRAIN row")
-    probs, (cache, h) = _forward(kind, params, x, op, ax)
-    p_true = probs[train_idx, labels.labels[train_idx]]
-    with np.errstate(divide="ignore"):
-        loss = float(-np.mean(np.log(p_true)))
-
-    dlogits = np.zeros_like(probs)
-    g = probs[train_idx].copy()
-    g[np.arange(train_idx.size), labels.labels[train_idx]] -= 1.0
-    dlogits[train_idx] = g / train_idx.size
-    grads = {"w2": h.T @ dlogits, "b2": dlogits.sum(axis=0)}
-    dh = dlogits @ params["w2"].T
+def loss_and_grads(kind: str, params: dict, x: np.ndarray, labels: LabelVector,
+                   op=None, ax=None):
+    """Cross-entropy over TRAIN rows; returns (loss, grads dict, probs)."""
+    probs, (cache, head) = forward(kind, params, x, op, ax)
+    loss, dlogits = supervised_loss(probs, labels)
+    dh, dw2, db2 = classify_backward_from_logits(head, dlogits)
+    grads = {"w2": dw2, "b2": db2}
     if kind == "mlp":
         dpre = dh * (cache > 0.0)
         grads["w1"] = x.T @ dpre
@@ -93,16 +86,6 @@ def _loss_and_grads(kind: str, params: dict, x: np.ndarray, labels: LabelVector,
     else:
         grads["w1"], _ = gcn_layer_backward(cache, dh)
     return loss, grads, probs
-
-
-def forward(kind: str, params: dict, x: np.ndarray, op=None):
-    """Class probabilities plus the intermediates the backward pass needs."""
-    return _forward(kind, params, x, op)
-
-
-def loss_and_grads(kind: str, params: dict, x: np.ndarray, labels: LabelVector, op=None):
-    """Cross-entropy over TRAIN rows; returns (loss, grads dict, probs)."""
-    return _loss_and_grads(kind, params, x, labels, op, None)
 
 
 def _init_params(kind: str, in_dim: int, hidden: int, n_classes: int, seed: int) -> dict:
@@ -116,54 +99,29 @@ def _init_params(kind: str, in_dim: int, hidden: int, n_classes: int, seed: int)
 
 
 def _train(kind: str, x: np.ndarray, labels: LabelVector, cfg: BaselineConfig, op=None):
-    """Adam (train.adam_step) on the cross-entropy; x is propagated (for the
+    """train.select_epochs on the cross-entropy; x is propagated (for the
     GCN) once per fit."""
     ax = propagate(op, x) if kind == "single_gcn" else None
-    val_idx = labels.rows_with(D.VAL)
-    test_idx = labels.rows_with(D.TEST)
-    c = labels.n_classes
-    init = _init_params(kind, x.shape[1], cfg.hidden_dim, c, cfg.seed)
+    init = _init_params(kind, x.shape[1], cfg.hidden_dim, labels.n_classes, cfg.seed)
     state = FlatParams({k: v.shape for k, v in init.items()})
     state.load_params(init)
-    params = state.params
-    adam = AdamState.for_model(state)
-    rows = []
-    best = (-np.inf, -1, state.copy_params())
 
-    for epoch in range(cfg.epochs):
-        loss, grads, probs = _loss_and_grads(kind, params, x, labels, op, ax)
-        if not np.isfinite(loss):
-            raise NumericError("non-finite baseline loss at epoch %d" % epoch)
-        if val_idx.size:
-            pred = np.argmax(probs[val_idx], axis=1)
-            val_micro = E.micro_f1(E.confusion_counts(pred, labels.labels[val_idx], c))
-        else:
-            val_micro = float("nan")
-        rows.append({"epoch": epoch, "loss": loss, "val_micro": val_micro})
-        if val_idx.size and val_micro > best[0]:
-            best = (val_micro, epoch, state.copy_params())
+    def step(epoch):
+        loss, grads, probs = loss_and_grads(kind, state.params, x, labels, op, ax)
         for name, g in grads.items():
             state.grads[name] = g
-        adam_step(state, adam, cfg.learning_rate)
+        return loss, probs, {"loss": loss}
 
-        if val_idx.size and cfg.patience and epoch - max(best[1], 0) >= cfg.patience:
-            break
-
-    params = best[2] if val_idx.size and best[1] >= 0 else state.copy_params()
+    run = select_epochs(state, cfg.learning_rate, cfg.epochs, cfg.patience, labels, step)
+    params = state.copy_params()
     report = {
         "kind": kind,
-        "rows": rows,
-        "best_epoch": best[1] if val_idx.size else len(rows) - 1,
-        "best_val_micro": best[0] if val_idx.size else float("nan"),
-        "mask_digest": hashlib.sha256(
-            np.ascontiguousarray(labels.mask, dtype=np.int8).tobytes()
-        ).hexdigest(),
-        "test_metrics": None,
+        "rows": run.rows,
+        "best_epoch": run.best_epoch,
+        "best_val_micro": run.best_val_micro,
+        "mask_digest": run.mask_digest,
+        "test_metrics": held_out_metrics(forward(kind, params, x, op, ax)[0], labels),
     }
-    if test_idx.size:
-        probs, _ = _forward(kind, params, x, op, ax)
-        pred = np.argmax(probs[test_idx], axis=1)
-        report["test_metrics"] = E.metrics_report(pred, labels.labels[test_idx], c).to_json_dict()
     return BaselineModel(kind=kind, params=params, config=cfg, report=report, op=op)
 
 

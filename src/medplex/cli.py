@@ -180,7 +180,6 @@ def _rebuild_graph(run_dir: str, data_dir: str):
     graph = build_multiplex(
         c_norm, partition, cfg.thetas, z_norm,
         feat_normalizer=feat_norm, embed_normalizer=emb_norm,
-        weighted_full=cfg.weighted_full,
     )
     if graph.n_nodes != state.dims.n_nodes:
         raise DataError(

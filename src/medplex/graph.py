@@ -51,32 +51,26 @@ def _unit_rows(values: np.ndarray) -> np.ndarray:
 _TILE = 256
 
 
-def _similar_pairs(
-    a: np.ndarray, theta: float | None, b: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _similar_pairs(a: np.ndarray, theta: float, b: np.ndarray | None = None) -> np.ndarray:
     """Row pairs whose clipped cosine similarity is strictly above theta.
 
     Without b, pairs (i, j) of a's rows with i < j; with b, every pair of a row
     i of a and a row j of b. Returns the pairs row-major as an (E, 2) int64
-    array, computed one tile of a's rows at a time. theta None keeps every pair
-    and returns its similarity, clamped at 0, as the edge weight; otherwise the
-    weights are None.
+    array, computed one tile of a's rows at a time.
     """
     ua = _unit_rows(np.asarray(a, dtype=np.float64))
     ub = ua if b is None else _unit_rows(np.asarray(b, dtype=np.float64))
-    pairs, weights = [np.empty((0, 2), dtype=np.int64)], [np.empty(0)]
+    pairs = [np.empty((0, 2), dtype=np.int64)]
     for lo in range(0, ua.shape[0], _TILE):
         first = lo if b is None else 0  # columns before lo lie below the diagonal
         sims = ua[lo:lo + _TILE] @ ub[first:].T
         np.clip(sims, -1.0, 1.0, out=sims)
-        keep = np.ones(sims.shape, dtype=bool) if theta is None else sims > theta
+        keep = sims > theta
         if b is None:
             keep = np.triu(keep, k=1)
         i, j = np.nonzero(keep)
         pairs.append(np.stack([i + lo, j + first], axis=1))
-        if theta is None:
-            weights.append(np.maximum(sims[i, j], 0.0))
-    return np.concatenate(pairs), (np.concatenate(weights) if theta is None else None)
+    return np.concatenate(pairs)
 
 
 @dataclass
@@ -87,7 +81,6 @@ class RelationGraph:
     edges: np.ndarray
     relation_index: int = 0
     threshold: float | None = None
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
@@ -104,12 +97,6 @@ class RelationGraph:
                 keys = np.sort(keys)
                 if np.any(keys[1:] == keys[:-1]):
                     raise DataError("duplicate edges")
-        if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=np.float64).ravel()
-            if self.weights.shape[0] != self.edges.shape[0]:
-                raise DataError("weight count does not match edge count")
-            if not np.all(np.isfinite(self.weights)):
-                raise DataError("non-finite edge weights")
 
     @property
     def n_edges(self) -> int:
@@ -131,25 +118,9 @@ def build_relation_graph(block: np.ndarray, theta: float, relation_index: int = 
     block = np.asarray(block, dtype=np.float64)
     if block.ndim != 2 or block.shape[1] < 1:
         raise DataError("relation block must be 2-d with at least one column")
-    edges, _ = _similar_pairs(block, float(theta))
+    edges = _similar_pairs(block, float(theta))
     return RelationGraph(
         n=block.shape[0], edges=edges, relation_index=relation_index, threshold=float(theta)
-    )
-
-
-def build_weighted_full_graph(block: np.ndarray, relation_index: int = 0) -> RelationGraph:
-    """Fully connected variant: every pair gets an edge weighted by similarity.
-
-    Negative similarities clamp to zero so the normalized operator's degrees
-    stay positive.
-    """
-    block = np.asarray(block, dtype=np.float64)
-    if block.ndim != 2 or block.shape[1] < 1:
-        raise DataError("relation block must be 2-d with at least one column")
-    edges, weights = _similar_pairs(block, None)
-    return RelationGraph(
-        n=block.shape[0], edges=edges, relation_index=relation_index, threshold=None,
-        weights=weights,
     )
 
 
@@ -193,7 +164,6 @@ def build_multiplex(
     embeddings: EmbeddingTable,
     feat_normalizer: Normalizer | None = None,
     embed_normalizer: Normalizer | None = None,
-    weighted_full: bool = False,
 ) -> MultiplexGraph:
     """Build one relation graph per type over an already-normalized table.
 
@@ -210,10 +180,7 @@ def build_multiplex(
     relations = []
     for r in range(partition.n_types):
         block = table.values[:, partition.columns_of(r)]
-        if weighted_full:
-            relations.append(build_weighted_full_graph(block, relation_index=r))
-        else:
-            relations.append(build_relation_graph(block, thetas[r], relation_index=r))
+        relations.append(build_relation_graph(block, thetas[r], relation_index=r))
     attributes = concat_attributes(embeddings, table)
     return MultiplexGraph(
         relations=relations,
@@ -267,18 +234,14 @@ def attach_new_nodes(
     relations = []
     for r, old in enumerate(g.relations):
         cols = g.partition.columns_of(r)
-        theta = None if old.weights is not None else g.thetas[r]
-        pairs, w_new = _similar_pairs(g.table.values[:, cols], theta, new_norm.values[:, cols])
+        pairs = _similar_pairs(g.table.values[:, cols], g.thetas[r], new_norm.values[:, cols])
         pairs[:, 1] += n_old
-        edges = np.concatenate([old.edges, pairs])
-        weights = None if w_new is None else np.concatenate([old.weights, w_new])
         relations.append(
             RelationGraph(
                 n=n_old + m,
-                edges=edges,
+                edges=np.concatenate([old.edges, pairs]),
                 relation_index=r,
                 threshold=old.threshold,
-                weights=weights,
             )
         )
 
@@ -352,7 +315,7 @@ def _id_words(n: int) -> np.ndarray:
 
 
 def write_edge_list(path, graph: RelationGraph, words: np.ndarray | None = None) -> None:
-    """One `i j [weight]` line per edge, i < j, in the graph's edge order, which
+    """One `i j` line per edge, i < j, in the graph's edge order, which
     is row-major for every built graph. No id is formatted per edge: words is
     _id_words(graph.n), built here unless a caller writing several graphs over
     the same nodes passes it, so a chunk of edges is one gather and one join.
@@ -362,13 +325,7 @@ def write_edge_list(path, graph: RelationGraph, words: np.ndarray | None = None)
         words = _id_words(n)
     with open(path, "w") as fh:
         for lo in range(0, graph.n_edges, _WRITE_CHUNK):
-            pairs = graph.edges[lo:lo + _WRITE_CHUNK]
-            if graph.weights is None:
-                cells = words[pairs + (0, n)]
-            else:
-                cells = np.empty((len(pairs), 3), dtype=object)
-                cells[:, :2] = words[pairs]
-                cells[:, 2] = ["%.17g\n" % w for w in graph.weights[lo:lo + _WRITE_CHUNK].tolist()]
+            cells = words[graph.edges[lo:lo + _WRITE_CHUNK] + (0, n)]
             fh.write("".join(cells.ravel().tolist()))
 
 
@@ -385,8 +342,7 @@ def write_multiplex(out_dir, g: MultiplexGraph) -> dict:
             {
                 "relation": r,
                 "file": fname,
-                "threshold": g.thetas[r] if graph.weights is None else None,
-                "weighted": graph.weights is not None,
+                "threshold": g.thetas[r],
                 "n_edges": int(graph.n_edges),
                 "mean_degree": float(deg.mean()),
                 "isolated_nodes": int((deg == 0).sum()),

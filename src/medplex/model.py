@@ -146,19 +146,15 @@ class ModelState(FlatParams):
 def normalize_adjacency(graph: RelationGraph) -> sp.csr_matrix:
     """Symmetric operator D^-1/2 (A + I) D^-1/2 with degrees from A + I.
 
-    Weighted graphs contribute their weights to A; the self loop is always 1,
-    so degrees stay strictly positive. A + I is built as CSR from the stored
-    upper triangle and scaled in place, row factor first, so the transient
-    memory stays within a small multiple of the returned operator.
+    The self loop keeps every degree at 1 or more. A + I is built as CSR from
+    the stored upper triangle and scaled in place, row factor first, so the
+    transient memory stays within a small multiple of the returned operator.
     """
     n = graph.n
     i, j = graph.edges[:, 0], graph.edges[:, 1]
-    w = graph.weights if graph.weights is not None else np.ones(graph.n_edges)
-    upper = sp.csr_matrix((w, (i, j)), shape=(n, n))
+    upper = sp.csr_matrix((np.ones(graph.n_edges), (i, j)), shape=(n, n))
     a_hat = upper + upper.T + sp.identity(n, format="csr")
     deg = np.asarray(a_hat.sum(axis=1)).ravel()
-    if np.any(deg <= 0):
-        raise NumericError("non-positive degree in normalized adjacency")
     dinv = 1.0 / np.sqrt(deg)
     a_hat.data *= np.repeat(dinv, np.diff(a_hat.indptr))
     a_hat.data *= dinv[a_hat.indices]
@@ -379,10 +375,7 @@ def classify_backward(cache: ClassifyCache, dprobs: np.ndarray):
     """Returns (do, dw, db) through the softmax and the affine map."""
     p = cache.probs
     dlogits = p * (dprobs - np.sum(dprobs * p, axis=1, keepdims=True))
-    dw = cache.o.T @ dlogits
-    db = dlogits.sum(axis=0)
-    do = dlogits @ cache.w.T
-    return do, dw, db
+    return classify_backward_from_logits(cache, dlogits)
 
 
 def classify_backward_from_logits(cache: ClassifyCache, dlogits: np.ndarray):

@@ -74,7 +74,6 @@ def build_graph_for(table: FeatureTable, embeddings: EmbeddingTable, cfg: Traini
     return build_multiplex(
         c_norm, partition, cfg.thetas, z_norm,
         feat_normalizer=feat_norm, embed_normalizer=emb_norm,
-        weighted_full=cfg.weighted_full,
     )
 
 

@@ -20,6 +20,7 @@ from scipy.special import logsumexp
 
 from .errors import DataError, NumericError
 from . import data as D
+from . import evaluate as E
 from .data import LabelVector
 from .graph import MultiplexGraph
 from .model import (
@@ -59,7 +60,6 @@ class TrainingConfig:
     alpha: float = 0.001
     beta: float = 0.1
     gamma: float = 0.0001
-    tau: float = 0.1
     epochs: int = 1000
     patience: int = 50
     seed: int = 0
@@ -68,7 +68,6 @@ class TrainingConfig:
     test_frac: float = 0.3
     kmeans_restarts: int = 20
     kmeans_max_iters: int = 100
-    weighted_full: bool = False
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -82,8 +81,6 @@ class TrainingConfig:
             raise DataError("need one threshold per relation")
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise DataError("loss coefficients must be non-negative")
-        if self.tau <= 0:
-            raise DataError("tau must be positive")
         if self.epochs < 0 or self.patience < 0:
             raise DataError("epochs and patience must be non-negative")
         fr = (self.train_frac, self.val_frac, self.test_frac)
@@ -97,11 +94,16 @@ class TrainingConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TrainingConfig":
-        known = set(cls.__dataclass_fields__)
-        bad = set(d) - known
+        """Also reads configs from before tau and weighted_full were dropped:
+        tau never entered the objective, and only weighted_full false built
+        the graphs this version builds."""
+        kwargs = dict(d)
+        kwargs.pop("tau", None)
+        if kwargs.pop("weighted_full", False):
+            raise DataError("weighted_full graphs are no longer supported")
+        bad = set(kwargs) - set(cls.__dataclass_fields__)
         if bad:
             raise DataError("unknown config keys: %s" % sorted(bad))
-        kwargs = dict(d)
         if "thetas" in kwargs:
             kwargs["thetas"] = tuple(kwargs["thetas"])
         return cls(**kwargs)
@@ -426,16 +428,62 @@ def _corrupted_inputs(x: np.ndarray, ops: list, cfg: TrainingConfig, stacks: lis
         del blocks  # before the next block's products are made
 
 
+def select_epochs(state: FlatParams, lr: float, epochs: int, patience: int,
+                  labels: LabelVector, step) -> TrainReport:
+    """Adam on state for up to `epochs` epochs, keeping the best by validation.
+
+    step(epoch) writes state.grads and returns (loss, probs, row): a loss that
+    must be finite, class probabilities for every row, and the epoch's report
+    entries, stored between "epoch" and "val_micro". Selection: highest
+    validation micro-F1, earliest epoch on ties; training stops once
+    `patience` epochs pass without improvement (0 never stops). Without
+    validation rows the final epoch wins and early stopping is off. The
+    selected parameters are left in state.
+    """
+    val_idx = labels.rows_with(D.VAL)
+    report = TrainReport(mask_digest=_mask_digest(labels.mask))
+    adam = AdamState.for_model(state)
+    best_params, best_val = None, -np.inf
+    for epoch in range(epochs):
+        loss, probs, row = step(epoch)
+        if not np.isfinite(loss):
+            raise NumericError("non-finite loss at epoch %d" % epoch)
+        if val_idx.size:
+            pred = np.argmax(probs[val_idx], axis=1)
+            val_micro = E.micro_f1(E.confusion_counts(pred, labels.labels[val_idx], labels.n_classes))
+        else:
+            val_micro = float("nan")
+        report.rows.append({"epoch": epoch, **row, "val_micro": val_micro})
+        if val_idx.size and val_micro > best_val:
+            best_val, report.best_epoch, best_params = val_micro, epoch, state.copy_params()
+        adam_step(state, adam, lr)
+        report.epochs_run = epoch + 1
+        if val_idx.size and epoch - max(report.best_epoch, 0) >= patience > 0:
+            report.stopped_early = True
+            break
+    if best_params is not None:
+        state.load_params(best_params)
+        report.best_val_micro = float(best_val)
+    else:
+        report.best_epoch = report.epochs_run - 1
+    return report
+
+
+def held_out_metrics(probs: np.ndarray, labels: LabelVector) -> dict | None:
+    """Metrics of the argmax of probs over the TEST rows; None without any."""
+    idx = labels.rows_with(D.TEST)
+    if idx.size == 0:
+        return None
+    pred = np.argmax(probs[idx], axis=1)
+    return E.metrics_report(pred, labels.labels[idx], labels.n_classes).to_json_dict()
+
+
 def fit(graph: MultiplexGraph, labels: LabelVector, cfg: TrainingConfig):
     """Train on one multiplex graph; returns (best ModelState, TrainReport).
 
-    Selection: highest validation micro-F1, earliest epoch on ties; training
-    stops once `patience` epochs pass without improvement. Without validation
-    rows the final epoch wins and early stopping is off. Deterministic in
+    Epochs, selection and early stopping are select_epochs'. Deterministic in
     cfg.seed (corruption permutations derive from (seed, epoch)).
     """
-    from . import evaluate as E
-
     if labels.n_rows != graph.n_nodes:
         raise DataError("labels cover %d rows, graph has %d" % (labels.n_rows, graph.n_nodes))
     if len(graph.relations) != cfg.n_relations:
@@ -451,7 +499,6 @@ def fit(graph: MultiplexGraph, labels: LabelVector, cfg: TrainingConfig):
         n_classes=labels.n_classes,
     )
     state = ModelState(dims, seed=cfg.seed)
-    adam = AdamState.for_model(state)
     ops = [normalize_adjacency(g) for g in graph.relations]
     # op @ x on top; where the layer propagates first, a bottom half takes
     # each epoch's op @ x[perm] (see _corrupted_inputs)
@@ -461,65 +508,22 @@ def fit(graph: MultiplexGraph, labels: LabelVector, cfg: TrainingConfig):
     for op in ops:
         stacks.append(np.empty((rows, x.shape[1])))
         stacks[-1][:n] = propagate(op, x)
-    val_idx = labels.rows_with(D.VAL)
-    test_idx = labels.rows_with(D.TEST)
+    perms = _corrupted_inputs(x, ops, cfg, stacks)
 
-    report = TrainReport(
-        config_hash=cfg.config_hash(),
-        seed=cfg.seed,
-        n_nodes=graph.n_nodes,
-        mask_digest=_mask_digest(labels.mask),
-    )
-    best_params = state.copy_params()
-    best_val = -np.inf
-    best_epoch = -1
+    def step(epoch):
+        s = loss_and_grads(state, ops, x, labels, cfg, next(perms), stacks)
+        return s.total, s.probs, {"total": s.total, "infomax": s.infomax,
+                                  "consensus": s.consensus, "supervised": s.supervised,
+                                  "l2": s.l2}
 
-    for epoch, perm in enumerate(_corrupted_inputs(x, ops, cfg, stacks)):
-        step = loss_and_grads(state, ops, x, labels, cfg, perm, stacks)
-        if not np.isfinite(step.total):
-            raise NumericError("non-finite loss at epoch %d" % epoch)
-        if val_idx.size:
-            pred = np.argmax(step.probs[val_idx], axis=1)
-            val_micro = E.micro_f1(E.confusion_counts(pred, labels.labels[val_idx], labels.n_classes))
-        else:
-            val_micro = float("nan")
-        report.rows.append(
-            {
-                "epoch": epoch,
-                "total": step.total,
-                "infomax": step.infomax,
-                "consensus": step.consensus,
-                "supervised": step.supervised,
-                "l2": step.l2,
-                "val_micro": val_micro,
-            }
-        )
-        improved = val_idx.size and val_micro > best_val
-        if improved:
-            best_val = val_micro
-            best_epoch = epoch
-            best_params = state.copy_params()
-        adam_step(state, adam, cfg.learning_rate)
-        report.epochs_run = epoch + 1
-        if val_idx.size and cfg.epochs and epoch - max(best_epoch, 0) >= cfg.patience > 0:
-            report.stopped_early = True
-            break
-
-    if val_idx.size and best_epoch >= 0:
-        state.load_params(best_params)
-        report.best_epoch = best_epoch
-        report.best_val_micro = float(best_val)
-    else:
-        report.best_epoch = report.epochs_run - 1
+    report = select_epochs(state, cfg.learning_rate, cfg.epochs, cfg.patience, labels, step)
+    report.config_hash = cfg.config_hash()
+    report.seed = cfg.seed
+    report.n_nodes = n
     # attention weights of the selected model
     logits = state.params["att_logits"]
     z = np.exp(logits - logits.max())
     report.att_weights = [float(v) for v in z / z.sum()]
-
-    if test_idx.size:
-        probs, _ = classify(state.params["consensus"], state.params["cls_w"], state.params["cls_b"])
-        pred = np.argmax(probs[test_idx], axis=1)
-        report.test_metrics = E.metrics_report(
-            pred, labels.labels[test_idx], labels.n_classes
-        ).to_json_dict()
+    probs, _ = classify(state.params["consensus"], state.params["cls_w"], state.params["cls_b"])
+    report.test_metrics = held_out_metrics(probs, labels)
     return state, report

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -194,6 +195,26 @@ def test_eval_rejects_unknown_split(workdir, tmp_path):
                 "--data", str(workdir["data"]), "--split", "bogus",
                 "--out", str(tmp_path / "x.json")])
     assert code == 1
+
+
+def test_eval_reads_runs_with_dropped_config_keys(workdir, tmp_path, capsys):
+    def evaluate(run_dir, out):
+        return run(["--quiet", "eval", "--run", str(run_dir), "--data", str(workdir["data"]),
+                    "--split", "test", "--out", str(out)])
+
+    assert evaluate(workdir["run"], tmp_path / "now.json") == 0
+    old_run = tmp_path / "old_run"
+    shutil.copytree(workdir["run"], old_run)
+    cfg = json.loads((old_run / "resolved_config.json").read_text())
+    (old_run / "resolved_config.json").write_text(
+        json.dumps(dict(cfg, tau=0.1, weighted_full=False)))
+    assert evaluate(old_run, tmp_path / "old.json") == 0
+    now = json.loads((tmp_path / "now.json").read_text())
+    assert json.loads((tmp_path / "old.json").read_text()) == now
+
+    (old_run / "resolved_config.json").write_text(json.dumps(dict(cfg, weighted_full=True)))
+    assert evaluate(old_run, tmp_path / "weighted.json") == 2
+    assert "weighted_full" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- explain

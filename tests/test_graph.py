@@ -21,7 +21,6 @@ from medplex.graph import (
     attach_new_nodes,
     build_multiplex,
     build_relation_graph,
-    build_weighted_full_graph,
     cosine_similarity,
     pairwise_class_similarity,
     write_edge_list,
@@ -98,21 +97,21 @@ def test_similar_pairs_match_pairwise_cosine():
     b = rng.normal(size=(5, 4))
     cos = np.array([[cosine_similarity(a[i], b[j]) for j in range(5)] for i in range(7)])
     for theta in (-0.5, 0.0, 0.3):
-        pairs, weights = graph_module._similar_pairs(a, theta, b)
-        assert weights is None
+        pairs = graph_module._similar_pairs(a, theta, b)
         assert pairs.tolist() == np.argwhere(cos > theta).tolist()
-    pairs, weights = graph_module._similar_pairs(a, None, b)
-    assert pairs.tolist() == np.argwhere(np.ones((7, 5))).tolist()
-    assert np.abs(weights - np.maximum(cos, 0.0).ravel()).max() < 1e-12
 
 
 def test_cosine_scale_invariance():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(5, 3))
     scaled = a * rng.uniform(0.1, 10.0, size=(5, 1))
-    _, w = graph_module._similar_pairs(a, None)
-    _, w_scaled = graph_module._similar_pairs(scaled, None)
-    assert np.abs(w - w_scaled).max() < 1e-12
+    for i in range(5):
+        for j in range(5):
+            assert cosine_similarity(scaled[i], scaled[j]) == pytest.approx(
+                cosine_similarity(a[i], a[j]), abs=1e-12)
+    for theta in (-0.5, 0.0, 0.3):
+        assert np.array_equal(graph_module._similar_pairs(scaled, theta),
+                              graph_module._similar_pairs(a, theta))
 
 
 # ---------------------------------------------------------------- relation graphs
@@ -197,19 +196,8 @@ def test_tiled_weighted_and_rectangular_pairs_equal_full_matrix():
     rng = np.random.default_rng(16)
     a = rng.normal(size=(2 * TILE + 3, 3))
     b = rng.normal(size=(7, 3))
-    n = a.shape[0]
-    g = build_weighted_full_graph(a)
-    iu, ju = np.triu_indices(n, k=1)
-    assert np.array_equal(g.edges, np.stack([iu, ju], axis=1))
-    # BLAS may pick another kernel for a tile than for the whole matrix
-    ulps = 4 * np.finfo(np.float64).eps
-    assert np.abs(g.weights - np.maximum(full_matrix_sims(a)[iu, ju], 0.0)).max() <= ulps
-    sims = full_matrix_sims(a, b)
-    pairs, _ = graph_module._similar_pairs(a, 0.4, b)
-    assert np.array_equal(pairs, np.argwhere(sims > 0.4))
-    pairs, weights = graph_module._similar_pairs(a, None, b)
-    assert np.array_equal(pairs, np.argwhere(np.ones(sims.shape)))
-    assert np.abs(weights - np.maximum(sims, 0.0).ravel()).max() <= ulps
+    pairs = graph_module._similar_pairs(a, 0.4, b)
+    assert np.array_equal(pairs, np.argwhere(full_matrix_sims(a, b) > 0.4))
 
 
 def test_build_memory_stays_below_full_matrix():
@@ -248,54 +236,44 @@ def test_write_edge_list_golden_bytes(tmp_path):
     path = tmp_path / "edges.txt"
     write_edge_list(path, RelationGraph(n=4, edges=edges))
     assert path.read_bytes() == b"0 1\n0 3\n2 3\n"
-    write_edge_list(path, RelationGraph(n=4, edges=edges, weights=[0.1, 1 / 3, 0.0]))
-    assert path.read_bytes() == b"0 1 0.10000000000000001\n0 3 0.33333333333333331\n2 3 0\n"
     write_edge_list(path, RelationGraph(n=4, edges=np.empty((0, 2))))
     assert path.read_bytes() == b""
 
 
 def test_write_edge_list_chunks_match_line_by_line(tmp_path, monkeypatch):
     monkeypatch.setattr(graph_module, "_WRITE_CHUNK", 4)
-    rng = np.random.default_rng(18)
-    g = build_weighted_full_graph(rng.normal(size=(6, 3)))  # 15 edges: 3 full chunks + 3
+    # the complete graph on 6 nodes has 15 edges: 3 full chunks + 3
+    g = RelationGraph(n=6, edges=np.stack(np.triu_indices(6, k=1), axis=1))
     path = tmp_path / "edges.txt"
     write_edge_list(path, g)
-    expected = "".join("%d %d %.17g\n" % (i, j, w) for (i, j), w in zip(g.edges, g.weights))
-    assert path.read_text() == expected
+    assert path.read_text() == "".join("%d %d\n" % (i, j) for i, j in g.edges)
     write_edge_list(path, RelationGraph(n=g.n, edges=g.edges[:8]))
     assert path.read_text() == "".join("%d %d\n" % (i, j) for i, j in g.edges[:8])
 
 
 def line_by_line(g):
-    if g.weights is None:
-        return "".join("%d %d\n" % (i, j) for i, j in g.edges.tolist())
-    rows = zip(g.edges.tolist(), g.weights.tolist())
-    return "".join("%d %d %.17g\n" % (i, j, w) for (i, j), w in rows)
+    return "".join("%d %d\n" % (i, j) for i, j in g.edges.tolist())
 
 
 def test_write_edge_list_ids_across_digit_widths(tmp_path):
     ends = [0, 9, 10, 99, 100, 999, 1000]
     edges = [(i, j) for k, i in enumerate(ends) for j in ends[k + 1:]]
-    weights = np.random.default_rng(19).uniform(-1.0, 1.0, size=len(edges))
-    weights[:4] = [0.0, 1.0, 1 / 3, 1e-300]
     path = tmp_path / "edges.txt"
-    for w in (None, weights):
-        g = RelationGraph(n=1001, edges=edges, weights=w)
-        write_edge_list(path, g)
-        assert path.read_text() == line_by_line(g)
+    g = RelationGraph(n=1001, edges=edges)
+    write_edge_list(path, g)
+    assert path.read_text() == line_by_line(g)
 
 
 def test_write_edge_list_keeps_stored_order(tmp_path, monkeypatch):
     monkeypatch.setattr(graph_module, "_WRITE_CHUNK", 7)
     path = tmp_path / "edges.txt"
-    for weighted in (False, True):
-        g, _ = make_trained_multiplex(weighted=weighted)
-        new = table_from(np.random.default_rng(20).normal(size=(3, 6)), ids=["a", "b", "c"])
-        ext = attach_new_nodes(g, new, empty_embeddings(["a", "b", "c"])).relations[0]
-        keys = ext.edges[:, 0] * ext.n + ext.edges[:, 1]
-        assert np.any(keys[1:] < keys[:-1])  # old edges, then the new pairs: not row-major
-        write_edge_list(path, ext)
-        assert path.read_text() == line_by_line(ext)
+    g, _ = make_trained_multiplex()
+    new = table_from(np.random.default_rng(20).normal(size=(3, 6)), ids=["a", "b", "c"])
+    ext = attach_new_nodes(g, new, empty_embeddings(["a", "b", "c"])).relations[0]
+    keys = ext.edges[:, 0] * ext.n + ext.edges[:, 1]
+    assert np.any(keys[1:] < keys[:-1])  # old edges, then the new pairs: not row-major
+    write_edge_list(path, ext)
+    assert path.read_text() == line_by_line(ext)
 
 
 def test_write_edge_list_memory_stays_below_output(tmp_path):
@@ -312,42 +290,16 @@ def test_write_edge_list_memory_stays_below_output(tmp_path):
     assert peak < path.stat().st_size / 2
 
 
-# ---------------------------------------------------------------- weighted full graph
-
-
 def test_write_multiplex_builds_the_id_table_once(tmp_path, monkeypatch):
     calls = []
     real = graph_module._id_words
     monkeypatch.setattr(graph_module, "_id_words", lambda n: calls.append(n) or real(n))
-    for weighted in (False, True):
-        g, _ = make_trained_multiplex(weighted=weighted)
-        calls.clear()
-        manifest = write_multiplex(tmp_path, g)
-        assert calls == [g.n_nodes]
-        for r, rel in enumerate(g.relations):
-            assert (tmp_path / ("edges_r%d.txt" % r)).read_text() == line_by_line(rel)
-        assert json.loads((tmp_path / "multiplex.json").read_text()) == manifest
-
-
-def test_weighted_full_graph_n3():
-    rng = np.random.default_rng(5)
-    block = rng.normal(size=(3, 4))
-    g = build_weighted_full_graph(block)
-    assert g.n_edges == 3
-    assert g.weights is not None
-
-
-def test_weighted_full_graph_identical_rows():
-    g = build_weighted_full_graph(np.ones((4, 2)))
-    assert np.allclose(g.weights, 1.0)
-
-
-def test_weighted_full_graph_clipped_oracle():
-    rng = np.random.default_rng(6)
-    block = rng.normal(size=(10, 4))
-    g = build_weighted_full_graph(block)
-    for (i, j), w in zip(g.edges, g.weights):
-        assert w == pytest.approx(max(cosine_similarity(block[i], block[j]), 0.0), abs=1e-12)
+    g, _ = make_trained_multiplex()
+    manifest = write_multiplex(tmp_path, g)
+    assert calls == [g.n_nodes]
+    for r, rel in enumerate(g.relations):
+        assert (tmp_path / ("edges_r%d.txt" % r)).read_text() == line_by_line(rel)
+    assert json.loads((tmp_path / "multiplex.json").read_text()) == manifest
 
 
 # ---------------------------------------------------------------- multiplex
@@ -410,13 +362,13 @@ def test_multiplex_partition_column_mismatch():
 # ---------------------------------------------------------------- inductive attachment
 
 
-def make_trained_multiplex(seed=0, n=20, weighted=False):
+def make_trained_multiplex(seed=0, n=20):
     rng = np.random.default_rng(seed)
     raw = table_from(rng.normal(size=(n, 6)))
     t, feat_norm = normalize_columns(raw)
     part = ClusterPartition(np.array([0, 0, 0, 1, 1, 1]), 2, "manual", list(t.column_names))
     return build_multiplex(t, part, (0.3, 0.3), empty_embeddings(t.row_ids),
-                           feat_normalizer=feat_norm, weighted_full=weighted), feat_norm
+                           feat_normalizer=feat_norm), feat_norm
 
 
 def test_attach_duplicate_row_links_like_source():
@@ -512,20 +464,6 @@ def test_attach_errors():
     # embedding width mismatch
     with pytest.raises(DataError, match="width"):
         attach_new_nodes(g, new, EmbeddingTable(np.zeros((1, 3)), ["n0"]))
-
-
-def test_attach_weighted_graph_adds_weighted_edges():
-    g, _ = make_trained_multiplex(seed=5, weighted=True)
-    rng = np.random.default_rng(14)
-    new = table_from(rng.normal(size=(2, 6)), ids=["a", "b"])
-    ext = attach_new_nodes(g, new, empty_embeddings(["a", "b"]))
-    n_old = g.n_nodes
-    for r in range(2):
-        rel = ext.relations[r]
-        assert rel.weights is not None
-        new_edges = rel.edges[:, 1] >= n_old
-        assert new_edges.sum() == 2 * n_old  # full connectivity to old rows
-        assert np.all(rel.weights >= 0.0)
 
 
 # ---------------------------------------------------------------- class similarity

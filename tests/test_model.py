@@ -11,7 +11,7 @@ from conftest import CountingOp, fd_grad, max_rel_err
 from medplex import model as model_module
 from medplex.data import EmbeddingTable, FeatureTable, SynthConfig, generate_synthetic_cohort
 from medplex.errors import DataError, NumericError
-from medplex.graph import RelationGraph, attach_new_nodes, build_weighted_full_graph
+from medplex.graph import RelationGraph, attach_new_nodes
 from medplex.model import (
     ModelDims,
     ModelState,
@@ -43,10 +43,9 @@ def dense_normalized(graph):
     """Independent dense oracle for D^-1/2 (A + I) D^-1/2."""
     n = graph.n
     a = np.zeros((n, n))
-    w = graph.weights if graph.weights is not None else np.ones(graph.n_edges)
-    for (i, j), wij in zip(graph.edges, w):
-        a[i, j] = wij
-        a[j, i] = wij
+    for i, j in graph.edges:
+        a[i, j] = 1.0
+        a[j, i] = 1.0
     a += np.eye(n)
     d = a.sum(axis=1)
     dinv = 1.0 / np.sqrt(d)
@@ -94,23 +93,15 @@ def test_adjacency_matches_dense_oracle():
         assert normalize_adjacency(g).toarray() == pytest.approx(dense_normalized(g), abs=1e-12)
 
 
-def test_adjacency_weighted_matches_oracle():
-    rng = np.random.default_rng(2)
-    block = rng.normal(size=(8, 3))
-    g = build_weighted_full_graph(block)
-    assert normalize_adjacency(g).toarray() == pytest.approx(dense_normalized(g), abs=1e-12)
-
-
 def coo_normalized(graph):
     """The COO construction normalize_adjacency used before it built CSR directly."""
     n = graph.n
     if graph.edges.size:
         i = graph.edges[:, 0]
         j = graph.edges[:, 1]
-        w = graph.weights if graph.weights is not None else np.ones(i.shape[0])
         rows = np.concatenate([i, j, np.arange(n)])
         cols = np.concatenate([j, i, np.arange(n)])
-        vals = np.concatenate([w, w, np.ones(n)])
+        vals = np.ones(rows.shape[0])
     else:
         rows = cols = np.arange(n)
         vals = np.ones(n)
@@ -128,11 +119,10 @@ def assert_same_csr(a, b):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
-def random_graph(rng, n, p, weighted=False):
+def random_graph(rng, n, p):
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(iu.shape[0]) < p
-    w = rng.uniform(0.0, 1.0, int(keep.sum())) if weighted else None
-    return RelationGraph(n=n, edges=np.stack([iu[keep], ju[keep]], axis=1), weights=w)
+    return RelationGraph(n=n, edges=np.stack([iu[keep], ju[keep]], axis=1))
 
 
 def test_adjacency_bytes_equal_coo_construction():
@@ -160,17 +150,6 @@ def test_adjacency_bytes_equal_coo_construction_after_attach():
         unsorted += bool(np.any(keys[1:] < keys[:-1]))
         assert_same_csr(normalize_adjacency(rel), coo_normalized(rel))
     assert unsorted  # old edges, then the arrivals' pairs: not row-major
-
-
-def test_adjacency_weighted_agrees_with_coo_construction():
-    # degrees are summed in another order, so weights may differ in the last bits
-    rng = np.random.default_rng(44)
-    eps = np.finfo(np.float64).eps
-    graphs = [random_graph(rng, n, p, weighted=True) for n, p in ((5, 0.6), (200, 0.3))]
-    graphs.append(build_weighted_full_graph(rng.normal(size=(150, 3))))
-    for g in graphs:
-        got, ref = normalize_adjacency(g).toarray(), coo_normalized(g).toarray()
-        assert np.max(np.abs(got - ref)) <= 4 * eps
 
 
 def test_adjacency_memory_stays_near_output():
@@ -297,8 +276,6 @@ def test_gcn_layer_matches_propagate_last():
         graphs = {
             "edgeless": RelationGraph(n=n, edges=np.zeros((0, 2))),
             "unweighted": RelationGraph(n=n, edges=edges),
-            "weighted": RelationGraph(n=n, edges=edges,
-                                      weights=rng.uniform(0.05, 2.0, edges.shape[0])),
         }
         x = rng.normal(size=(n, f))
         for d in (4, 9):

@@ -63,7 +63,7 @@ def test_config_validation():
     with pytest.raises(DataError):
         TrainingConfig(alpha=-1.0)
     with pytest.raises(DataError):
-        TrainingConfig(tau=0.0)
+        TrainingConfig(epochs=-1)
     with pytest.raises(DataError):
         TrainingConfig(train_frac=0.5, val_frac=0.5, test_frac=0.5)
 
@@ -82,6 +82,15 @@ def test_config_json_roundtrip_and_hash():
     assert other.config_hash() != cfg.config_hash()
     with pytest.raises(DataError):
         TrainingConfig.from_json_dict({"learning_rate": 0.1, "bogus": 1})
+
+
+def test_config_reads_dropped_keys_of_old_runs():
+    cfg = TrainingConfig(n_relations=2, thetas=(0.5, 0.7), seed=3)
+    old = dict(cfg.to_json_dict(), tau=0.0, weighted_full=False)
+    back = TrainingConfig.from_json_dict(old)
+    assert back == cfg and back.config_hash() == cfg.config_hash()
+    with pytest.raises(DataError, match="weighted_full"):
+        TrainingConfig.from_json_dict(dict(old, weighted_full=True))
 
 
 def test_config_fractions():
@@ -566,6 +575,69 @@ def test_stacked_losses_match_split_losses():
     assert np.array_equal(np.concatenate([dp, dpt]), dq)
     with pytest.raises(DataError):
         consensus_loss(o, p, None)
+
+
+# ---------------------------------------------------------------- selection loop
+
+
+def scripted_run(correct, epochs, patience, val=True, losses=None):
+    """select_epochs on one parameter whose step scores correct[epoch] of four
+    VAL rows right, so that epoch's validation micro-F1 is correct[epoch] / 4.
+    Returns (report, parameters seen by each step, final parameters)."""
+    mask = [D.TRAIN] + [D.VAL if val else D.TEST] * 4 + [D.TEST]
+    labels = labeled_vector([0, 0, 0, 0, 0, 1], mask)
+    state = M.FlatParams({"w": (1,)})
+    seen = []
+
+    def step(epoch):
+        seen.append(state.flat.copy())
+        state.grads["w"] = [1.0]
+        probs = np.tile([0.1, 0.9], (6, 1))
+        probs[1:1 + correct[epoch]] = [0.9, 0.1]
+        loss = 1.0 if losses is None else losses[epoch]
+        return loss, probs, {"loss": loss}
+
+    report = T.select_epochs(state, 0.1, epochs, patience, labels, step)
+    return report, seen, state.flat.copy()
+
+
+def test_select_epochs_tie_keeps_the_earliest_epoch():
+    report, seen, final = scripted_run([1, 3, 3, 2, 3], epochs=5, patience=0)
+    assert report.best_epoch == 1 and report.best_val_micro == 0.75
+    assert np.array_equal(final, seen[1])
+    assert [r["val_micro"] for r in report.rows] == [0.25, 0.75, 0.75, 0.5, 0.75]
+    assert list(report.rows[0]) == ["epoch", "loss", "val_micro"]
+    assert report.epochs_run == 5 and not report.stopped_early
+
+
+def test_select_epochs_patience_stop():
+    best, patience = 1, 3
+    report, seen, final = scripted_run([1, 2, 2, 2, 2, 2, 4, 4], epochs=8, patience=patience)
+    assert report.stopped_early
+    assert len(report.rows) == report.epochs_run == best + patience + 1
+    assert report.best_epoch == best and np.array_equal(final, seen[best])
+
+
+def test_select_epochs_without_val_rows_takes_the_last_epoch():
+    report, seen, final = scripted_run([4, 0, 0, 0, 0, 0], epochs=6, patience=1, val=False)
+    assert report.best_epoch == 5 and report.epochs_run == 6
+    assert not report.stopped_early
+    assert math.isnan(report.best_val_micro)
+    assert all(math.isnan(r["val_micro"]) for r in report.rows)
+    assert final[0] < seen[-1][0]  # the last epoch's update is kept
+
+
+def test_select_epochs_zero_epochs_leaves_parameters():
+    report, seen, final = scripted_run([], epochs=0, patience=3)
+    assert report.best_epoch == -1 and report.epochs_run == 0
+    assert not report.rows and not seen
+    assert math.isnan(report.best_val_micro)
+    assert np.array_equal(final, [0.0])
+
+
+def test_select_epochs_non_finite_loss_names_the_epoch():
+    with pytest.raises(NumericError, match="epoch 2"):
+        scripted_run([1, 2, 3, 4], epochs=4, patience=0, losses=[1.0, 0.5, np.nan, 0.1])
 
 
 # ---------------------------------------------------------------- fit
