@@ -16,6 +16,7 @@ import logging
 import os
 import sys
 import time
+from collections import namedtuple
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from . import evaluate as E
 from . import pipeline
 from .clustering import kmeans_columns, load_manual_split, save_partition
 from .data import Normalizer, SynthConfig
-from .graph import pairwise_class_similarity, write_multiplex
+from .graph import build_multiplex, pairwise_class_similarity, write_multiplex
 from .model import load_checkpoint, save_checkpoint
 from .train import PRESETS, TrainingConfig, preset_config
 
@@ -150,51 +151,50 @@ def _parse_ints(text: str, flag: str) -> list:
         raise UsageError("%s expects comma-separated integers, got %r" % (flag, text)) from None
 
 
-def _load_run(run_dir: str):
-    """Read a train run directory back: config, partition map, normalizers, model."""
-    cfg = TrainingConfig.from_json_dict(_read_json(os.path.join(run_dir, "resolved_config.json")))
-    state, header = load_checkpoint(os.path.join(run_dir, "checkpoint.bin"))
-    norms = _read_json(os.path.join(run_dir, "normalizers.json"))
-    feat_norm = Normalizer.from_dict(norms["features"])
-    emb_norm = Normalizer.from_dict(norms["embeddings"]) if norms.get("embeddings") else None
-    partition_path = os.path.join(run_dir, "partition.json")
-    if not os.path.exists(partition_path):
-        raise DataError("missing file: %s" % partition_path)
-    return cfg, state, header, feat_norm, emb_norm, partition_path
+def _read_partition(path, table, inputs: list):
+    """A column->type JSON file as a partition, or None (k-means) without one."""
+    if not path:
+        return None
+    if not os.path.exists(path):
+        raise DataError("missing file: %s" % path)
+    inputs.append(path)
+    return load_manual_split(path, table)
 
 
-def _rebuild_graph(run_dir: str, data_dir: str):
-    """Reassemble the training-time multiplex graph from a run + data dir."""
-    from .graph import build_multiplex
+_Run = namedtuple("_Run", "cfg state table embeddings partition labels feat_norm emb_norm")
 
-    cfg, state, header, feat_norm, emb_norm, partition_path = _load_run(run_dir)
+
+def _load_run(run_dir: str, data_dir: str):
+    """Read a train run back with its cohort, normalized by the stored transforms.
+
+    The cohort must have the checkpoint's row count, the partition must cover
+    its columns, and stored transforms must cover its embeddings. Builds no
+    relation graph. Returns (_Run, list_of_input_paths).
+    """
+    cfg_path, ckpt_path, norm_path, part_path = (
+        os.path.join(run_dir, name) for name in
+        ("resolved_config.json", "checkpoint.bin", "normalizers.json", "partition.json"))
+    cfg = TrainingConfig.from_json_dict(_read_json(cfg_path))
+    state, _ = load_checkpoint(ckpt_path)
+    norms = _read_json(norm_path)
     table, embeddings, labels, inputs = _load_cohort(data_dir)
-    partition = load_manual_split(partition_path, table)
-    c_norm, _ = D.normalize_columns(table, feat_norm)
-    if embeddings.n_cols > 0:
-        if emb_norm is None:
-            raise DataError("run has no embedding transform but data has embeddings")
-        z_norm, _ = D.normalize_embeddings(embeddings, emb_norm)
-    else:
-        z_norm = embeddings
-    graph = build_multiplex(
-        c_norm, partition, cfg.thetas, z_norm,
-        feat_normalizer=feat_norm, embed_normalizer=emb_norm,
-    )
-    if graph.n_nodes != state.dims.n_nodes:
+    inputs += [cfg_path, ckpt_path, norm_path]
+    partition = _read_partition(part_path, table, inputs)
+    if partition.n_types != len(cfg.thetas):
+        raise DataError("%d thresholds for %d types" % (len(cfg.thetas), partition.n_types))
+    if table.n_rows != state.dims.n_nodes:
         raise DataError(
             "data dir has %d rows, checkpoint was trained on %d"
-            % (graph.n_nodes, state.dims.n_nodes)
+            % (table.n_rows, state.dims.n_nodes)
         )
-    inputs += [os.path.join(run_dir, "resolved_config.json"),
-               os.path.join(run_dir, "checkpoint.bin"),
-               os.path.join(run_dir, "normalizers.json"),
-               partition_path]
-    return cfg, state, graph, labels, table, inputs
+    c_norm, z_norm, feat_norm, emb_norm = D.prepare_tables(
+        table, embeddings, Normalizer.from_dict(norms["features"]),
+        Normalizer.from_dict(norms["embeddings"]) if norms.get("embeddings") else None,
+    )
+    return _Run(cfg, state, c_norm, z_norm, partition, labels, feat_norm, emb_norm), inputs
 
 
-def _cmd_synth(args) -> int:
-    started = time.time()
+def _cmd_synth(args) -> dict:
     if args.config:
         scfg = SynthConfig.from_dict(_read_json(args.config))
         inputs = [args.config]
@@ -220,17 +220,14 @@ def _cmd_synth(args) -> int:
     outputs.append(truth_path)
     log.info("synthetic cohort: %d rows, %d feature cols, %d classes",
              table.n_rows, table.n_cols, labels.n_classes)
-    _write_manifest(os.path.join(args.out, "manifest.json"), "synth", inputs, outputs,
-                    time.time() - started, extra={"synth_config": scfg.to_dict()})
-    return 0
+    return dict(path=os.path.join(args.out, "manifest.json"), inputs=inputs, outputs=outputs,
+                extra={"synth_config": scfg.to_dict()})
 
 
-def _cmd_cluster(args) -> int:
-    started = time.time()
+def _cmd_cluster(args) -> dict:
     table, _, _, inputs = _load_cohort(args.data, need_labels=False)
-    if args.manual:
-        partition = load_manual_split(args.manual, table)
-        inputs.append(args.manual)
+    partition = _read_partition(args.manual, table, inputs)
+    if partition is not None:
         log.info("manual partition: %d types over %d columns", partition.n_types, table.n_cols)
     else:
         if args.k is None:
@@ -241,19 +238,13 @@ def _cmd_cluster(args) -> int:
         )
         log.info("k-means partition: k=%d wcss=%.6f", args.k, partition.wcss)
     save_partition(args.out, partition)
-    _write_manifest(args.out + ".manifest.json", "cluster", inputs, [args.out],
-                    time.time() - started)
-    return 0
+    return dict(path=args.out + ".manifest.json", inputs=inputs, outputs=[args.out])
 
 
-def _cmd_graph(args) -> int:
-    started = time.time()
+def _cmd_graph(args) -> dict:
     cfg = _resolve_config(args)
     table, embeddings, _, inputs = _load_cohort(args.data, need_labels=False)
-    partition = None
-    if args.partition:
-        partition = load_manual_split(args.partition, table)
-        inputs.append(args.partition)
+    partition = _read_partition(args.partition, table, inputs)
     graph = pipeline.build_graph_for(table, embeddings, cfg, partition)
     os.makedirs(args.out, exist_ok=True)
     manifest = write_multiplex(args.out, graph)
@@ -262,19 +253,14 @@ def _cmd_graph(args) -> int:
                  rel["relation"], rel["n_edges"], rel["mean_degree"], rel["isolated_nodes"])
     outputs = [os.path.join(args.out, r["file"]) for r in manifest["relations"]]
     outputs.append(os.path.join(args.out, "multiplex.json"))
-    _write_manifest(os.path.join(args.out, "manifest.json"), "graph", inputs, outputs,
-                    time.time() - started, extra={"config_hash": cfg.config_hash()})
-    return 0
+    return dict(path=os.path.join(args.out, "manifest.json"), inputs=inputs, outputs=outputs,
+                extra={"config_hash": cfg.config_hash()})
 
 
-def _cmd_train(args) -> int:
-    started = time.time()
+def _cmd_train(args) -> dict:
     cfg = _resolve_config(args)
     table, embeddings, labels, inputs = _load_cohort(args.data)
-    partition = None
-    if args.partition:
-        partition = load_manual_split(args.partition, table)
-        inputs.append(args.partition)
+    partition = _read_partition(args.partition, table, inputs)
     result = pipeline.run_experiment(
         table, embeddings, labels, cfg,
         partition=partition, labeled_frac=args.labeled_frac,
@@ -322,20 +308,19 @@ def _cmd_train(args) -> int:
     log.info("trained %d epochs (best %d), test micro %.4f macro %.4f",
              result.report.epochs_run, result.report.best_epoch,
              tm.get("micro_f1", float("nan")), tm.get("macro_f1", float("nan")))
-    _write_manifest(os.path.join(args.out, "manifest.json"), "train", inputs, outputs,
-                    time.time() - started, extra={"config_hash": cfg.config_hash()})
-    return 0
+    return dict(path=os.path.join(args.out, "manifest.json"), inputs=inputs, outputs=outputs,
+                extra={"config_hash": cfg.config_hash()})
 
 
-def _cmd_eval(args) -> int:
-    started = time.time()
-    cfg, state, graph, labels, table, inputs = _rebuild_graph(args.run, args.data)
-    masked = pipeline.assign_masks(labels, cfg, args.labeled_frac)
+def _cmd_eval(args) -> dict:
+    trained, inputs = _load_run(args.run, args.data)
+    cfg = trained.cfg
+    masked = pipeline.assign_masks(trained.labels, cfg, args.labeled_frac)
     split_code = {"train": D.TRAIN, "val": D.VAL, "test": D.TEST}[args.split]
     idx = masked.rows_with(split_code)
     if idx.size == 0:
         raise DataError("split %r has no rows under this config" % args.split)
-    probs = pipeline.transductive_probs(state)
+    probs = pipeline.transductive_probs(trained.state)
     pred = np.argmax(probs[idx], axis=1)
     report = E.metrics_report(pred, masked.labels[idx], masked.n_classes)
     payload = {
@@ -347,18 +332,16 @@ def _cmd_eval(args) -> int:
     _write_json(args.out, payload)
     log.info("%s split: micro %.4f macro %.4f over %d rows",
              args.split, report.micro_f1, report.macro_f1, idx.size)
-    _write_manifest(args.out + ".manifest.json", "eval", inputs, [args.out],
-                    time.time() - started)
-    return 0
+    return dict(path=args.out + ".manifest.json", inputs=inputs, outputs=[args.out])
 
 
-def _cmd_explain(args) -> int:
-    started = time.time()
-    cfg, state, graph, labels, table, inputs = _rebuild_graph(args.run, args.data)
+def _cmd_explain(args) -> dict:
+    trained, inputs = _load_run(args.run, args.data)
+    table, partition, labels = trained.table, trained.partition, trained.labels.labels
     os.makedirs(args.out, exist_ok=True)
     outputs = []
 
-    report = E.attention_report(state, graph.partition)
+    report = E.attention_report(trained.state, partition)
     att_path = os.path.join(args.out, "attention.json")
     _write_json(att_path, report)
     outputs.append(att_path)
@@ -371,25 +354,24 @@ def _cmd_explain(args) -> int:
                 fh.write(",".join("%.17g" % v for v in row) + "\n")
         outputs.append(path)
 
-    sim_all = pairwise_class_similarity(graph.table, labels.labels)
+    sim_all = pairwise_class_similarity(table, labels)
     _write_matrix(os.path.join(args.out, "class_similarity_all.csv"), sim_all)
-    for r in range(graph.partition.n_types):
-        sim_r = pairwise_class_similarity(
-            graph.table, labels.labels, columns=graph.partition.columns_of(r)
-        )
+    for r in range(partition.n_types):
+        sim_r = pairwise_class_similarity(table, labels, columns=partition.columns_of(r))
         _write_matrix(os.path.join(args.out, "class_similarity_type%d.csv" % r), sim_r)
 
     top = report["ranking"][0]
     log.info("most informative relation: %d (weight %.4f, uniform %.4f)",
              top, report["weights"][top], report["uniform_weight"])
-    _write_manifest(os.path.join(args.out, "manifest.json"), "explain", inputs, outputs,
-                    time.time() - started)
-    return 0
+    return dict(path=os.path.join(args.out, "manifest.json"), inputs=inputs, outputs=outputs)
 
 
-def _cmd_infer(args) -> int:
-    started = time.time()
-    cfg, state, graph, labels, table, inputs = _rebuild_graph(args.run, args.data)
+def _cmd_infer(args) -> dict:
+    trained, inputs = _load_run(args.run, args.data)
+    graph = build_multiplex(
+        trained.table, trained.partition, trained.cfg.thetas, trained.embeddings,
+        feat_normalizer=trained.feat_norm, embed_normalizer=trained.emb_norm,
+    )
     new_table = D.load_feature_csv(args.new_features)
     inputs.append(args.new_features)
     if args.new_embeddings:
@@ -399,7 +381,7 @@ def _cmd_infer(args) -> int:
         inputs.append(args.new_embeddings)
     else:
         new_emb = D.empty_embeddings(new_table.row_ids)
-    probs, extended = pipeline.inductive_predict(state, graph, new_table, new_emb)
+    probs, _ = pipeline.inductive_predict(trained.state, graph, new_table, new_emb)
     os.makedirs(args.out, exist_ok=True)
     pred_path = os.path.join(args.out, "predictions.csv")
     c = probs.shape[1]
@@ -410,19 +392,13 @@ def _cmd_infer(args) -> int:
             fh.write("%s,%d,%s\n" % (rid, cls, ",".join("%.17g" % v for v in probs[i])))
     log.info("scored %d new rows against %d training rows",
              new_table.n_rows, graph.n_nodes)
-    _write_manifest(os.path.join(args.out, "manifest.json"), "infer", inputs, [pred_path],
-                    time.time() - started)
-    return 0
+    return dict(path=os.path.join(args.out, "manifest.json"), inputs=inputs, outputs=[pred_path])
 
 
-def _cmd_sweep(args) -> int:
-    started = time.time()
+def _cmd_sweep(args) -> dict:
     cfg = _resolve_config(args)
     table, embeddings, labels, inputs = _load_cohort(args.data)
-    partition = None
-    if args.partition:
-        partition = load_manual_split(args.partition, table)
-        inputs.append(args.partition)
+    partition = _read_partition(args.partition, table, inputs)
     values = _parse_floats(args.values, "--values")
     if not values:
         raise UsageError("--values is empty")
@@ -441,9 +417,8 @@ def _cmd_sweep(args) -> int:
         "summary": E.summarize_sweep(rows),
     })
     log.info("swept %s over %d values x %d seeds", args.kind, len(values), len(seeds))
-    _write_manifest(os.path.join(args.out, "manifest.json"), "sweep", inputs,
-                    [csv_path, summary_path], time.time() - started)
-    return 0
+    return dict(path=os.path.join(args.out, "manifest.json"), inputs=inputs,
+                outputs=[csv_path, summary_path])
 
 
 def _add_config_flags(p, with_thetas: bool = True):
@@ -539,7 +514,11 @@ def run(argv=None) -> int:
         )
         if not getattr(args, "command", None):
             raise UsageError("a subcommand is required (see --help)")
-        return args.func(args)
+        # a command returns what its manifest records; one that raises gets none
+        started = time.monotonic()
+        record = args.func(args)
+        _write_manifest(command=args.command, wall_s=time.monotonic() - started, **record)
+        return 0
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1

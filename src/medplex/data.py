@@ -354,6 +354,22 @@ def normalize_embeddings(table: EmbeddingTable, normalizer: Normalizer | None = 
     return EmbeddingTable(normalizer.transform(values), list(table.row_ids)), normalizer
 
 
+def prepare_tables(table: FeatureTable, embeddings: EmbeddingTable,
+                   feat_norm: Normalizer | None = None, emb_norm: Normalizer | None = None):
+    """Normalize a cohort; returns normalized tables + transforms.
+
+    Without feat_norm, fits both transforms on the cohort. With it, applies the
+    stored transforms (the inductive path), and embeddings need a stored one too.
+    """
+    if embeddings.n_cols > 0 and emb_norm is None and feat_norm is not None:
+        raise DataError("embeddings given, but no stored embedding transform")
+    c_norm, feat_norm = normalize_columns(table, feat_norm)
+    if embeddings.n_cols == 0:
+        return c_norm, embeddings, feat_norm, emb_norm
+    z_norm, emb_norm = normalize_embeddings(embeddings, emb_norm)
+    return c_norm, z_norm, feat_norm, emb_norm
+
+
 def concat_attributes(embeddings: EmbeddingTable, features: FeatureTable) -> NodeAttributes:
     """X = [Z | C]. Row ids must agree elementwise, same order."""
     if embeddings.n_rows != features.n_rows:

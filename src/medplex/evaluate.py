@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DataError
 from . import data as D
+from .model import attention_weights
 
 
 @dataclass
@@ -164,9 +165,7 @@ def attention_report(state_or_weights, partition=None) -> dict:
     ties.
     """
     if hasattr(state_or_weights, "params"):
-        logits = state_or_weights.params["att_logits"]
-        z = np.exp(logits - logits.max())
-        w = z / z.sum()
+        w = attention_weights(state_or_weights.params["att_logits"])
     else:
         w = np.asarray(state_or_weights, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:

@@ -20,8 +20,7 @@ from .data import (
     NodeAttributes,
     Normalizer,
     concat_attributes,
-    normalize_columns,
-    normalize_embeddings,
+    prepare_tables,
 )
 from .clustering import ClusterPartition
 
@@ -80,7 +79,6 @@ class RelationGraph:
     n: int
     edges: np.ndarray
     relation_index: int = 0
-    threshold: float | None = None
 
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
@@ -119,9 +117,7 @@ def build_relation_graph(block: np.ndarray, theta: float, relation_index: int = 
     if block.ndim != 2 or block.shape[1] < 1:
         raise DataError("relation block must be 2-d with at least one column")
     edges = _similar_pairs(block, float(theta))
-    return RelationGraph(
-        n=block.shape[0], edges=edges, relation_index=relation_index, threshold=float(theta)
-    )
+    return RelationGraph(n=block.shape[0], edges=edges, relation_index=relation_index)
 
 
 @dataclass
@@ -221,13 +217,9 @@ def attach_new_nodes(
             % (new_embeddings.n_cols, expected_width)
         )
 
-    new_norm, _ = normalize_columns(new_features, g.feat_normalizer)
-    if expected_width > 0:
-        if g.embed_normalizer is None:
-            raise DataError("multiplex graph lacks a stored embedding transform")
-        new_emb, _ = normalize_embeddings(new_embeddings, g.embed_normalizer)
-    else:
-        new_emb = new_embeddings
+    new_norm, new_emb, _, _ = prepare_tables(
+        new_features, new_embeddings, g.feat_normalizer, g.embed_normalizer
+    )
 
     n_old = g.n_nodes
     m = new_norm.n_rows
@@ -237,12 +229,7 @@ def attach_new_nodes(
         pairs = _similar_pairs(g.table.values[:, cols], g.thetas[r], new_norm.values[:, cols])
         pairs[:, 1] += n_old
         relations.append(
-            RelationGraph(
-                n=n_old + m,
-                edges=np.concatenate([old.edges, pairs]),
-                relation_index=r,
-                threshold=old.threshold,
-            )
+            RelationGraph(n=n_old + m, edges=np.concatenate([old.edges, pairs]), relation_index=r)
         )
 
     table_ext = FeatureTable(

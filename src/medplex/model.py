@@ -325,6 +325,12 @@ class PoolCache:
     weights: np.ndarray
 
 
+def attention_weights(att_logits: np.ndarray) -> np.ndarray:
+    """Softmax of the relation logits: the weights attentive_pool sums with."""
+    e = np.exp(att_logits - att_logits.max())
+    return e / e.sum()
+
+
 def attentive_pool(hs: list, att_logits: np.ndarray):
     """Relation-weighted sum of embeddings, weights = softmax of the logits.
 
@@ -335,9 +341,7 @@ def attentive_pool(hs: list, att_logits: np.ndarray):
     """
     if len(hs) != att_logits.shape[0]:
         raise DataError("one attention logit per relation required")
-    z = att_logits - att_logits.max()
-    e = np.exp(z)
-    weights = e / e.sum()
+    weights = attention_weights(att_logits)
     pooled = weights[0] * hs[0]
     for w, h in zip(weights[1:], hs[1:]):
         pooled += w * h

@@ -17,8 +17,7 @@ from .data import (
     FeatureTable,
     LabelVector,
     concat_attributes,
-    normalize_columns,
-    normalize_embeddings,
+    prepare_tables,
     split_masks,
 )
 from .clustering import ClusterPartition, kmeans_columns
@@ -37,16 +36,6 @@ class ExperimentResult:
     report: TrainReport
     cfg: TrainingConfig
     partition: ClusterPartition
-
-
-def prepare_tables(table: FeatureTable, embeddings: EmbeddingTable):
-    """Fit normalizers on the cohort; returns normalized tables + transforms."""
-    c_norm, feat_norm = normalize_columns(table)
-    if embeddings.n_cols > 0:
-        z_norm, emb_norm = normalize_embeddings(embeddings)
-    else:
-        z_norm, emb_norm = embeddings, None
-    return c_norm, z_norm, feat_norm, emb_norm
 
 
 def assign_masks(labels: LabelVector, cfg: TrainingConfig,

@@ -28,6 +28,7 @@ from .model import (
     ForwardCache,
     ModelDims,
     ModelState,
+    attention_weights,
     attentive_pool_backward,
     classify,
     classify_backward_from_logits,
@@ -521,9 +522,7 @@ def fit(graph: MultiplexGraph, labels: LabelVector, cfg: TrainingConfig):
     report.seed = cfg.seed
     report.n_nodes = n
     # attention weights of the selected model
-    logits = state.params["att_logits"]
-    z = np.exp(logits - logits.max())
-    report.att_weights = [float(v) for v in z / z.sum()]
+    report.att_weights = [float(v) for v in attention_weights(state.params["att_logits"])]
     probs, _ = classify(state.params["consensus"], state.params["cls_w"], state.params["cls_b"])
     report.test_metrics = held_out_metrics(probs, labels)
     return state, report

@@ -19,7 +19,7 @@ from medplex.data import (
     normalize_embeddings,
 )
 from medplex.graph import build_multiplex
-from medplex.model import load_checkpoint
+from medplex.model import attention_weights, load_checkpoint
 from medplex.pipeline import inductive_predict
 from medplex.train import TrainingConfig
 
@@ -226,6 +226,11 @@ def test_explain_outputs(workdir, tmp_path):
                 "--data", str(workdir["data"]), "--out", str(out)]) == 0
     att = json.loads((out / "attention.json").read_text())
     assert sum(att["weights"]) == pytest.approx(1.0, abs=1e-9)
+    # explain, training's metrics and the pool all take one softmax of the logits
+    state, _ = load_checkpoint(workdir["run"] / "checkpoint.bin")
+    weights = attention_weights(state.params["att_logits"]).tolist()
+    assert att["weights"] == weights
+    assert json.loads((workdir["run"] / "metrics.json").read_text())["att_weights"] == weights
     assert sorted(att["ranking"]) == [0, 1]
     assert all(rel["columns"] for rel in att["relations"])
     for name in ("class_similarity_all.csv", "class_similarity_type0.csv",
@@ -294,6 +299,125 @@ def test_infer_needs_matching_embeddings(workdir, tmp_path):
                 "--data", str(workdir["data"]), "--new-features", str(new_feat),
                 "--out", str(tmp_path / "x")])
     assert code == 2
+
+
+# ---------------------------------------------------------------- run loader
+
+
+def smaller_cohort(tmp_path):
+    """The fixture's generator with fewer rows: same columns, another row count."""
+    scfg = tmp_path / "smaller.json"
+    scfg.write_text(json.dumps(dict(SYNTH_CONFIG, n=40)))
+    data = tmp_path / "smaller"
+    assert run(["--quiet", "synth", "--out", str(data), "--config", str(scfg)]) == 0
+    return data
+
+
+@pytest.mark.parametrize("command", ["eval", "explain", "infer"])
+def test_run_commands_reject_a_cohort_of_another_size(workdir, tmp_path, capsys, command):
+    data = smaller_cohort(tmp_path)
+    argv = ["--quiet", command, "--run", str(workdir["run"]), "--data", str(data)]
+    if command == "infer":
+        new_feat = tmp_path / "new_features.csv"
+        new_emb = tmp_path / "new_embeddings.csv"
+        duplicate_first_row(data / "features.csv", new_feat, "newcomer")
+        duplicate_first_row(data / "embeddings.csv", new_emb, "newcomer")
+        argv += ["--new-features", str(new_feat), "--new-embeddings", str(new_emb)]
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert "checkpoint was trained on" in capsys.readouterr().err
+    assert not os.path.exists(str(out) + ".manifest.json")
+    assert not (out / "manifest.json").exists()
+
+
+def test_eval_and_explain_build_no_relation_graph(workdir, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a relation graph was built")
+
+    monkeypatch.setattr("medplex.graph.build_relation_graph", refuse)
+    common = ["--run", str(workdir["run"]), "--data", str(workdir["data"])]
+    assert run(["--quiet", "eval"] + common + ["--out", str(tmp_path / "eval.json")]) == 0
+    assert run(["--quiet", "explain"] + common + ["--out", str(tmp_path / "explain")]) == 0
+
+
+# ---------------------------------------------------------------- manifests
+
+RUN_FILES = ("resolved_config.json", "checkpoint.bin", "normalizers.json", "partition.json")
+EXTRA = {"synth": "synth_config", "graph": "config_hash", "train": "config_hash"}
+
+
+def command_case(command, w, tmp_path):
+    """(arguments before --out, the paths the command reads)."""
+    data, rundir, part = w["data"], w["run"], w["partition"]
+    cohort = [data / "features.csv", data / "embeddings.csv"]
+    labeled = cohort + [data / "labels.csv"]
+    trained = labeled + [rundir / name for name in RUN_FILES]
+    if command == "synth":
+        return ["--config", w["synth_config"]], [w["synth_config"]]
+    if command == "cluster":
+        return ["--data", data, "--k", "2"], cohort
+    if command == "graph":
+        return ["--data", data, "--preset", "synth", "--partition", part], cohort + [part]
+    if command == "train":
+        return (["--data", data, "--preset", "synth", "--epochs", "5", "--partition", part],
+                labeled + [part])
+    if command in ("eval", "explain"):
+        return ["--run", rundir, "--data", data], trained
+    if command == "infer":
+        new_feat = tmp_path / "new_features.csv"
+        new_emb = tmp_path / "new_embeddings.csv"
+        duplicate_first_row(data / "features.csv", new_feat, "newcomer")
+        duplicate_first_row(data / "embeddings.csv", new_emb, "newcomer")
+        return (["--run", rundir, "--data", data, "--new-features", new_feat,
+                 "--new-embeddings", new_emb], trained + [new_feat, new_emb])
+    return (["--data", data, "--kind", "label_fraction", "--values", "1.0", "--seeds", "0",
+             "--preset", "synth", "--epochs", "2", "--partition", part], labeled + [part])
+
+
+@pytest.mark.parametrize("command", ["synth", "cluster", "graph", "train",
+                                     "eval", "explain", "infer", "sweep"])
+def test_manifest_records_what_the_command_read_and_wrote(workdir, tmp_path, command):
+    args, inputs = command_case(command, workdir, tmp_path)
+    out = tmp_path / "out"
+    assert run(["--quiet", command] + [str(a) for a in args] + ["--out", str(out)]) == 0
+    if command in ("cluster", "eval"):  # --out names a file
+        manifest_path = tmp_path / "out.manifest.json"
+        written = [out]
+    else:
+        manifest_path = out / "manifest.json"
+        written = [p for p in out.iterdir() if p.name != "manifest.json"]
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["command"] == command
+    assert manifest["outputs"] == {str(p): sha256(p) for p in written}
+    assert manifest["inputs"] == {str(p): sha256(p) for p in inputs}
+    assert manifest["wall_time_s"] >= 0
+    keys = {"command", "package_version", "wall_time_s", "inputs", "outputs"}
+    if command in EXTRA:
+        keys.add("extra")
+        assert list(manifest["extra"]) == [EXTRA[command]]
+    assert set(manifest) == keys
+
+
+def test_failing_command_leaves_no_manifest(workdir, tmp_path):
+    data = tmp_path / "cohort"
+    shutil.copytree(workdir["data"], data)
+    # one row left in class 1: explain writes attention.json, then fails
+    lines = (data / "labels.csv").read_text().splitlines()
+    ones = [i for i, line in enumerate(lines[1:], 1) if line.endswith(",1")]
+    for i in ones[1:]:
+        lines[i] = lines[i][:-1] + "0"
+    (data / "labels.csv").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "explain"
+    assert run(["--quiet", "explain", "--run", str(workdir["run"]), "--data", str(data),
+                "--out", str(out)]) == 2
+    assert (out / "attention.json").exists()
+    assert not (out / "manifest.json").exists()
+
+
+def test_missing_partition_file_is_data_error(workdir, tmp_path, capsys):
+    assert run(["--quiet", "graph", "--data", str(workdir["data"]), "--preset", "synth",
+                "--partition", str(tmp_path / "absent.json"), "--out", str(tmp_path / "g")]) == 2
+    assert "missing file" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- sweep

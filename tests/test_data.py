@@ -22,6 +22,7 @@ from medplex.data import (
     load_label_csv,
     normalize_columns,
     normalize_embeddings,
+    prepare_tables,
     split_masks,
     write_embedding_csv,
     write_feature_csv,
@@ -110,6 +111,31 @@ def test_normalize_embeddings_matches_column_rules():
     assert np.all(out.values[:, 1] == 0.0)  # constant column
     again, _ = normalize_embeddings(EmbeddingTable(np.array([[2.0, 9.0]]), ["c"]), norm)
     assert abs(again.values[0, 0]) < 1e-12
+
+
+def test_prepare_tables_fits_then_applies_stored_transforms():
+    t = table_from([[1.0, 2.0], [3.0, 6.0]])
+    e = EmbeddingTable(np.array([[1.0], [3.0]]), ["r0", "r1"])
+    c_norm, z_norm, feat_norm, emb_norm = prepare_tables(t, e)
+    assert np.allclose(c_norm.values, [[-1.0, -1.0], [1.0, 1.0]])
+    assert np.allclose(z_norm.values, [[-1.0], [1.0]])
+    new = table_from([[2.0, 4.0]])
+    new_e = EmbeddingTable(np.array([[3.0]]), ["r0"])
+    c_new, z_new, f2, e2 = prepare_tables(new, new_e, feat_norm, emb_norm)
+    assert f2 is feat_norm and e2 is emb_norm
+    assert np.allclose(c_new.values, [[0.0, 0.0]]) and np.allclose(z_new.values, [[1.0]])
+    # no embedding columns: passed through, nothing fitted
+    _, z_none, _, e_none = prepare_tables(t, empty_embeddings(t.row_ids))
+    assert z_none.n_cols == 0 and e_none is None
+
+
+def test_prepare_tables_refuses_embeddings_without_stored_transform():
+    t = table_from([[1.0, 2.0], [3.0, 6.0]])
+    _, feat_norm = normalize_columns(t)
+    e = EmbeddingTable(np.array([[1.0], [3.0]]), ["r0", "r1"])
+    with pytest.raises(DataError, match="no stored embedding transform"):
+        prepare_tables(t, e, feat_norm)
+    prepare_tables(t, empty_embeddings(t.row_ids), feat_norm)  # nothing to transform
 
 
 # ---------------------------------------------------------------- csv ingestion

@@ -22,7 +22,7 @@ from medplex.evaluate import (
     write_sweep_csv,
 )
 from medplex.clustering import ClusterPartition
-from medplex.model import ModelDims, ModelState
+from medplex.model import ModelDims, ModelState, attention_weights, attentive_pool
 from medplex.train import preset_config
 
 
@@ -166,6 +166,10 @@ def test_attention_report_from_model_state():
     state.params["att_logits"] = np.array([math.log(2.0), 0.0])
     rep = attention_report(state)
     assert rep["weights"][0] == pytest.approx(2.0 / 3.0, abs=1e-12)
+    # the report and the pool share one softmax, bit for bit
+    pooled_weights = attentive_pool([np.ones((2, 2))] * 2, state.params["att_logits"])[1]
+    assert rep["weights"] == attention_weights(state.params["att_logits"]).tolist()
+    assert rep["weights"] == pooled_weights.tolist()
     assert rep["ranking"] == [0, 1]
 
 
