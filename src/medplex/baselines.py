@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DataError
 from .data import FeatureTable, LabelVector
@@ -19,8 +18,8 @@ from .model import (
     classify_backward_from_logits,
     gcn_layer,
     gcn_layer_backward,
-    normalize_adjacency,
     propagate,
+    relation_operator,
 )
 from .graph import build_relation_graph
 from .train import held_out_metrics, select_epochs, supervised_loss
@@ -49,9 +48,9 @@ class BaselineModel:
     params: dict
     config: BaselineConfig
     report: dict
-    op: sp.csr_matrix | None = None
+    op: object | None = None  # the graph operator of a single_gcn
 
-    def predict_proba(self, x: np.ndarray, op: sp.csr_matrix | None = None) -> np.ndarray:
+    def predict_proba(self, x: np.ndarray, op=None) -> np.ndarray:
         op = self.op if op is None else op
         return forward(self.kind, self.params, x, op)[0]
 
@@ -145,5 +144,5 @@ def fit_single_gcn(x: np.ndarray, c: FeatureTable, labels: LabelVector,
     if x.shape[0] != labels.n_rows or c.n_rows != x.shape[0]:
         raise DataError("graph table, attributes and labels disagree on row count")
     graph = build_relation_graph(c.values, theta)
-    op = normalize_adjacency(graph)
+    op = relation_operator(graph)
     return _train("single_gcn", x, labels, cfg, op=op)

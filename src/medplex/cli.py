@@ -167,9 +167,9 @@ _Run = namedtuple("_Run", "cfg state table embeddings partition labels feat_norm
 def _load_run(run_dir: str, data_dir: str):
     """Read a train run back with its cohort, normalized by the stored transforms.
 
-    The cohort must have the checkpoint's row count, the partition must cover
-    its columns, and stored transforms must cover its embeddings. Builds no
-    relation graph. Returns (_Run, list_of_input_paths).
+    The cohort must have the checkpoint's row count and attribute width, the
+    partition must cover its columns, and stored transforms must cover its
+    embeddings. Builds no relation graph. Returns (_Run, list_of_input_paths).
     """
     cfg_path, ckpt_path, norm_path, part_path = (
         os.path.join(run_dir, name) for name in
@@ -191,6 +191,10 @@ def _load_run(run_dir: str, data_dir: str):
         table, embeddings, Normalizer.from_dict(norms["features"]),
         Normalizer.from_dict(norms["embeddings"]) if norms.get("embeddings") else None,
     )
+    width = z_norm.n_cols + c_norm.n_cols
+    if width != state.dims.in_dim:
+        raise DataError("data dir has %d attribute columns, checkpoint was trained on %d"
+                        % (width, state.dims.in_dim))
     return _Run(cfg, state, c_norm, z_norm, partition, labels, feat_norm, emb_norm), inputs
 
 

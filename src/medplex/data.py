@@ -124,7 +124,9 @@ class LabelVector:
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.mask = np.asarray(self.mask, dtype=np.int8)
+        self.mask = np.array(self.mask, dtype=np.int8)
+        self.mask.flags.writeable = False
+        self._rows = {}
         if self.labels.ndim != 1 or self.mask.shape != self.labels.shape:
             raise DataError("labels and mask must be matching 1-d arrays")
         if not np.all((self.mask >= TRAIN) & (self.mask <= UNLABELED)):
@@ -143,7 +145,13 @@ class LabelVector:
         return self.labels.shape[0]
 
     def rows_with(self, code: int) -> np.ndarray:
-        return np.flatnonzero(self.mask == code)
+        """Rows whose mask is code, read-only, computed once per code: the
+        mask is read-only too."""
+        rows = self._rows.get(code)
+        if rows is None:
+            rows = self._rows[code] = np.flatnonzero(self.mask == code)
+            rows.flags.writeable = False
+        return rows
 
     def with_mask(self, mask) -> "LabelVector":
         return LabelVector(self.labels.copy(), np.asarray(mask, dtype=np.int8), self.n_classes)

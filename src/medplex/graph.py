@@ -54,54 +54,86 @@ def _similar_pairs(a: np.ndarray, theta: float, b: np.ndarray | None = None) -> 
     """Row pairs whose clipped cosine similarity is strictly above theta.
 
     Without b, pairs (i, j) of a's rows with i < j; with b, every pair of a row
-    i of a and a row j of b. Returns the pairs row-major as an (E, 2) int64
-    array, computed one tile of a's rows at a time.
+    i of a and a row j of b. Returns the pairs row-major as an exact-size
+    (E, 2) int32 array. Each tile of a's rows is compared once and its mask
+    kept as packed bits (about n^2/16 bytes over all tiles); the pairs are
+    then read out of the bits tile by tile, so no edge is held twice.
     """
     ua = _unit_rows(np.asarray(a, dtype=np.float64))
     ub = ua if b is None else _unit_rows(np.asarray(b, dtype=np.float64))
-    pairs = [np.empty((0, 2), dtype=np.int64)]
+    masks, total = [], 0
     for lo in range(0, ua.shape[0], _TILE):
         first = lo if b is None else 0  # columns before lo lie below the diagonal
         sims = ua[lo:lo + _TILE] @ ub[first:].T
         np.clip(sims, -1.0, 1.0, out=sims)
         keep = sims > theta
+        del sims  # before the next tile's product, so one tile is held at a time
         if b is None:
             keep = np.triu(keep, k=1)
-        i, j = np.nonzero(keep)
-        pairs.append(np.stack([i + lo, j + first], axis=1))
-    return np.concatenate(pairs)
+        total += np.count_nonzero(keep)
+        masks.append((lo, first, keep.shape[1], np.packbits(keep, axis=1)))
+    pairs = np.empty((total, 2), dtype=np.int32)
+    at = 0
+    for lo, first, width, bits in masks:
+        cells = np.flatnonzero(np.unpackbits(bits, axis=1, count=width))
+        i, j = pairs[at:at + cells.size].T  # views: no int64 copy of the pairs
+        np.floor_divide(cells, width, out=i, casting="unsafe")
+        np.remainder(cells, width, out=j, casting="unsafe")
+        i += lo
+        j += first
+        at += cells.size
+    return pairs
+
+
+# Node ids are stored as int32, so a graph has fewer than 2^31 nodes.
+_MAX_NODES = np.iinfo(np.int32).max
+_KEY_CHUNK = 1 << 16  # edges per int64 temporary in the checks and degrees
 
 
 @dataclass
 class RelationGraph:
-    """Undirected simple graph over n nodes, edges stored once as i < j."""
+    """Undirected simple graph over n nodes, edges stored once as i < j in an
+    (E, 2) int32 array."""
 
     n: int
     edges: np.ndarray
     relation_index: int = 0
 
     def __post_init__(self):
-        self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         if self.n < 1:
             raise DataError("graph needs at least one node")
-        if self.edges.size:
-            if self.edges.min() < 0 or self.edges.max() >= self.n:
-                raise DataError("edge endpoint outside [0, n)")
-            if np.any(self.edges[:, 0] >= self.edges[:, 1]):
+        if self.n > _MAX_NODES:
+            raise DataError("graph has %d nodes, at most %d are supported" % (self.n, _MAX_NODES))
+        edges = np.asarray(self.edges).reshape(-1, 2)
+        # range-checked before the cast, which would wrap an out-of-range id
+        if edges.size and (edges.min() < 0 or edges.max() >= self.n):
+            raise DataError("edge endpoint outside [0, n)")
+        self.edges = np.ascontiguousarray(edges, dtype=np.int32)
+        # keys i * n + j in int64, one chunk at a time; builds emit strictly
+        # increasing keys, and only other inputs pay for a sort of all of them
+        increasing, last = True, -1
+        for lo in range(0, self.n_edges, _KEY_CHUNK):
+            e = self.edges[lo:lo + _KEY_CHUNK].astype(np.int64)
+            if np.any(e[:, 0] >= e[:, 1]):
                 raise DataError("edges must satisfy i < j (no self loops)")
-            keys = self.edges[:, 0] * self.n + self.edges[:, 1]
-            # builds emit strictly increasing keys; only other inputs pay for a sort
-            if not np.all(keys[1:] > keys[:-1]):
-                keys = np.sort(keys)
-                if np.any(keys[1:] == keys[:-1]):
-                    raise DataError("duplicate edges")
+            keys = e[:, 0] * self.n + e[:, 1]
+            increasing = increasing and keys[0] > last and bool(np.all(keys[1:] > keys[:-1]))
+            last = keys[-1]
+        if not increasing:
+            # each (i, j) row read as one int64: equal rows give equal values
+            keys = np.sort(self.edges.view(np.int64).ravel())
+            if np.any(keys[1:] == keys[:-1]):
+                raise DataError("duplicate edges")
 
     @property
     def n_edges(self) -> int:
         return self.edges.shape[0]
 
     def degrees(self) -> np.ndarray:
-        return np.bincount(self.edges.ravel(), minlength=self.n)
+        deg = np.zeros(self.n, dtype=np.int64)
+        for lo in range(0, self.n_edges, _KEY_CHUNK):
+            deg += np.bincount(self.edges[lo:lo + _KEY_CHUNK].ravel(), minlength=self.n)
+        return deg
 
     def edge_set(self) -> set:
         return {(int(i), int(j)) for i, j in self.edges}
@@ -227,7 +259,7 @@ def attach_new_nodes(
     for r, old in enumerate(g.relations):
         cols = g.partition.columns_of(r)
         pairs = _similar_pairs(g.table.values[:, cols], g.thetas[r], new_norm.values[:, cols])
-        pairs[:, 1] += n_old
+        pairs[:, 1] += n_old  # RelationGraph refuses an n_old + m past int32
         relations.append(
             RelationGraph(n=n_old + m, edges=np.concatenate([old.edges, pairs]), relation_index=r)
         )
@@ -312,7 +344,7 @@ def write_edge_list(path, graph: RelationGraph, words: np.ndarray | None = None)
         words = _id_words(n)
     with open(path, "w") as fh:
         for lo in range(0, graph.n_edges, _WRITE_CHUNK):
-            cells = words[graph.edges[lo:lo + _WRITE_CHUNK] + (0, n)]
+            cells = words[graph.edges[lo:lo + _WRITE_CHUNK].astype(np.int64) + (0, n)]
             fh.write("".join(cells.ravel().tolist()))
 
 

@@ -2,9 +2,9 @@
 
 Every forward op returns a cache holding exactly what its hand-written
 backward needs. Parameters and gradients live in ModelState as views of one
-flat vector each; the only sparse object is the normalized adjacency
-operator, which is symmetric, so transposes never appear in the backward
-passes.
+flat vector each. A relation's normalized adjacency operator is CSR or, for
+a dense relation, packed bits (relation_operator); it is symmetric, so
+transposes never appear in the backward passes.
 """
 
 from __future__ import annotations
@@ -161,44 +161,78 @@ def normalize_adjacency(graph: RelationGraph) -> sp.csr_matrix:
     return a_hat
 
 
-def propagate(op: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """op @ X, the sparse product of a GCN layer."""
+# Share of nonzeros ((2E + n) / n^2 of A + I) from which a relation's operator
+# is a PackedOperator rather than CSR. Set from timings on one BLAS thread
+# (README, "Training cost and memory").
+_DENSE_FROM = 0.14
+
+_PACK_CHUNK = 1 << 16  # edges set per pass while packing
+
+
+class PackedOperator:
+    """D^-1/2 (A + I) D^-1/2 of a dense relation, held as the bits of A + I.
+
+    `bits` holds one np.packbits row per node (n^2/8 bytes in all) and `dinv`
+    the diagonal of D^-1/2, so op @ Y = dinv * ((A + I) @ (dinv * Y)). The
+    product works through _TILE x _TILE blocks of A + I, each unpacked into
+    one reused float tile, and adds a row block's products left to right; the
+    fixed inner dimension keeps the bytes equal at 1 and 2 BLAS threads, where
+    one full-width product per row block differs. The result is within
+    rounding of the CSR product, not bitwise equal to it.
+    """
+
+    def __init__(self, graph: RelationGraph):
+        n = graph.n
+        width = (n + 7) // 8
+        flat = np.zeros(n * width, dtype=np.uint8)
+        # each edge sets bit j of row i and bit i of row j; the int64 byte
+        # offsets are built one chunk of edges at a time
+        for lo in range(0, graph.n_edges, _PACK_CHUNK):
+            chunk = graph.edges[lo:lo + _PACK_CHUNK].astype(np.int64)
+            for i, j in ((chunk[:, 0], chunk[:, 1]), (chunk[:, 1], chunk[:, 0])):
+                np.bitwise_or.at(flat, i * width + (j >> 3), (128 >> (j & 7)).astype(np.uint8))
+        diag = np.arange(n, dtype=np.int64)
+        flat[diag * width + (diag >> 3)] |= (128 >> (diag & 7)).astype(np.uint8)
+        self.bits = flat.reshape(n, width)
+        self.dinv = 1.0 / np.sqrt(graph.degrees() + 1.0)
+        self.shape = (n, n)
+        self.nnz = 2 * graph.n_edges + n
+
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        n = self.shape[0]
+        out = np.empty((n, y.shape[1]))
+        buf = np.empty((min(_TILE, n),) * 2)  # every block is unpacked into it
+        for c in range(0, n, _TILE):
+            z = y[c:c + _TILE] * self.dinv[c:c + _TILE, None]
+            cols = self.bits[:, c // 8:(c + z.shape[0] + 7) // 8]
+            for lo in range(0, n, _TILE):
+                block = buf[:min(_TILE, n - lo), :z.shape[0]]
+                block[...] = np.unpackbits(cols[lo:lo + _TILE], axis=1, count=z.shape[0])
+                if c:
+                    out[lo:lo + _TILE] += block @ z
+                else:
+                    np.matmul(block, z, out=out[lo:lo + _TILE])
+        out *= self.dinv[:, None]
+        return out
+
+
+def relation_operator(graph: RelationGraph):
+    """The GCN operator of one relation: CSR (normalize_adjacency) below
+    _DENSE_FROM, a PackedOperator from it. Either one is `op` wherever an
+    operator is taken, and propagate multiplies by it."""
+    n = graph.n
+    if 2 * graph.n_edges + n < _DENSE_FROM * n * n:
+        return normalize_adjacency(graph)
+    return PackedOperator(graph)
+
+
+def propagate(op, x: np.ndarray) -> np.ndarray:
+    """op @ X, the graph product of a GCN layer. X may stack the inputs of
+    several epochs side by side; each CSR output column is bitwise the
+    product of its own input column."""
     if op.shape[0] != x.shape[0]:
         raise DataError("operator size %d does not match %d rows" % (op.shape[0], x.shape[0]))
     return op @ x
-
-
-# Share of nonzeros (nnz / n^2) from which propagate_block multiplies the
-# operator as dense tiles rather than as CSR. On 144 columns and one BLAS
-# thread, tiles overtook CSR at about 0.17 for n = 1000 and 0.12 for n = 3000.
-_DENSE_FROM = 0.14
-
-
-def propagate_block(op: sp.csr_matrix, xs: np.ndarray) -> np.ndarray:
-    """op @ XS for a wide block XS of stacked inputs, by CSR or by dense tiles.
-
-    Below _DENSE_FROM the CSR product is used; each of its columns is bitwise
-    the column of op @ x for the stacked x it came from. A denser operator is
-    densified _TILE rows at a time, and each tile's _TILE x _TILE column blocks
-    are multiplied into XS and summed left to right. The fixed inner dimension
-    keeps the bytes equal at 1 and 2 BLAS threads, where one full-width
-    product per tile differs. Memory besides the output is one _TILE x n
-    tile buffer, never the n x n operator.
-    """
-    n = op.shape[0]
-    if op.nnz < _DENSE_FROM * n * n:
-        return propagate(op, xs)
-    if n != xs.shape[0]:
-        raise DataError("operator size %d does not match %d rows" % (n, xs.shape[0]))
-    out = np.empty((n, xs.shape[1]))
-    buf = np.empty((min(_TILE, n), n))  # every tile is densified into it
-    for lo in range(0, n, _TILE):
-        tile = op[lo:lo + _TILE].toarray(out=buf[:min(_TILE, n - lo)])
-        acc = tile[:, :_TILE] @ xs[:_TILE]
-        for c in range(_TILE, n, _TILE):
-            acc += tile[:, c:c + _TILE] @ xs[c:c + _TILE]
-        out[lo:lo + _TILE] = acc
-    return out
 
 
 def propagates_first(in_width: int, out_width: int) -> bool:
@@ -215,14 +249,14 @@ def propagates_first(in_width: int, out_width: int) -> bool:
 
 @dataclass
 class GcnCache:
-    op: sp.csr_matrix
+    op: object  # CSR or PackedOperator
     x: np.ndarray
     ax: np.ndarray | None  # op @ x when the layer propagated first, else None
     w: np.ndarray
     pre: np.ndarray
 
 
-def gcn_layer(op: sp.csr_matrix, x: np.ndarray, w: np.ndarray, ax: np.ndarray | None = None):
+def gcn_layer(op, x: np.ndarray, w: np.ndarray, ax: np.ndarray | None = None):
     """H = relu(op @ X @ W); returns (H, cache).
 
     ax = op @ x, from a caller whose X stays fixed across calls, makes the
@@ -245,7 +279,7 @@ def gcn_layer_backward(cache: GcnCache, dh: np.ndarray):
     return cache.x.T @ propagate(cache.op, dpre), dpre
 
 
-def gcn_forward(op: sp.csr_matrix, x: np.ndarray, w: np.ndarray):
+def gcn_forward(op, x: np.ndarray, w: np.ndarray):
     """H = relu(op @ X @ W); returns (H, cache). See propagates_first."""
     return gcn_layer(op, x, w)
 
@@ -313,7 +347,7 @@ def corrupt_features(x: np.ndarray, seed) -> np.ndarray:
 
     Only the permutation is returned. It depends on the seed alone, so a
     trainer may gather the corrupted rows of many steps at once and propagate
-    them as one block (see propagate_block).
+    them side by side as one block (see propagate).
     """
     rng = np.random.default_rng(seed)
     return rng.permutation(x.shape[0])
@@ -369,7 +403,12 @@ def classify(o: np.ndarray, w: np.ndarray, b: np.ndarray):
     if o.shape[1] != w.shape[0]:
         raise DataError("embedding width %d does not match head rows %d" % (o.shape[1], w.shape[0]))
     logits = o @ w + b
-    logits = logits - logits.max(axis=1, keepdims=True)
+    # the row max column by column: exact like max(axis=1), and many times
+    # faster on the few columns of a head
+    top = logits[:, 0].copy()
+    for k in range(1, logits.shape[1]):
+        np.maximum(top, logits[:, k], out=top)
+    logits -= top[:, None]
     e = np.exp(logits)
     probs = e / e.sum(axis=1, keepdims=True)
     return probs, ClassifyCache(o, w, probs)
@@ -506,8 +545,11 @@ def save_checkpoint(path, state: ModelState, config_hash: str = "", extra: dict 
 
 def load_checkpoint(path):
     """Returns (ModelState, header dict). Shape mismatches are hard errors."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except FileNotFoundError:
+        raise DataError("missing file: %s" % path) from None
     nl = raw.find(b"\n")
     if nl < 0:
         raise DataError("%s: missing checkpoint header line" % path)
@@ -526,10 +568,12 @@ def load_checkpoint(path):
         n_classes=d["n_classes"],
     )
     state = ModelState(dims, seed=header.get("seed", 0))
-    flat = np.frombuffer(raw[nl + 1 :], dtype="<f8")
+    blob = raw[nl + 1 :]
     expected = sum(np.prod(p["shape"], dtype=int) for p in header["params"])
-    if flat.size != expected:
-        raise DataError("%s: blob has %d values, header says %d" % (path, flat.size, expected))
+    if len(blob) != 8 * expected:  # a truncated blob need not end on a whole value
+        raise DataError("%s: blob has %d bytes, header says %d values"
+                        % (path, len(blob), expected))
+    flat = np.frombuffer(blob, dtype="<f8")
     names = [p["name"] for p in header["params"]]
     if names != state.param_order:
         raise DataError("%s: parameter order does not match this version" % path)

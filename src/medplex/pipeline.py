@@ -22,7 +22,7 @@ from .data import (
 )
 from .clustering import ClusterPartition, kmeans_columns
 from .graph import MultiplexGraph, attach_new_nodes, build_multiplex
-from .model import ModelState, attentive_pool, classify, gcn_forward, normalize_adjacency
+from .model import ModelState, attentive_pool, classify, gcn_forward, relation_operator
 from .train import TrainingConfig, TrainReport, fit
 from .baselines import BaselineConfig, BaselineModel, fit_mlp, fit_single_gcn
 from .evaluate import subsample_train
@@ -124,7 +124,7 @@ def pooled_probs(state: ModelState, graph: MultiplexGraph) -> np.ndarray:
     This is the inductive path: encoders + attention generalize to new nodes,
     the consensus matrix does not.
     """
-    ops = [normalize_adjacency(g) for g in graph.relations]
+    ops = [relation_operator(g) for g in graph.relations]
     x = graph.attributes.x
     hs = []
     for r in range(len(graph.relations)):

@@ -25,37 +25,15 @@ def max_rel_err(analytic, numeric, floor=1e-6):
 
 
 class CountingOp:
-    """A sparse operator that records the width of every product op @ M.
+    """A graph operator (CSR or packed) that records the width of every
+    product op @ M."""
 
-    Products of dense tiles count too: a row slice op[a:b] is a CountingOp
-    sharing this one's widths, and its toarray() returns a CountingArray.
-    """
-
-    def __init__(self, op, widths=None):
+    def __init__(self, op):
         self.op = op
         self.shape = op.shape
         self.nnz = op.nnz
-        self.widths = [] if widths is None else widths
+        self.widths = []
 
     def __matmul__(self, other):
         self.widths.append(other.shape[1] if other.ndim == 2 else 1)
         return self.op @ other
-
-    def __getitem__(self, rows):
-        return CountingOp(self.op[rows], self.widths)
-
-    def toarray(self, out=None):
-        dense = self.op.toarray(out=out).view(CountingArray)
-        dense.widths = self.widths
-        return dense
-
-
-class CountingArray(np.ndarray):
-    """A dense tile (or a slice of one) that records the width of its products."""
-
-    def __array_finalize__(self, obj):
-        self.widths = getattr(obj, "widths", None)
-
-    def __matmul__(self, other):
-        self.widths.append(other.shape[1] if other.ndim == 2 else 1)
-        return np.asarray(self) @ other

@@ -20,7 +20,7 @@ from medplex.data import (
 )
 from medplex.errors import DataError
 from medplex.graph import RelationGraph
-from medplex.model import normalize_adjacency
+from medplex.model import normalize_adjacency, relation_operator
 from medplex.pipeline import (
     run_experiment,
     run_mlp_baseline,
@@ -178,11 +178,11 @@ def test_single_gcn_fit_propagates_once(monkeypatch):
     for epochs in (0, 1, 30):
         counting = []
 
-        def counting_adjacency(g):
-            counting.append(CountingOp(normalize_adjacency(g)))
+        def counting_operator(g):
+            counting.append(CountingOp(relation_operator(g)))
             return counting[-1]
 
-        monkeypatch.setattr(B, "normalize_adjacency", counting_adjacency)
+        monkeypatch.setattr(B, "relation_operator", counting_operator)
         model = fit_single_gcn(x, table_from(x), lv, theta=0.5,
                                cfg=BaselineConfig(hidden_dim=4, epochs=epochs, seed=2))
         assert len(model.report["rows"]) == epochs

@@ -340,6 +340,49 @@ def test_eval_and_explain_build_no_relation_graph(workdir, tmp_path, monkeypatch
     assert run(["--quiet", "explain"] + common + ["--out", str(tmp_path / "explain")]) == 0
 
 
+def drop_checkpoint(rundir, data):
+    (rundir / "checkpoint.bin").unlink()
+    return "data error: missing file: %s" % (rundir / "checkpoint.bin")
+
+
+def truncate_checkpoint(rundir, data):
+    raw = (rundir / "checkpoint.bin").read_bytes()
+    (rundir / "checkpoint.bin").write_bytes(raw[:-5])
+    values = (len(raw) - raw.index(b"\n") - 1) // 8
+    return "data error: %s: blob has %d bytes, header says %d values" % (
+        rundir / "checkpoint.bin", 8 * values - 5, values)
+
+
+def drop_embeddings(rundir, data):
+    # the run was trained on 4 embedding and 8 feature columns
+    (data / "embeddings.csv").unlink()
+    return "data error: data dir has 8 attribute columns, checkpoint was trained on 12"
+
+
+@pytest.mark.parametrize("command, fault", [
+    ("eval", drop_checkpoint),
+    ("explain", drop_checkpoint),
+    ("infer", drop_checkpoint),
+    ("eval", truncate_checkpoint),
+    ("infer", truncate_checkpoint),
+    ("eval", drop_embeddings),
+    ("explain", drop_embeddings),
+    ("infer", drop_embeddings),
+])
+def test_run_directory_faults_are_data_errors(workdir, tmp_path, capsys, command, fault):
+    rundir, data = tmp_path / "run", tmp_path / "cohort"
+    shutil.copytree(workdir["run"], rundir)
+    shutil.copytree(workdir["data"], data)
+    line = fault(rundir, data)
+    argv = ["--quiet", command, "--run", str(rundir), "--data", str(data)]
+    if command == "infer":
+        new_feat = tmp_path / "new_features.csv"
+        duplicate_first_row(workdir["data"] / "features.csv", new_feat, "newcomer")
+        argv += ["--new-features", str(new_feat)]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
 # ---------------------------------------------------------------- manifests
 
 RUN_FILES = ("resolved_config.json", "checkpoint.bin", "normalizers.json", "partition.json")

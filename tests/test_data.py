@@ -365,6 +365,18 @@ def test_label_vector_validation():
     assert list(lv.rows_with(UNLABELED)) == [2]
 
 
+def test_label_rows_are_computed_once_over_a_read_only_mask():
+    mask = np.array([0, 1, 0, 3], dtype=np.int8)
+    lv = LabelVector(np.array([0, 1, 1, 0]), mask, 2)
+    rows = lv.rows_with(0)
+    assert rows.tolist() == [0, 2] and lv.rows_with(0) is rows
+    mask[1] = 0  # the caller's array is copied, not frozen or shared
+    assert lv.rows_with(1).tolist() == [1]
+    for frozen in (lv.mask, rows):
+        with pytest.raises(ValueError):
+            frozen[0] = 1
+
+
 # ---------------------------------------------------------------- split masks
 
 

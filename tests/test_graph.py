@@ -213,6 +213,45 @@ def test_build_memory_stays_below_full_matrix():
     assert peak < n * n * 8 / 4
 
 
+def test_dense_build_memory_stays_near_its_edges():
+    n = 1500
+    table, _, _, _ = generate_synthetic_cohort(SynthConfig(n=n, seed=21))
+    block = normalize_columns(table)[0].values[:, :4]
+    tracemalloc.start()
+    try:
+        g = build_relation_graph(block, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.edges.dtype == np.int32 and g.edges.flags.c_contiguous
+    assert g.n_edges > 0.1 * n * n / 2  # a dense relation
+    assert peak < 1.5 * g.edges.nbytes + TILE * n * 8, (peak, g.edges.nbytes)
+
+
+def test_int32_edges_refuse_what_they_cannot_hold():
+    with pytest.raises(DataError, match="outside"):  # would wrap to 1 as int32
+        RelationGraph(n=3, edges=np.array([[0, 2 ** 32 + 1]], dtype=np.int64))
+    with pytest.raises(DataError, match="outside"):
+        RelationGraph(n=3, edges=np.array([[-(2 ** 32), 1]], dtype=np.int64))
+    with pytest.raises(DataError, match="at most"):
+        RelationGraph(n=2 ** 31, edges=np.empty((0, 2), dtype=np.int64))
+    g = RelationGraph(n=2 ** 31 - 1, edges=np.array([[2 ** 31 - 3, 2 ** 31 - 2]]))
+    assert g.edges.dtype == np.int32 and g.edges.tolist() == [[2 ** 31 - 3, 2 ** 31 - 2]]
+
+
+def test_order_checks_span_chunks(monkeypatch):
+    monkeypatch.setattr(graph_module, "_KEY_CHUNK", 2)
+    edges = np.stack(np.triu_indices(5, k=1), axis=1)  # 10 row-major edges
+    g = RelationGraph(n=5, edges=edges)
+    assert g.degrees().tolist() == [4] * 5
+    with pytest.raises(DataError, match="duplicate edges"):  # across a chunk border
+        RelationGraph(n=5, edges=np.concatenate([edges[:2], edges[1:]]))
+    with pytest.raises(DataError, match="i < j"):  # in the last chunk only
+        RelationGraph(n=5, edges=np.concatenate([edges, [[4, 3]]]))
+    swapped = edges[[0, 1, 3, 2, 4, 5, 6, 7, 8, 9]]  # not row-major, still valid
+    assert RelationGraph(n=5, edges=swapped).degrees().tolist() == [4] * 5
+
+
 def test_degrees_and_edge_invariants():
     g = RelationGraph(n=4, edges=np.array([[0, 1], [0, 2], [2, 3]]))
     assert g.degrees().tolist() == [2, 1, 2, 1]

@@ -15,6 +15,7 @@ from medplex.graph import RelationGraph, attach_new_nodes
 from medplex.model import (
     ModelDims,
     ModelState,
+    PackedOperator,
     attentive_pool,
     attentive_pool_backward,
     classify,
@@ -29,9 +30,9 @@ from medplex.model import (
     load_checkpoint,
     normalize_adjacency,
     propagate,
-    propagate_block,
     propagates_first,
     readout_summary,
+    relation_operator,
     save_checkpoint,
     summary_backward,
 )
@@ -178,35 +179,35 @@ def stacked(x, perms):
 def test_propagate_block_matches_per_input_products(n, monkeypatch):
     rng = np.random.default_rng(46 + n)
     x = rng.normal(size=(n, 5))
-    ops = {
-        "edgeless": identity_op(n),
-        "sparse": normalize_adjacency(random_graph(rng, n, 0.02)),
-        "dense": normalize_adjacency(random_graph(rng, n, 0.4)),
+    graphs = {
+        "edgeless": RelationGraph(n=n, edges=np.zeros((0, 2))),
+        "sparse": random_graph(rng, n, 0.02),
+        "dense": random_graph(rng, n, 0.4),
     }
-    tiles = -(-n // 256)
+    csr = {kind: normalize_adjacency(g) for kind, g in graphs.items()}
+    ops = {kind: relation_operator(g) for kind, g in graphs.items()}
     for kind, op in ops.items():
         for k in (8, 3):  # a full block and a final short one
             perms = [rng.permutation(n) for _ in range(k)]
-            expected = np.hstack([op @ x[p] for p in perms])
-            xs = stacked(x, perms)
-            csr = op.nnz < model_module._DENSE_FROM * n * n
+            expected = np.hstack([csr[kind] @ x[p] for p in perms])
             counting = CountingOp(op)
-            got = propagate_block(counting, xs)
-            if csr:
-                assert np.array_equal(got, expected), kind
-                assert counting.widths == [5 * k], kind
-            else:
+            got = propagate(counting, stacked(x, perms))
+            if isinstance(op, PackedOperator):
                 assert np.max(np.abs(got - expected)) <= 1e-12, kind
-                assert counting.widths == [5 * k] * tiles * tiles, kind
-    assert [op.nnz < model_module._DENSE_FROM * n * n for op in ops.values()] == (
-        [False, False, False] if n == 1 else [True, True, False])
-    # each branch on every operator
+            else:
+                assert np.array_equal(got, expected), kind
+            assert counting.widths == [5 * k], kind
+    assert [isinstance(op, PackedOperator) for op in ops.values()] == (
+        [True, True, True] if n == 1 else [False, False, True])
+    # each kind of operator for every graph
     perms = [rng.permutation(n) for _ in range(4)]
     for dense_from in (0.0, np.inf):
         monkeypatch.setattr(model_module, "_DENSE_FROM", dense_from)
-        for kind, op in ops.items():
-            expected = np.hstack([op @ x[p] for p in perms])
-            got = propagate_block(op, stacked(x, perms))
+        for kind, g in graphs.items():
+            expected = np.hstack([csr[kind] @ x[p] for p in perms])
+            op = relation_operator(g)
+            assert isinstance(op, PackedOperator) == (dense_from == 0.0), kind
+            got = propagate(op, stacked(x, perms))
             if dense_from:
                 assert np.array_equal(got, expected), kind
             else:
@@ -217,7 +218,49 @@ def test_propagate_block_rejects_size_mismatch(monkeypatch):
     for dense_from in (0.0, np.inf):
         monkeypatch.setattr(model_module, "_DENSE_FROM", dense_from)
         with pytest.raises(DataError):
-            propagate_block(identity_op(3), np.zeros((4, 2)))
+            propagate(relation_operator(RelationGraph(n=3, edges=np.zeros((0, 2)))),
+                      np.zeros((4, 2)))
+
+
+def assert_packed_matches_csr(g, rng):
+    """Packed product against the CSR one, entry by entry within 4 eps of
+    the scale |op| @ |Y| a dot product's rounding is measured against."""
+    csr, packed = normalize_adjacency(g), PackedOperator(g)
+    assert packed.shape == csr.shape and packed.nnz == csr.nnz
+    bits = np.unpackbits(packed.bits, axis=1, count=g.n)
+    assert np.array_equal(bits, (csr.toarray() != 0).astype(np.uint8))
+    for width in (1, 7, 40):
+        y = rng.normal(size=(g.n, width))
+        want = csr @ y
+        scale = abs(csr) @ np.abs(y)
+        assert np.all(np.abs(packed @ y - want) <= 4 * np.finfo(float).eps * scale), width
+
+
+def test_packed_operator_matches_csr():
+    rng = np.random.default_rng(47)
+    for n in (1, 3, 301, 517):  # neither a multiple of 8 nor of 256 past n = 1
+        g = random_graph(rng, n, 0.3)
+        # isolate the first and the last node
+        keep = ~np.isin(g.edges, [0, n - 1]).any(axis=1)
+        g = RelationGraph(n=n, edges=g.edges[keep])
+        assert n == 1 or (g.degrees()[[0, -1]] == 0).all()
+        assert_packed_matches_csr(g, rng)
+    # an extended graph: old edges, then the arrivals' pairs, not row-major
+    scfg = SynthConfig(n=301, n_classes=2, n_types=2, cols_per_type=3, embed_dim=2, seed=48)
+    table, emb, _, _ = generate_synthetic_cohort(scfg)
+
+    def rows(lo, hi):
+        ids = table.row_ids[lo:hi]
+        return (FeatureTable(table.values[lo:hi], list(table.column_names),
+                             list(table.column_kinds), ids),
+                EmbeddingTable(emb.values[lo:hi], ids))
+
+    ext = attach_new_nodes(build_graph_for(*rows(0, 270), preset_config("synth", seed=48)),
+                           *rows(270, 301))
+    for rel in ext.relations:
+        keys = rel.edges[:, 0].astype(np.int64) * rel.n + rel.edges[:, 1]
+        assert np.any(keys[1:] < keys[:-1])
+        assert_packed_matches_csr(rel, rng)
 
 
 # ---------------------------------------------------------------- gcn layer
@@ -495,6 +538,17 @@ def test_classify_bias_shifts_argmax():
     w = np.zeros((2, 3))
     probs, _ = classify(o, w, np.array([0.0, 5.0, 0.0]))
     assert probs[0].argmax() == 1
+
+
+def test_classify_bytes_equal_the_row_max_reference():
+    rng = np.random.default_rng(49)
+    for c in (1, 2, 5):
+        o, w, b = rng.normal(size=(30, 4)), rng.normal(size=(4, c)), rng.normal(size=c)
+        o[0] *= 1e3  # a row far from the rest
+        logits = o @ w + b
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs, _ = classify(o, w, b)
+        assert probs.tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes(), c
 
 
 def test_classify_gradients_match_fd():

@@ -22,7 +22,7 @@ from medplex.model import (
     model_forward,
     normalize_adjacency,
     propagate,
-    propagate_block,
+    relation_operator,
 )
 from medplex.graph import RelationGraph
 from medplex.pipeline import assign_masks, build_graph_for, pooled_probs
@@ -242,6 +242,24 @@ def test_supervised_gradient_matches_fd_through_softmax():
     fd = fd_grad(lambda v: supervised_loss(softmax_rows(v.reshape(n, c)), lv)[0],
                  logits.ravel())
     assert max_rel_err(dlogits.ravel(), fd) < 1e-4
+
+
+def test_supervised_bytes_equal_the_per_call_reference():
+    """The loss and gradient as computed before the TRAIN rows were cached."""
+    rng = np.random.default_rng(25)
+    n, c = 40, 3
+    lv = labeled_vector(rng.integers(0, c, size=n), rng.choice([D.TRAIN, D.VAL, D.TEST], n))
+    for _ in range(3):  # the cached rows serve every call
+        probs = softmax_rows(rng.normal(size=(n, c)))
+        idx = np.flatnonzero(lv.mask == D.TRAIN)
+        truth = lv.labels
+        ref_loss = float(-np.mean(np.log(probs[idx, truth[idx]])))
+        ref = np.zeros_like(probs)
+        rows = probs[idx].copy()
+        rows[np.arange(idx.size), truth[idx]] -= 1.0
+        ref[idx] = rows / idx.size
+        loss, dlogits = supervised_loss(probs, lv)
+        assert loss == ref_loss and dlogits.tobytes() == ref.tobytes()
 
 
 def test_supervised_needs_train_rows():
@@ -719,11 +737,11 @@ def test_fit_rejects_mismatched_shapes():
 def test_fit_sparse_products_per_epoch(monkeypatch):
     counting = []
 
-    def counting_adjacency(g):
-        counting.append(CountingOp(normalize_adjacency(g)))
+    def counting_operator(g):
+        counting.append(CountingOp(relation_operator(g)))
         return counting[-1]
 
-    monkeypatch.setattr(T, "normalize_adjacency", counting_adjacency)
+    monkeypatch.setattr(T, "relation_operator", counting_operator)
     # in_dim is 12: 4 embedding plus 8 clinical columns
     for embed_dim in (16, 12, 8):
         graph, masked, cfg = synth_setup(seed=8, epochs=30, embed_dim=embed_dim)
@@ -733,7 +751,7 @@ def test_fit_sparse_products_per_epoch(monkeypatch):
         assert report.epochs_run == cfg.epochs
         if in_dim <= embed_dim:
             # op @ X once per relation, then one product per block of k epochs'
-            # corrupted inputs (n = 60 is one dense tile); no block past cfg.epochs
+            # corrupted inputs; no block past cfg.epochs
             k = T._BLOCK_COLUMNS // in_dim
             after = [min(k, cfg.epochs - e) * in_dim for e in range(0, cfg.epochs, k)]
             assert after == [144, 144, 72]
@@ -747,9 +765,9 @@ def test_fit_sparse_products_per_epoch(monkeypatch):
 def test_fit_blocks_match_per_epoch_products(monkeypatch):
     widths = []
 
-    def recording_block(op, xs):
+    def recording_propagate(op, xs):
         widths.append(xs.shape[1])
-        return propagate_block(op, xs)
+        return propagate(op, xs)
 
     # in_dim 12 gives blocks of k = 12 epochs
     for over in (dict(epochs=29),  # 2 * 12 + 5: the last block is short
@@ -757,11 +775,11 @@ def test_fit_blocks_match_per_epoch_products(monkeypatch):
         graph, masked, cfg = synth_setup(seed=11, n=300, embed_dim=16, **over)
         n, in_dim = graph.attributes.x.shape
         k = T._BLOCK_COLUMNS // in_dim
-        ops = [normalize_adjacency(g) for g in graph.relations]
-        assert max(op.nnz for op in ops) >= M._DENSE_FROM * n * n  # tiles run too
+        ops = [relation_operator(g) for g in graph.relations]
+        assert any(isinstance(op, M.PackedOperator) for op in ops)  # packed bits run too
         widths.clear()
         with monkeypatch.context() as m:
-            m.setattr(T, "propagate_block", recording_block)
+            m.setattr(T, "propagate", recording_propagate)
             state, report = fit(graph, masked, cfg)
         # the reference propagates each epoch's X[perm] alone, by CSR
         with monkeypatch.context() as m:
@@ -777,9 +795,11 @@ def test_fit_blocks_match_per_epoch_products(monkeypatch):
             for key in ("total", "infomax", "consensus", "supervised", "l2"):
                 assert row[key] == pytest.approx(ref[key], abs=1e-9), key
             assert row["val_micro"] == ref["val_micro"]
-        # ceil(epochs_run / k) blocks per relation, none past cfg.epochs
+        # op @ X per relation, then ceil(epochs_run / k) blocks per relation,
+        # none past cfg.epochs
         starts = range(0, report.epochs_run, k)
-        assert widths == [min(k, cfg.epochs - e) * in_dim for e in starts for _ in ops]
+        assert widths[:len(ops)] == [in_dim] * len(ops)
+        assert widths[len(ops):] == [min(k, cfg.epochs - e) * in_dim for e in starts for _ in ops]
 
 
 _FIT_DIGEST = """
@@ -835,7 +855,7 @@ def test_pooled_probs_match_training_forward():
     for embed_dim in (16, 8):
         graph, masked, cfg = synth_setup(seed=9, epochs=5, embed_dim=embed_dim)
         state, _ = fit(graph, masked, cfg)
-        ops = [normalize_adjacency(g) for g in graph.relations]
+        ops = [relation_operator(g) for g in graph.relations]
         x = graph.attributes.x
         fc = model_forward(state, ops, x, np.arange(graph.n_nodes),
                            [propagate(op, x) for op in ops])
