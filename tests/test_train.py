@@ -1,14 +1,17 @@
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import CountingOp, fd_grad, max_rel_err
+from test_perfbench_targets import traced_targets
 import medplex
 from medplex import data as D
 from medplex import model as M
@@ -769,37 +772,163 @@ def test_fit_blocks_match_per_epoch_products(monkeypatch):
         widths.append(xs.shape[1])
         return propagate(op, xs)
 
-    # in_dim 12 gives blocks of k = 12 epochs
-    for over in (dict(epochs=29),  # 2 * 12 + 5: the last block is short
-                 dict(epochs=80, learning_rate=1e-12, patience=5)):  # stops mid-block
+    # in_dim 12 gives blocks of k = 12 epochs; each case lists the widths of
+    # the blocks made per relation, inline (1 CPU) and one block ahead (2)
+    cases = ((dict(epochs=29),  # 2 * 12 + 5: the last block is short
+              {1: [144, 144, 60], 2: [144, 144, 60]}),
+             (dict(epochs=80, learning_rate=1e-12, patience=5),  # stops mid-block
+              {1: [144], 2: [144, 144]}))  # the worker has made block 2 too
+    for over, made in cases:
         graph, masked, cfg = synth_setup(seed=11, n=300, embed_dim=16, **over)
         n, in_dim = graph.attributes.x.shape
         k = T._BLOCK_COLUMNS // in_dim
         ops = [relation_operator(g) for g in graph.relations]
         assert any(isinstance(op, M.PackedOperator) for op in ops)  # packed bits run too
-        widths.clear()
-        with monkeypatch.context() as m:
-            m.setattr(T, "propagate", recording_propagate)
-            state, report = fit(graph, masked, cfg)
         # the reference propagates each epoch's X[perm] alone, by CSR
         with monkeypatch.context() as m:
             m.setattr(T, "_BLOCK_COLUMNS", 1)
             m.setattr(M, "_DENSE_FROM", np.inf)
             ref_state, ref_report = fit(graph, masked, cfg)
+        for cpus in (1, 2):
+            widths.clear()
+            with monkeypatch.context() as m:
+                m.setattr(T, "propagate", recording_propagate)
+                m.setattr(T, "_usable_cpus", lambda: cpus)
+                state, report = fit(graph, masked, cfg)
 
-        assert report.epochs_run % k and report.epochs_run == ref_report.epochs_run
-        assert report.stopped_early == ref_report.stopped_early == (cfg.epochs == 80)
-        assert report.best_epoch == ref_report.best_epoch
-        assert np.max(np.abs(state.flatten() - ref_state.flatten())) <= 1e-9
-        for row, ref in zip(report.rows, ref_report.rows, strict=True):
-            for key in ("total", "infomax", "consensus", "supervised", "l2"):
-                assert row[key] == pytest.approx(ref[key], abs=1e-9), key
-            assert row["val_micro"] == ref["val_micro"]
-        # op @ X per relation, then ceil(epochs_run / k) blocks per relation,
-        # none past cfg.epochs
-        starts = range(0, report.epochs_run, k)
-        assert widths[:len(ops)] == [in_dim] * len(ops)
-        assert widths[len(ops):] == [min(k, cfg.epochs - e) * in_dim for e in starts for _ in ops]
+            assert report.epochs_run % k and report.epochs_run == ref_report.epochs_run
+            assert report.stopped_early == ref_report.stopped_early == (cfg.epochs == 80)
+            assert report.best_epoch == ref_report.best_epoch
+            assert np.max(np.abs(state.flatten() - ref_state.flatten())) <= 1e-9
+            for row, ref in zip(report.rows, ref_report.rows, strict=True):
+                for key in ("total", "infomax", "consensus", "supervised", "l2"):
+                    assert row[key] == pytest.approx(ref[key], abs=1e-9), key
+                assert row["val_micro"] == ref["val_micro"]
+            # op @ X per relation, then ceil(epochs_run / k) blocks per
+            # relation, plus the one the worker made ahead when the run
+            # stopped before the last block; none past cfg.epochs
+            starts = list(range(0, report.epochs_run, k))
+            if cpus > 1 and len(starts) * k < cfg.epochs:
+                starts.append(len(starts) * k)
+            assert widths[:len(ops)] == [in_dim] * len(ops)
+            assert widths[len(ops):] == [min(k, cfg.epochs - e) * in_dim
+                                         for e in starts for _ in ops]
+            assert widths[len(ops)::len(ops)] == made[cpus]
+
+
+def _propagate_threads(monkeypatch):
+    """Patches train.propagate to record the thread of every call."""
+    threads = []
+
+    def recording_propagate(op, xs):
+        threads.append(threading.current_thread())
+        return propagate(op, xs)
+
+    monkeypatch.setattr(T, "propagate", recording_propagate)
+    return threads
+
+
+def test_fit_joins_its_block_worker(monkeypatch):
+    class Boom(Exception):
+        pass
+
+    class FailingOp(CountingOp):
+        def __matmul__(self, other):
+            if len(self.widths) == 2:  # after op @ X and the first block
+                raise Boom("second block product")
+            return super().__matmul__(other)
+
+    monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+    threads = _propagate_threads(monkeypatch)
+    main = threading.main_thread()
+    # in_dim 12 gives blocks of k = 12 epochs
+    for over in (dict(epochs=40),  # a full run of 4 blocks
+                 dict(epochs=80, learning_rate=1e-12, patience=5),  # an early stop
+                 dict(epochs=0)):
+        graph, masked, cfg = synth_setup(seed=11, n=120, embed_dim=16, **over)
+        threads.clear()
+        before = threading.active_count()
+        _, report = fit(graph, masked, cfg)
+        assert threading.active_count() == before
+        assert report.stopped_early == (cfg.epochs == 80)
+        # the blocks came from the worker; epochs=0 makes only op @ X, inline
+        assert (set(threads) != {main}) == (cfg.epochs > 0)
+
+    # a failure on the worker, then one in the step while the worker is idle
+    graph, masked, cfg = synth_setup(seed=11, n=120, embed_dim=16, epochs=40)
+    steps = []
+
+    def failing_step(*args):
+        steps.append(args)
+        if len(steps) == 15:  # in the second block, with the third one made
+            raise Boom("step 15")
+        return loss_and_grads(*args)
+
+    for name, patched in (("relation_operator", lambda g: FailingOp(relation_operator(g))),
+                          ("loss_and_grads", failing_step)):
+        with monkeypatch.context() as m:
+            m.setattr(T, name, patched)
+            before = threading.active_count()
+            with pytest.raises(Boom) as caught:
+                fit(graph, masked, cfg)
+            # joined when fit raised, while its frames are still held
+            assert caught.tb is not None and threading.active_count() == before
+    assert len(steps) == 15
+
+
+def test_fit_starts_no_thread_on_one_cpu(monkeypatch):
+    pools = []
+
+    class RecordingPool(T.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(T, "ThreadPoolExecutor", RecordingPool)
+    threads = _propagate_threads(monkeypatch)
+    graph, masked, cfg = synth_setup(seed=11, n=120, embed_dim=16, epochs=40)
+    for cpus, started in ((1, 0), (2, 1)):
+        monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
+        pools.clear()
+        threads.clear()
+        fit(graph, masked, cfg)
+        assert len(pools) == started
+        assert (set(threads) == {threading.main_thread()}) == (cpus == 1)
+
+
+def test_traced_functions_run_on_the_main_thread(monkeypatch):
+    # perfbench's Tracer keeps one span stack per process, so a traced
+    # function called from fit's block worker would nest its spans wrongly
+    calls = []
+
+    def recorder(fn, name):
+        def recorded(*args, **kwargs):
+            calls.append((name, threading.current_thread()))
+            return fn(*args, **kwargs)
+        return recorded
+
+    targets = [(importlib.import_module(module_name), module_name + "." + attr, attr)
+               for module_name, attr in traced_targets()]
+    modules = [m for k, m in sorted(sys.modules.items())
+               if m is not None and (k == "medplex" or k.startswith("medplex."))]
+    for owner, name, attr in targets:
+        original = getattr(owner, attr)
+        wrapped = recorder(original, name)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, wrapped)
+    monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+    threads = _propagate_threads(monkeypatch)
+    graph, masked, cfg = synth_setup(seed=11, n=120, embed_dim=16, epochs=40)
+    assert any(isinstance(relation_operator(g), M.PackedOperator) for g in graph.relations)
+    calls.clear()
+    T.fit(graph, masked, cfg)
+    assert set(threads) != {threading.main_thread()}  # the worker ran
+    names = {name for name, _ in calls}
+    assert {"medplex.train.fit", "medplex.train.loss_and_grads",
+            "medplex.train.adam_step"} <= names
+    assert [c for c in calls if c[1] is not threading.main_thread()] == []
 
 
 _FIT_DIGEST = """
