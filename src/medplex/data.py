@@ -21,8 +21,6 @@ VAL = 1
 TEST = 2
 UNLABELED = 3
 
-MASK_NAMES = {TRAIN: "train", VAL: "val", TEST: "test", UNLABELED: "unlabeled"}
-
 _MISSING_TOKENS = {"", "na", "nan", "null", "none", "n/a", "missing"}
 
 # reserved in partition export files, see clustering.save_partition

@@ -107,12 +107,9 @@ class MetricsReport:
     n: int
     per_class: list
     confusion: list
-    seed: int | None = None
-    config_hash: str | None = None
-    att_weights: list | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "accuracy": self.accuracy,
             "micro_f1": self.micro_f1,
             "macro_f1": self.macro_f1,
@@ -120,13 +117,6 @@ class MetricsReport:
             "per_class": self.per_class,
             "confusion": self.confusion,
         }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.config_hash is not None:
-            out["config_hash"] = self.config_hash
-        if self.att_weights is not None:
-            out["att_weights"] = self.att_weights
-        return out
 
 
 def metrics_report(pred, truth, n_classes: int) -> MetricsReport:

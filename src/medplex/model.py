@@ -260,8 +260,10 @@ def gcn_layer(op, x: np.ndarray, w: np.ndarray, ax: np.ndarray | None = None):
     """H = relu(op @ X @ W); returns (H, cache).
 
     ax = op @ x, from a caller whose X stays fixed across calls, makes the
-    layer (op X) W with no sparse product. Without it the association
-    follows propagates_first.
+    layer (op X) W with no sparse product. ax may stack more rows than X,
+    as fit's 2n-row [op X; op X[perm]] over an n-row X does; H and the
+    cache then cover all of them. Without ax the association follows
+    propagates_first.
     """
     if x.shape[1] != w.shape[0]:
         raise DataError("input width %d does not match weight rows %d" % (x.shape[1], w.shape[0]))
@@ -434,7 +436,10 @@ class ForwardCache:
     """Everything one training step computes before the losses.
 
     Each relation's embeddings stack 2n rows: the n clean rows on top, the n
-    corrupted rows (X[perm]) below. The pool stacks the same way.
+    corrupted rows (X[perm]) below. The pool stacks the same way, so the
+    clean pool is pool[:n]. A relation's layers are one GcnCache over all 2n
+    rows where the layer propagated first, else the clean rows' cache and
+    the W-first corrupted rows' cache.
     """
 
     layers: list  # per relation: GcnCaches covering the 2n rows top to bottom
@@ -443,67 +448,39 @@ class ForwardCache:
     summary_caches: list
     pool: np.ndarray  # 2n x d
     pool_cache: PoolCache
-    att_weights: np.ndarray
-    perm: np.ndarray
-
-    @property
-    def pooled(self) -> np.ndarray:
-        """The clean pool, the n top rows."""
-        return self.pool[: self.pool.shape[0] // 2]
-
-
-def _stacked_input(op, x: np.ndarray, perm: np.ndarray, ax: np.ndarray,
-                   ax_tilde: np.ndarray | None, out_width: int) -> np.ndarray:
-    """op @ [X; X[perm]] as one 2n-row array, or only op @ X where the
-    corrupted rows apply W first (no ax_tilde and X wider than out_width)."""
-    n = x.shape[0]
-    if ax.shape[0] == 2 * n:
-        return ax
-    if ax.shape[0] != n:
-        raise DataError("propagated input has %d rows, expected %d or %d"
-                        % (ax.shape[0], n, 2 * n))
-    if ax_tilde is None:
-        if not propagates_first(x.shape[1], out_width):
-            return ax
-        ax_tilde = propagate(op, x[perm])
-    return np.concatenate([ax, ax_tilde])
 
 
 def model_forward(state: ModelState, ops: list, x: np.ndarray, perm: np.ndarray,
-                  ax: list, ax_tilde: list | None = None) -> ForwardCache:
+                  ax: list) -> ForwardCache:
     """Run every relation encoder once on the clean and corrupted rows, stacked.
 
-    ax[r] holds propagate(ops[r], x) in its first n rows. fit passes 2n-row
-    arrays whose last n rows hold ops[r] @ x[perm], so the step makes no
-    sparse product. An n-row ax[r] is stacked over ax_tilde[r] = ops[r] @
-    x[perm] if given. Without it the corrupted rows are propagated here: by
-    one product at the input width, or, where X is wider than the embedding,
-    by op @ (X[perm] W) forward and one more product in the backward pass
-    (see propagates_first).
+    ax[r] holds propagate(ops[r], x) in its first n rows, in one of the two
+    forms fit builds. Where the layer propagates first, ax[r] has 2n rows,
+    the last n holding ops[r] @ x[perm], and the step makes no sparse
+    product. Where X is wider than the embedding, ax[r] has n rows and the
+    corrupted rows apply W first: op @ (X[perm] W) here and one more product
+    in the backward pass (see propagates_first).
     """
     if len(ops) != state.dims.n_relations:
         raise DataError("operator count does not match n_relations")
     n = x.shape[0]
     layers, h, s_list, sc = [], [], [], []
     for r in range(state.dims.n_relations):
+        if ax[r].shape[0] not in (n, 2 * n):
+            raise DataError("propagated input has %d rows, expected %d or %d"
+                            % (ax[r].shape[0], n, 2 * n))
         w = state.params["enc_w_%d" % r]
-        a = _stacked_input(ops[r], x, perm, ax[r], None if ax_tilde is None else ax_tilde[r],
-                           w.shape[1])
-        if a.shape[1] != w.shape[0]:
-            raise DataError("input width %d does not match weight rows %d"
-                            % (a.shape[1], w.shape[0]))
-        pre = a @ w
-        layers.append([GcnCache(ops[r], x, a, w, pre)])
-        if a.shape[0] == n:  # the corrupted rows apply W first
-            _, bottom = gcn_layer(ops[r], x[perm], w)
+        hr, top = gcn_layer(ops[r], x, w, ax[r])
+        layers.append([top])
+        if ax[r].shape[0] == n:
+            bottom_h, bottom = gcn_layer(ops[r], x[perm], w)
             layers[-1].append(bottom)
-            pre = np.concatenate([pre, bottom.pre])
-        hr = np.maximum(pre, 0.0)
+            hr = np.concatenate([hr, bottom_h])
         sr, c3 = readout_summary(hr[:n])
         h.append(hr)
         s_list.append(sr)
         sc.append(c3)
-    pool, att_w, pc = attentive_pool(h, state.params["att_logits"])
+    pool, _, pc = attentive_pool(h, state.params["att_logits"])
     return ForwardCache(
         layers=layers,
         h=h,
@@ -511,12 +488,10 @@ def model_forward(state: ModelState, ops: list, x: np.ndarray, perm: np.ndarray,
         summary_caches=sc,
         pool=pool,
         pool_cache=pc,
-        att_weights=att_w,
-        perm=perm,
     )
 
 
-def save_checkpoint(path, state: ModelState, config_hash: str = "", extra: dict | None = None):
+def save_checkpoint(path, state: ModelState, config_hash: str = ""):
     """One sorted-key JSON header line, then the little-endian float64 blob."""
     header = {
         "format_version": CHECKPOINT_VERSION,
@@ -534,8 +509,6 @@ def save_checkpoint(path, state: ModelState, config_hash: str = "", extra: dict 
             for name in state.param_order
         ],
     }
-    if extra:
-        header["extra"] = extra
     blob = state.flatten().astype("<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))

@@ -81,11 +81,11 @@ def run_experiment(table: FeatureTable, embeddings: EmbeddingTable, labels: Labe
     )
 
 
-def baseline_config_from(cfg: TrainingConfig, learning_rate: float = 0.01) -> BaselineConfig:
-    """Baselines get the same budget and width; lr defaults to a plain 0.01."""
+def baseline_config_from(cfg: TrainingConfig) -> BaselineConfig:
+    """Baselines get the same budget and width, and a plain 0.01 learning rate."""
     return BaselineConfig(
         hidden_dim=cfg.embed_dim,
-        learning_rate=learning_rate,
+        learning_rate=0.01,
         epochs=cfg.epochs,
         patience=cfg.patience,
         seed=cfg.seed,
@@ -93,23 +93,21 @@ def baseline_config_from(cfg: TrainingConfig, learning_rate: float = 0.01) -> Ba
 
 
 def run_mlp_baseline(table: FeatureTable, embeddings: EmbeddingTable, labels: LabelVector,
-                     cfg: TrainingConfig, labeled_frac: float | None = None,
-                     bcfg: BaselineConfig | None = None) -> BaselineModel:
+                     cfg: TrainingConfig, labeled_frac: float | None = None) -> BaselineModel:
     masked = assign_masks(labels, cfg, labeled_frac)
     c_norm, z_norm, _, _ = prepare_tables(table, embeddings)
     x = concat_attributes(z_norm, c_norm).x
-    return fit_mlp(x, masked, bcfg or baseline_config_from(cfg))
+    return fit_mlp(x, masked, baseline_config_from(cfg))
 
 
 def run_single_gcn_baseline(table: FeatureTable, embeddings: EmbeddingTable,
                             labels: LabelVector, cfg: TrainingConfig,
-                            labeled_frac: float | None = None,
-                            bcfg: BaselineConfig | None = None) -> BaselineModel:
+                            labeled_frac: float | None = None) -> BaselineModel:
     """Collapsed baseline: one graph over all columns at the laxest threshold."""
     masked = assign_masks(labels, cfg, labeled_frac)
     c_norm, z_norm, _, _ = prepare_tables(table, embeddings)
     x = concat_attributes(z_norm, c_norm).x
-    return fit_single_gcn(x, c_norm, masked, min(cfg.thetas), bcfg or baseline_config_from(cfg))
+    return fit_single_gcn(x, c_norm, masked, min(cfg.thetas), baseline_config_from(cfg))
 
 
 def transductive_probs(state: ModelState) -> np.ndarray:

@@ -316,15 +316,16 @@ class StepResult:
 
 def loss_and_grads(state: ModelState, ops: list, x: np.ndarray,
                    labels: LabelVector, cfg: TrainingConfig,
-                   perm: np.ndarray, ax: list, ax_tilde: list | None = None) -> StepResult:
+                   perm: np.ndarray, ax: list) -> StepResult:
     """One full objective evaluation; writes every entry of state.grads.
 
-    ax and ax_tilde are as model_forward takes them: fit passes 2n-row ax
-    stacks, [op @ x; op @ x[perm]], and the step makes no sparse product.
-    Each relation's infomax, its share of the pool and consensus, and its
-    backward pass down to dW run once on the 2n stacked rows.
+    ax is as model_forward takes it: 2n-row stacks [op @ x; op @ x[perm]]
+    where the layer propagates first, so the step makes no sparse product,
+    and n-row op @ x where it applies W first. Each relation's infomax, its
+    share of the pool and consensus, and its backward pass down to dW run
+    once on the 2n stacked rows.
     """
-    fc = model_forward(state, ops, x, perm, ax, ax_tilde)
+    fc = model_forward(state, ops, x, perm, ax)
     n = x.shape[0]
     r_count = state.dims.n_relations
     grads = state.grads

@@ -559,23 +559,37 @@ def test_stacked_step_matches_two_pass_reference():
     ax = [propagate(op, x) for op in ops]
     ax_tilde = [propagate(op, x[perm]) for op in ops]
     stacks = [np.concatenate([a, at]) for a, at in zip(ax, ax_tilde)]
-    # (ax, ax_tilde) for the stacked step, then ax_tilde for the reference
-    inputs = {"without ax_tilde": (ax, None, None),
-              "with ax_tilde": (ax, ax_tilde, ax_tilde),
-              "fit's 2n-row stacks": (stacks, None, ax_tilde)}
+    # the stacked step's input, then ax_tilde for the reference
+    inputs = {"n-row ax": (ax, None),
+              "2n-row stacks": (stacks, ax_tilde)}
     for d in (4, 9):  # below and above in_dim
         cfg = TrainingConfig(learning_rate=0.01, embed_dim=d, n_relations=r_count,
                              thetas=(0.5,), alpha=0.7, beta=0.9, gamma=0.02)
-        for how, (a, at, ref_at) in inputs.items():
+        for how, (a, ref_at) in inputs.items():
             state = ModelState(ModelDims(n, f, d, r_count, c), seed=8)
             state.params["att_logits"] = rng.normal(size=r_count)
             ref_total, ref_grads = two_pass_loss_and_grads(state, ops, x, labels, cfg, perm,
                                                           ax, ref_at)
-            step = loss_and_grads(state, ops, x, labels, cfg, perm, a, at)
+            step = loss_and_grads(state, ops, x, labels, cfg, perm, a)
             assert abs(step.total - ref_total) <= 1e-12, (d, how)
             for name in state.param_order:
                 err = np.max(np.abs(state.grads[name] - ref_grads[name]))
                 assert err <= 1e-12, (d, how, name, err)
+
+
+def test_model_forward_takes_only_n_or_2n_rows():
+    rng = np.random.default_rng(43)
+    n, f, d, r_count, c = 10, 5, 4, 2, 2
+    ops = random_ops(rng, n, r_count)
+    x = rng.normal(size=(n, f))
+    perm = rng.permutation(n)
+    state = ModelState(ModelDims(n, f, d, r_count, c), seed=9)
+    ax = [propagate(op, x) for op in ops]
+    for rows in (n + 1, 3 * n):
+        # the last relation alone has the wrong height
+        stacks = ax[:-1] + [np.concatenate([ax[-1]] * 3)[:rows]]
+        with pytest.raises(DataError, match="expected %d or %d" % (n, 2 * n)):
+            model_forward(state, ops, x, perm, stacks)
 
 
 def test_stacked_losses_match_split_losses():
@@ -988,7 +1002,8 @@ def test_pooled_probs_match_training_forward():
         x = graph.attributes.x
         fc = model_forward(state, ops, x, np.arange(graph.n_nodes),
                            [propagate(op, x) for op in ops])
-        expected, _ = classify(fc.pooled, state.params["cls_w"], state.params["cls_b"])
+        expected, _ = classify(fc.pool[:graph.n_nodes], state.params["cls_w"],
+                               state.params["cls_b"])
         got = pooled_probs(state, graph)
         if x.shape[1] <= embed_dim:
             assert np.array_equal(got, expected)
