@@ -81,14 +81,17 @@ class FlatParams:
     def zero_grads(self) -> None:
         self.grad.fill(0.0)
 
-    def l2(self) -> float:
+    def l2(self, scratch: np.ndarray | None = None) -> float:
+        """Sum of squared parameters; scratch, a vector of flat's size, takes
+        the squares."""
         # numpy's pairwise sum, not a BLAS dot: the bytes stay equal across thread counts
-        return float(np.sum(self.flat * self.flat))
+        return float(np.sum(np.multiply(self.flat, self.flat, out=scratch)))
 
-    def add_l2_grads(self, gamma: float) -> None:
+    def add_l2_grads(self, gamma: float, scratch: np.ndarray | None = None) -> None:
+        """Adds the gradient of gamma * l2() to grad, through scratch as l2 does."""
         if gamma == 0.0:
             return
-        self.grad += 2.0 * gamma * self.flat
+        self.grad += np.multiply(self.flat, 2.0 * gamma, out=scratch)
 
     def check_finite(self, what: str = "parameter", vec: np.ndarray | None = None) -> None:
         """Raises NumericError naming the first parameter with a non-finite value
@@ -253,29 +256,43 @@ class GcnCache:
     x: np.ndarray
     ax: np.ndarray | None  # op @ x when the layer propagated first, else None
     w: np.ndarray
-    pre: np.ndarray
+    h: np.ndarray  # the layer's output: positive exactly where its pre-activations are
 
 
-def gcn_layer(op, x: np.ndarray, w: np.ndarray, ax: np.ndarray | None = None):
+def gcn_layer(op, x: np.ndarray, w: np.ndarray, ax: np.ndarray | None = None,
+              out: np.ndarray | None = None):
     """H = relu(op @ X @ W); returns (H, cache).
 
     ax = op @ x, from a caller whose X stays fixed across calls, makes the
     layer (op X) W with no sparse product. ax may stack more rows than X,
     as fit's 2n-row [op X; op X[perm]] over an n-row X does; H and the
     cache then cover all of them. Without ax the association follows
-    propagates_first.
+    propagates_first. out, an array of H's shape, takes the pre-activations
+    and then, rectified in place, H; only a W-first layer's graph product
+    is then made afresh.
     """
     if x.shape[1] != w.shape[0]:
         raise DataError("input width %d does not match weight rows %d" % (x.shape[1], w.shape[0]))
     if ax is None and propagates_first(x.shape[1], w.shape[1]):
         ax = propagate(op, x)
-    pre = ax @ w if ax is not None else propagate(op, x @ w)
-    return np.maximum(pre, 0.0), GcnCache(op, x, ax, w, pre)
+    if ax is not None:
+        h = np.matmul(ax, w, out=out)
+    else:
+        h = np.matmul(x, w, out=out)
+        h[...] = propagate(op, h)
+    np.maximum(h, 0.0, out=h)
+    return h, GcnCache(op, x, ax, w, h)
 
 
-def gcn_layer_backward(cache: GcnCache, dh: np.ndarray):
-    """Returns (dW, dpre); a layer that propagated first makes no sparse product."""
-    dpre = dh * (cache.pre > 0.0)  # a multiply by the mask; np.where is several times slower
+def gcn_layer_backward(cache: GcnCache, dh: np.ndarray, mask: np.ndarray | None = None,
+                       out: np.ndarray | None = None):
+    """Returns (dW, dpre); a layer that propagated first makes no sparse product.
+
+    mask, a bool array of dh's shape, takes the relu's mask and out takes
+    dpre; out may be dh itself.
+    """
+    # a multiply by the mask; np.where is several times slower
+    dpre = np.multiply(dh, np.greater(cache.h, 0.0, out=mask), out=out)
     if cache.ax is not None:
         return cache.ax.T @ dpre, dpre
     return cache.x.T @ propagate(cache.op, dpre), dpre
@@ -329,9 +346,10 @@ def discriminate(h: np.ndarray, s: np.ndarray, m: np.ndarray):
     return scores, DiscCache(h, s, m, scores, ms)
 
 
-def discriminate_backward_pre(cache: DiscCache, da: np.ndarray):
-    """Backward with gradients already at the pre-sigmoid activations."""
-    dh = np.outer(da, cache.ms)
+def discriminate_backward_pre(cache: DiscCache, da: np.ndarray, out: np.ndarray | None = None):
+    """Backward with gradients already at the pre-sigmoid activations; out,
+    an array of h's shape, takes dh."""
+    dh = np.outer(da, cache.ms, out=out)
     hda = cache.h.T @ da
     dm = np.outer(hda, cache.s)
     ds = cache.m.T @ hda
@@ -367,30 +385,41 @@ def attention_weights(att_logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def attentive_pool(hs: list, att_logits: np.ndarray):
+def attentive_pool(hs: list, att_logits: np.ndarray, out: np.ndarray | None = None,
+                   scratch: np.ndarray | None = None):
     """Relation-weighted sum of embeddings, weights = softmax of the logits.
 
     Returns (pooled, weights, cache). Weights are shared across nodes; they
     are the model's estimate of how informative each relation is. The sum is
     taken element by element, so a row's result does not depend on how many
-    rows are pooled with it.
+    rows are pooled with it. out and scratch, arrays of an embedding's shape,
+    take the sum and each weighted term before it is added.
     """
     if len(hs) != att_logits.shape[0]:
         raise DataError("one attention logit per relation required")
     weights = attention_weights(att_logits)
-    pooled = weights[0] * hs[0]
+    pooled = np.multiply(hs[0], weights[0], out=out)
     for w, h in zip(weights[1:], hs[1:]):
-        pooled += w * h
+        pooled += np.multiply(h, w, out=scratch)
     return pooled, weights, PoolCache(list(hs), weights)
 
 
-def attentive_pool_backward(cache: PoolCache, dpooled: np.ndarray):
-    """Returns (dhs list, dlogits)."""
+def attentive_pool_backward(cache: PoolCache, dpooled: np.ndarray, add_into: list | None = None,
+                            scratch: np.ndarray | None = None):
+    """Returns (dhs list, dlogits).
+
+    Given add_into, one array per relation, each relation's gradient is added
+    into its array, through scratch (an array of dpooled's shape), and dhs
+    is add_into.
+    """
     w = cache.weights
-    dhs = [w[r] * dpooled for r in range(w.shape[0])]
     dw = np.array([np.einsum("i,i->", dpooled.ravel(), h.ravel()) for h in cache.hs])
     dlogits = w * (dw - float(np.dot(w, dw)))
-    return dhs, dlogits
+    if add_into is None:
+        return [w[r] * dpooled for r in range(w.shape[0])], dlogits
+    for r, dh in enumerate(add_into):
+        dh += np.multiply(dpooled, w[r], out=scratch)
+    return add_into, dlogits
 
 
 @dataclass
@@ -423,12 +452,40 @@ def classify_backward(cache: ClassifyCache, dprobs: np.ndarray):
     return classify_backward_from_logits(cache, dlogits)
 
 
-def classify_backward_from_logits(cache: ClassifyCache, dlogits: np.ndarray):
-    """Same as classify_backward but with gradients already at the logits."""
+def classify_backward_from_logits(cache: ClassifyCache, dlogits: np.ndarray,
+                                  out: np.ndarray | None = None):
+    """Same as classify_backward but with gradients already at the logits;
+    out, an array of o's shape, takes do."""
     dw = cache.o.T @ dlogits
     db = dlogits.sum(axis=0)
-    do = dlogits @ cache.w.T
+    do = np.matmul(dlogits, cache.w.T, out=out)
     return do, dw, db
+
+
+class StepArrays:
+    """The n-row arrays of the training step, made once per fit; every step
+    writes them afresh, so a step's results hold only until the next step.
+
+    Per relation, h and dh (2n x d): its embeddings, clean rows on top, and
+    their gradient. Shared by the relations: the pool and one scratch for
+    its terms, the consensus difference (2n x d) and dO (n x d), the head's
+    dO (n x d), one bool relu mask (2n x d), X[perm] for an n-row input
+    (n x in_dim), and one vector of the parameters' size for the L2 term.
+    """
+
+    def __init__(self, state: ModelState):
+        n, f, d = state.dims.n_nodes, state.dims.in_dim, state.dims.hidden_dim
+        r_count = state.dims.n_relations
+        self.h = [np.empty((2 * n, d)) for _ in range(r_count)]
+        self.dh = [np.empty((2 * n, d)) for _ in range(r_count)]
+        self.pool = np.empty((2 * n, d))
+        self.term = np.empty((2 * n, d))
+        self.diff = np.empty((2 * n, d))
+        self.do = np.empty((n, d))
+        self.head_do = np.empty((n, d))
+        self.mask = np.empty((2 * n, d), dtype=bool)
+        self.x_perm = np.empty((n, f))
+        self.flat = np.empty_like(state.flat)
 
 
 @dataclass
@@ -439,7 +496,7 @@ class ForwardCache:
     corrupted rows (X[perm]) below. The pool stacks the same way, so the
     clean pool is pool[:n]. A relation's layers are one GcnCache over all 2n
     rows where the layer propagated first, else the clean rows' cache and
-    the W-first corrupted rows' cache.
+    the corrupted rows' cache. The arrays are the StepArrays' own.
     """
 
     layers: list  # per relation: GcnCaches covering the 2n rows top to bottom
@@ -451,7 +508,7 @@ class ForwardCache:
 
 
 def model_forward(state: ModelState, ops: list, x: np.ndarray, perm: np.ndarray,
-                  ax: list) -> ForwardCache:
+                  ax: list, arrays: StepArrays) -> ForwardCache:
     """Run every relation encoder once on the clean and corrupted rows, stacked.
 
     ax[r] holds propagate(ops[r], x) in its first n rows, in one of the two
@@ -459,31 +516,34 @@ def model_forward(state: ModelState, ops: list, x: np.ndarray, perm: np.ndarray,
     the last n holding ops[r] @ x[perm], and the step makes no sparse
     product. Where X is wider than the embedding, ax[r] has n rows and the
     corrupted rows apply W first: op @ (X[perm] W) here and one more product
-    in the backward pass (see propagates_first).
+    in the backward pass (see propagates_first). Either way the embeddings
+    and the pool are written into arrays.
     """
     if len(ops) != state.dims.n_relations:
         raise DataError("operator count does not match n_relations")
     n = x.shape[0]
-    layers, h, s_list, sc = [], [], [], []
-    for r in range(state.dims.n_relations):
-        if ax[r].shape[0] not in (n, 2 * n):
+    for a in ax:
+        if a.shape[0] not in (n, 2 * n):
             raise DataError("propagated input has %d rows, expected %d or %d"
-                            % (ax[r].shape[0], n, 2 * n))
+                            % (a.shape[0], n, 2 * n))
+    if any(a.shape[0] == n for a in ax):
+        # mode "clip" writes straight into out; the default buffers it in a copy
+        np.take(x, perm, axis=0, out=arrays.x_perm, mode="clip")
+    layers, s_list, sc = [], [], []
+    for r, h in enumerate(arrays.h):
         w = state.params["enc_w_%d" % r]
-        hr, top = gcn_layer(ops[r], x, w, ax[r])
-        layers.append([top])
-        if ax[r].shape[0] == n:
-            bottom_h, bottom = gcn_layer(ops[r], x[perm], w)
-            layers[-1].append(bottom)
-            hr = np.concatenate([hr, bottom_h])
-        sr, c3 = readout_summary(hr[:n])
-        h.append(hr)
+        rows = ax[r].shape[0]
+        layers.append([gcn_layer(ops[r], x, w, ax[r], out=h[:rows])[1]])
+        if rows == n:
+            layers[-1].append(gcn_layer(ops[r], arrays.x_perm, w, out=h[n:])[1])
+        sr, c3 = readout_summary(h[:n])
         s_list.append(sr)
         sc.append(c3)
-    pool, _, pc = attentive_pool(h, state.params["att_logits"])
+    pool, _, pc = attentive_pool(arrays.h, state.params["att_logits"],
+                                 out=arrays.pool, scratch=arrays.term)
     return ForwardCache(
         layers=layers,
-        h=h,
+        h=arrays.h,
         summaries=s_list,
         summary_caches=sc,
         pool=pool,

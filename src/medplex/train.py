@@ -30,6 +30,7 @@ from .model import (
     ForwardCache,
     ModelDims,
     ModelState,
+    StepArrays,
     attention_weights,
     attentive_pool_backward,
     classify,
@@ -170,26 +171,30 @@ def infomax_loss(h: np.ndarray, h_tilde: np.ndarray | None, s: np.ndarray, m: np
     return loss, InfomaxCache(disc, da, h_tilde is not None)
 
 
-def infomax_backward(cache: InfomaxCache):
+def infomax_backward(cache: InfomaxCache, out: np.ndarray | None = None):
     """Returns (dh, dh_tilde, ds, dm) for one relation's infomax loss.
 
-    For a stacked input dh covers all 2n rows and dh_tilde is None.
+    For a stacked input dh covers all 2n rows and dh_tilde is None. out, an
+    array of the 2n stacked rows' shape, takes the rows of dh and dh_tilde.
     """
-    dh, ds, dm = discriminate_backward_pre(cache.disc, cache.da)
+    dh, ds, dm = discriminate_backward_pre(cache.disc, cache.da, out)
     if cache.split:
         n = dh.shape[0] // 2
         return dh[:n], dh[n:], ds, dm
     return dh, None, ds, dm
 
 
-def consensus_loss(o: np.ndarray, pooled: np.ndarray, pooled_tilde: np.ndarray | None):
+def consensus_loss(o: np.ndarray, pooled: np.ndarray, pooled_tilde: np.ndarray | None,
+                   out: tuple | None = None):
     """Pull the consensus matrix toward the clean pool, push from the corrupt.
 
     Mean over all n*d entries of (O - Q)^2 - (O - Q~)^2. pooled_tilde None
     takes pooled as the 2n-row stack [Q; Q~]. Returns (loss, do, dpooled,
     dpooled_tilde) at unit scale; for a stacked input dpooled is stacked too
-    and dpooled_tilde is None.
+    and dpooled_tilde is None. out = (do, dq), arrays of o's shape and of
+    the 2n stacked rows' shape, takes do and the stacked gradient.
     """
+    do_out, dq_out = (None, None) if out is None else out
     if pooled_tilde is not None:
         if o.shape != pooled.shape or o.shape != pooled_tilde.shape:
             raise DataError("consensus inputs must share one shape")
@@ -200,11 +205,13 @@ def consensus_loss(o: np.ndarray, pooled: np.ndarray, pooled_tilde: np.ndarray |
         q = pooled
     nd = o.size
     q = q.reshape((2,) + o.shape)
-    dq = o - q  # [O - Q, O - Q~], scaled into the gradient in place below
+    # [O - Q, O - Q~], scaled into the gradient in place below
+    dq = np.subtract(o, q, out=None if dq_out is None else dq_out.reshape(q.shape))
     flat = dq.reshape(2, -1)
     sq = np.einsum("ij,ij->i", flat, flat)
     loss = float((sq[0] - sq[1]) / nd)
-    do = (q[1] - q[0]) * (2.0 / nd)
+    do = np.subtract(q[1], q[0], out=do_out)
+    do *= 2.0 / nd
     dq *= np.array([-2.0 / nd, 2.0 / nd]).reshape((2,) + (1,) * o.ndim)
     if pooled_tilde is not None:
         return loss, do, dq[0], dq[1]
@@ -267,11 +274,14 @@ def micle_loss(z1: np.ndarray, z2: np.ndarray, tau: float) -> float:
 class AdamState:
     m: np.ndarray
     v: np.ndarray
+    step: np.ndarray  # scratch vectors each update works through
+    denom: np.ndarray
     t: int = 0
 
     @classmethod
     def for_model(cls, state: FlatParams) -> "AdamState":
-        return cls(m=np.zeros_like(state.flat), v=np.zeros_like(state.flat))
+        return cls(m=np.zeros_like(state.flat), v=np.zeros_like(state.flat),
+                   step=np.empty_like(state.flat), denom=np.empty_like(state.flat))
 
 
 def adam_step(state: FlatParams, adam: AdamState, lr: float,
@@ -280,22 +290,23 @@ def adam_step(state: FlatParams, adam: AdamState, lr: float,
 
     Whole-vector operations in the order of m = beta1 m + (1 - beta1) g,
     v = beta2 v + (1 - beta2) g^2, p -= lr m_hat / (sqrt(v_hat) + eps), so
-    the update is bitwise that of the same expressions per parameter.
+    the update is bitwise that of the same expressions per parameter. Every
+    temporary lives in adam.step and adam.denom.
     """
     adam.t += 1
     c1 = 1.0 - beta1 ** adam.t
     c2 = 1.0 - beta2 ** adam.t
-    g = state.grad
+    g, step, denom = state.grad, adam.step, adam.denom
     state.check_finite("gradient", g)
     adam.m *= beta1
-    adam.m += (1.0 - beta1) * g
-    g2 = g * g
+    adam.m += np.multiply(g, 1.0 - beta1, out=step)
+    g2 = np.multiply(g, g, out=step)
     g2 *= 1.0 - beta2
     adam.v *= beta2
     adam.v += g2
-    step = adam.m / c1
+    np.divide(adam.m, c1, out=step)
     step *= lr
-    denom = adam.v / c2
+    np.divide(adam.v, c2, out=denom)
     np.sqrt(denom, out=denom)
     denom += eps
     step /= denom
@@ -305,6 +316,9 @@ def adam_step(state: FlatParams, adam: AdamState, lr: float,
 
 @dataclass
 class StepResult:
+    """One step's losses, probabilities and forward cache. The cache's arrays
+    are the StepArrays', valid only until the next step rewrites them."""
+
     total: float
     infomax: float
     consensus: float
@@ -316,51 +330,54 @@ class StepResult:
 
 def loss_and_grads(state: ModelState, ops: list, x: np.ndarray,
                    labels: LabelVector, cfg: TrainingConfig,
-                   perm: np.ndarray, ax: list) -> StepResult:
+                   perm: np.ndarray, ax: list, arrays: StepArrays) -> StepResult:
     """One full objective evaluation; writes every entry of state.grads.
 
     ax is as model_forward takes it: 2n-row stacks [op @ x; op @ x[perm]]
     where the layer propagates first, so the step makes no sparse product,
     and n-row op @ x where it applies W first. Each relation's infomax, its
     share of the pool and consensus, and its backward pass down to dW run
-    once on the 2n stacked rows.
+    once on the 2n stacked rows. Every array of n or 2n rows and embedding
+    width, but the graph products an n-row input makes, is one of arrays
+    (StepArrays(state), made once per fit) and is filled in place; what the
+    step returns in them is valid until the next step.
     """
-    fc = model_forward(state, ops, x, perm, ax)
+    fc = model_forward(state, ops, x, perm, ax, arrays)
     n = x.shape[0]
     r_count = state.dims.n_relations
     grads = state.grads
 
-    dh = []
     infomax_sum = 0.0
     for r in range(r_count):
         loss_r, icache = infomax_loss(fc.h[r], None, fc.summaries[r],
                                       state.params["disc_m_%d" % r])
         infomax_sum += loss_r
-        g_h, _, g_s, grads["disc_m_%d" % r] = infomax_backward(icache)
+        g_h, _, g_s, grads["disc_m_%d" % r] = infomax_backward(icache, out=arrays.dh[r])
         g_h[:n] += summary_backward(fc.summary_caches[r], g_s)
-        dh.append(g_h)
 
     o = state.params["consensus"]
-    cs, d_o, d_pool, _ = consensus_loss(o, fc.pool, None)
+    cs, d_o, d_pool, _ = consensus_loss(o, fc.pool, None, out=(arrays.do, arrays.diff))
     d_pool *= cfg.alpha
-    dhs, grads["att_logits"] = attentive_pool_backward(fc.pool_cache, d_pool)
-    for g_h, g_pool in zip(dh, dhs):
-        g_h += g_pool
-    del d_pool, dhs  # 2n-row temporaries, dropped before the backward passes
+    _, grads["att_logits"] = attentive_pool_backward(fc.pool_cache, d_pool,
+                                                     add_into=arrays.dh, scratch=arrays.term)
 
     probs, ccache = classify(o, state.params["cls_w"], state.params["cls_b"])
     sup, dlogits = supervised_loss(probs, labels)
-    d_o2, grads["cls_w"], grads["cls_b"] = classify_backward_from_logits(ccache, cfg.beta * dlogits)
-    np.add(cfg.alpha * d_o, d_o2, out=grads["consensus"])
+    d_o2, grads["cls_w"], grads["cls_b"] = classify_backward_from_logits(
+        ccache, cfg.beta * dlogits, out=arrays.head_do)
+    d_o *= cfg.alpha
+    np.add(d_o, d_o2, out=grads["consensus"])
 
     for r in range(r_count):
         # one layer over all 2n rows, or the clean rows' and a W-first bottom's
-        dws = [gcn_layer_backward(c, dh[r][lo:lo + c.pre.shape[0]])[0]
-               for c, lo in zip(fc.layers[r], (0, n))]
+        dws = []
+        for c, lo in zip(fc.layers[r], (0, n)):
+            dpre = arrays.dh[r][lo:lo + c.h.shape[0]]  # dH, overwritten by dpre
+            dws.append(gcn_layer_backward(c, dpre, arrays.mask[:dpre.shape[0]], dpre)[0])
         grads["enc_w_%d" % r] = sum(dws[1:], dws[0])
 
-    l2 = state.l2()
-    state.add_l2_grads(cfg.gamma)
+    l2 = state.l2(arrays.flat)
+    state.add_l2_grads(cfg.gamma, arrays.flat)
     total = total_loss(infomax_sum, cs, sup, l2, cfg)
     return StepResult(total, infomax_sum, cs, sup, l2, probs, fc)
 
@@ -524,6 +541,8 @@ def fit(graph: MultiplexGraph, labels: LabelVector, cfg: TrainingConfig):
     more usable CPUs one worker thread makes the next block of corrupted-view
     products during the steps (see _corrupted_inputs); it is joined before
     fit returns or raises, and an early stop leaves at most one block unused.
+    The step's n-row arrays are made once (StepArrays) and rewritten every
+    epoch. A multiplex whose relations are all edgeless raises DataError.
     """
     if labels.n_rows != graph.n_nodes:
         raise DataError("labels cover %d rows, graph has %d" % (labels.n_rows, graph.n_nodes))
@@ -531,6 +550,9 @@ def fit(graph: MultiplexGraph, labels: LabelVector, cfg: TrainingConfig):
         raise DataError(
             "config says %d relations, graph has %d" % (cfg.n_relations, len(graph.relations))
         )
+    if all(g.n_edges == 0 for g in graph.relations):
+        raise DataError("every relation is edgeless at thresholds %s: no graph to learn from"
+                        % ", ".join("%g" % t for t in graph.thetas))
     x = graph.attributes.x
     dims = ModelDims(
         n_nodes=graph.n_nodes,
@@ -549,19 +571,11 @@ def fit(graph: MultiplexGraph, labels: LabelVector, cfg: TrainingConfig):
     for op in ops:
         stacks.append(np.empty((rows, x.shape[1])))
         stacks[-1][:n] = propagate(op, x)
+    arrays = StepArrays(state)
     perms = _corrupted_inputs(x, ops, cfg, stacks)
-    # The previous step's arrays are released only once the next step has
-    # made its own. Released sooner, the step's few MB sit free at the top of
-    # the heap, where glibc returns them to the OS and every page is faulted
-    # back in the next epoch. In a 400-epoch fit at n = 1000 (synth preset,
-    # seeds 10-17, blocks made on the worker) that is 415k-439k minor faults
-    # against 13k-221k, and a median 2.5 s against 2.1 s, for about 3 MB
-    # more peak memory.
-    last = []
 
     def step(epoch):
-        s = loss_and_grads(state, ops, x, labels, cfg, next(perms), stacks)
-        last[:] = [s]
+        s = loss_and_grads(state, ops, x, labels, cfg, next(perms), stacks, arrays)
         return s.total, s.probs, {"total": s.total, "infomax": s.infomax,
                                   "consensus": s.consensus, "supervised": s.supervised,
                                   "l2": s.l2}

@@ -36,6 +36,7 @@ from medplex.graph import (
 from medplex.model import (
     ModelDims,
     ModelState,
+    StepArrays,
     attentive_pool,
     attentive_pool_backward,
     classify,
@@ -207,13 +208,14 @@ def test_01_gradient_suite():
     labels = LabelVector(rng.integers(0, c2, size=n2), mask, c2)
     perm = rng.permutation(n2)
     ax2 = [propagate(op, x2) for op in ops]
-    loss_and_grads(state, ops, x2, labels, cfg, perm, ax2)
+    loss_and_grads(state, ops, x2, labels, cfg, perm, ax2, StepArrays(state))
     analytic = np.concatenate([state.grads[k].ravel() for k in state.param_order])
 
     def f_total(v):
         probe = ModelState(ModelDims(n2, f2, d2, r2, c2), seed=1)
         probe.unflatten(v)
-        return loss_and_grads(probe, ops, x2, labels, cfg, perm, ax2).total
+        return loss_and_grads(probe, ops, x2, labels, cfg, perm, ax2,
+                              StepArrays(probe)).total
 
     numeric = fd_grad(f_total, state.flatten())
     check("objective", analytic, numeric)

@@ -519,6 +519,30 @@ def test_divergent_training_is_numeric_error(workdir, tmp_path, capsys):
     assert "numeric error" in capsys.readouterr().err
 
 
+def constant_features(data):
+    """Every feature column set to 3.0, so no relation has an edge."""
+    path = data / "features.csv"
+    rows = list(csv.reader(path.open()))
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(rows[0])
+        writer.writerows([row[0]] + ["3.0"] * (len(row) - 1) for row in rows[1:])
+    return 2, "data error: every relation is edgeless at thresholds 0.5, 0.5: no graph to learn from"
+
+
+@pytest.mark.parametrize("fault", [constant_features])
+def test_degenerate_cohorts_exit_with_a_message(tmp_path, capsys, fault):
+    scfg_path = tmp_path / "synth.json"
+    scfg_path.write_text(json.dumps(dict(SYNTH_CONFIG, n=120)))
+    data = tmp_path / "cohort"
+    assert run(["--quiet", "synth", "--out", str(data), "--config", str(scfg_path)]) == 0
+    code, line = fault(data)
+    capsys.readouterr()
+    assert run(["--quiet", "train", "--data", str(data), "--preset", "synth",
+                "--epochs", "5", "--out", str(tmp_path / "run")]) == code
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
 # ---------------------------------------------------------------- process entry
 
 

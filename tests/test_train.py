@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import math
@@ -21,6 +22,7 @@ from medplex.errors import DataError, NumericError
 from medplex.model import (
     ModelDims,
     ModelState,
+    StepArrays,
     classify,
     model_forward,
     normalize_adjacency,
@@ -446,14 +448,14 @@ def test_full_objective_gradient_matches_fd():
                              thetas=(0.5, 0.5), alpha=0.7, beta=0.9, gamma=0.02)
         state = ModelState(ModelDims(n, f, d, r_count, c), seed=5)
 
-        loss_and_grads(state, ops, x, labels, cfg, perm, ax)
+        loss_and_grads(state, ops, x, labels, cfg, perm, ax, StepArrays(state))
         analytic = np.concatenate([state.grads[k].ravel() for k in state.param_order])
         base = state.flatten()
 
         def f_total(v):
             probe = ModelState(ModelDims(n, f, d, r_count, c), seed=5)
             probe.unflatten(v)
-            return loss_and_grads(probe, ops, x, labels, cfg, perm, ax).total
+            return loss_and_grads(probe, ops, x, labels, cfg, perm, ax, StepArrays(probe)).total
 
         numeric = fd_grad(f_total, base)
         assert max_rel_err(analytic, numeric, floor=1e-5) < 1e-4, d
@@ -468,7 +470,8 @@ def test_beta_zero_leaves_only_l2_on_head():
     ops = random_ops(rng, n, 1)
     x = rng.normal(size=(n, f))
     labels = labeled_vector(rng.integers(0, c, size=n), [D.TRAIN] * n)
-    loss_and_grads(state, ops, x, labels, cfg, rng.permutation(n), [propagate(ops[0], x)])
+    loss_and_grads(state, ops, x, labels, cfg, rng.permutation(n), [propagate(ops[0], x)],
+                   StepArrays(state))
     assert np.array_equal(state.grads["cls_w"], 2.0 * cfg.gamma * state.params["cls_w"])
     assert np.array_equal(state.grads["cls_b"], 2.0 * cfg.gamma * state.params["cls_b"])
 
@@ -488,7 +491,7 @@ def test_loss_and_grads_propagates_only_the_corrupted_input():
                              thetas=(0.5,), alpha=0.7, beta=0.9, gamma=0.02)
         state = ModelState(ModelDims(n, f, d, r_count, c), seed=3)
         counting = [CountingOp(op) for op in ops]
-        loss_and_grads(state, counting, x, labels, cfg, perm, ax)
+        loss_and_grads(state, counting, x, labels, cfg, perm, ax, StepArrays(state))
         assert [op.widths for op in counting] == [widths] * r_count, d
 
 
@@ -555,26 +558,30 @@ def test_stacked_step_matches_two_pass_reference():
     x = rng.normal(size=(n, f))
     mask = [D.TRAIN] * 8 + [D.VAL] * 3 + [D.TEST] * 3
     labels = labeled_vector(rng.integers(0, c, size=n), mask)
-    perm = rng.permutation(n)
     ax = [propagate(op, x) for op in ops]
-    ax_tilde = [propagate(op, x[perm]) for op in ops]
-    stacks = [np.concatenate([a, at]) for a, at in zip(ax, ax_tilde)]
-    # the stacked step's input, then ax_tilde for the reference
-    inputs = {"n-row ax": (ax, None),
-              "2n-row stacks": (stacks, ax_tilde)}
+    # two steps with different permutations on one set of arrays: a buffer
+    # the first step leaves behind must not reach the second
+    perms = [rng.permutation(n), rng.permutation(n)]
     for d in (4, 9):  # below and above in_dim
         cfg = TrainingConfig(learning_rate=0.01, embed_dim=d, n_relations=r_count,
                              thetas=(0.5,), alpha=0.7, beta=0.9, gamma=0.02)
-        for how, (a, ref_at) in inputs.items():
+        for how in ("n-row ax", "2n-row stacks"):
             state = ModelState(ModelDims(n, f, d, r_count, c), seed=8)
             state.params["att_logits"] = rng.normal(size=r_count)
-            ref_total, ref_grads = two_pass_loss_and_grads(state, ops, x, labels, cfg, perm,
-                                                          ax, ref_at)
-            step = loss_and_grads(state, ops, x, labels, cfg, perm, a)
-            assert abs(step.total - ref_total) <= 1e-12, (d, how)
-            for name in state.param_order:
-                err = np.max(np.abs(state.grads[name] - ref_grads[name]))
-                assert err <= 1e-12, (d, how, name, err)
+            arrays = StepArrays(state)
+            for k, perm in enumerate(perms):
+                # the stacked step's input, then ax_tilde for the reference
+                a, ref_at = ax, None
+                if how == "2n-row stacks":
+                    ref_at = [propagate(op, x[perm]) for op in ops]
+                    a = [np.concatenate([top, bottom]) for top, bottom in zip(ax, ref_at)]
+                ref_total, ref_grads = two_pass_loss_and_grads(state, ops, x, labels, cfg,
+                                                              perm, ax, ref_at)
+                step = loss_and_grads(state, ops, x, labels, cfg, perm, a, arrays)
+                assert abs(step.total - ref_total) <= 1e-12, (d, how, k)
+                for name in state.param_order:
+                    err = np.max(np.abs(state.grads[name] - ref_grads[name]))
+                    assert err <= 1e-12, (d, how, k, name, err)
 
 
 def test_model_forward_takes_only_n_or_2n_rows():
@@ -589,7 +596,7 @@ def test_model_forward_takes_only_n_or_2n_rows():
         # the last relation alone has the wrong height
         stacks = ax[:-1] + [np.concatenate([ax[-1]] * 3)[:rows]]
         with pytest.raises(DataError, match="expected %d or %d" % (n, 2 * n)):
-            model_forward(state, ops, x, perm, stacks)
+            model_forward(state, ops, x, perm, stacks, StepArrays(state))
 
 
 def test_stacked_losses_match_split_losses():
@@ -688,6 +695,17 @@ def synth_setup(seed=0, epochs=60, embed_dim=8, n=60, **cfg_over):
     masked = assign_masks(labels, cfg)
     graph = build_graph_for(table, embeddings, cfg)
     return graph, masked, cfg
+
+
+def test_fit_needs_one_relation_with_edges():
+    graph, masked, cfg = synth_setup(seed=3, epochs=3)
+    edgeless = RelationGraph(n=graph.n_nodes, edges=np.zeros((0, 2), dtype=np.int32))
+    assert graph.relations[0].n_edges > 0
+    _, report = fit(dataclasses.replace(graph, relations=[graph.relations[0], edgeless]),
+                    masked, cfg)
+    assert report.epochs_run == 3
+    with pytest.raises(DataError, match="every relation is edgeless at thresholds 0.5, 0.5"):
+        fit(dataclasses.replace(graph, relations=[edgeless, edgeless]), masked, cfg)
 
 
 def test_fit_learns_separable_cohort():
@@ -940,8 +958,10 @@ def test_traced_functions_run_on_the_main_thread(monkeypatch):
     T.fit(graph, masked, cfg)
     assert set(threads) != {threading.main_thread()}  # the worker ran
     names = {name for name, _ in calls}
+    # a step that inlined the losses would leave their spans empty
     assert {"medplex.train.fit", "medplex.train.loss_and_grads",
-            "medplex.train.adam_step"} <= names
+            "medplex.train.infomax_loss", "medplex.train.consensus_loss",
+            "medplex.train.supervised_loss", "medplex.train.adam_step"} <= names
     assert [c for c in calls if c[1] is not threading.main_thread()] == []
 
 
@@ -992,6 +1012,40 @@ def test_fit_never_holds_a_dense_operator():
     assert peak < 8 * n * n, peak
 
 
+def test_warm_training_step_allocates_no_n_row_array():
+    # fit's step at n = 1000 with the synth preset: 18 attribute columns,
+    # 2n-row propagate-first stacks and 32 embedding columns
+    n = 1000
+    table, emb, labels, _ = generate_synthetic_cohort(SynthConfig(n=n, seed=10))
+    cfg = preset_config("synth", seed=10)
+    graph = build_graph_for(table, emb, cfg)
+    masked = assign_masks(labels, cfg)
+    x = graph.attributes.x
+    assert x.shape[1] == 18 and cfg.embed_dim == 32
+    ops = [relation_operator(g) for g in graph.relations]
+    state = ModelState(ModelDims(n, x.shape[1], cfg.embed_dim, cfg.n_relations,
+                                 masked.n_classes), seed=cfg.seed)
+    arrays, adam = StepArrays(state), AdamState.for_model(state)
+    perm = M.corrupt_features(x, seed=[cfg.seed, 0])
+    stacks = [np.concatenate([propagate(op, x), propagate(op, x[perm])]) for op in ops]
+
+    def step():
+        loss_and_grads(state, ops, x, masked, cfg, perm, stacks, arrays)
+        adam_step(state, adam, cfg.learning_rate)
+
+    step()  # warm: the label vector's row lists are made on first use
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        step()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # below one 2n x embed_dim float64 array
+    assert peak < 8 * 2 * n * cfg.embed_dim, peak
+
+
 def test_pooled_probs_match_training_forward():
     # exactly while the input is no wider than the embedding, where inference
     # propagates first like the training's clean path; to rounding otherwise
@@ -1001,7 +1055,7 @@ def test_pooled_probs_match_training_forward():
         ops = [relation_operator(g) for g in graph.relations]
         x = graph.attributes.x
         fc = model_forward(state, ops, x, np.arange(graph.n_nodes),
-                           [propagate(op, x) for op in ops])
+                           [propagate(op, x) for op in ops], StepArrays(state))
         expected, _ = classify(fc.pool[:graph.n_nodes], state.params["cls_w"],
                                state.params["cls_b"])
         got = pooled_probs(state, graph)
