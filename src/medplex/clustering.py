@@ -143,12 +143,6 @@ def kmeans_columns(
     )
 
 
-def total_column_variance(table: FeatureTable) -> float:
-    """WCSS of the k=1 partition: scatter of the columns about the mean column."""
-    points = table.values.T
-    return float(np.sum((points - points.mean(axis=0)) ** 2))
-
-
 def load_manual_split(path, table: FeatureTable) -> ClusterPartition:
     """Read a {column_name: type_index} JSON file as a manual partition.
 

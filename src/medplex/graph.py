@@ -48,6 +48,9 @@ def _unit_rows(values: np.ndarray) -> np.ndarray:
 # Rows per similarity tile. A tile holds at most _TILE x n float64s, so graph
 # building needs O(_TILE * n + E) memory rather than the full n x n matrix.
 _TILE = 256
+# Kept of a tile's first _TILE columns when pairing a's rows with themselves:
+# there column c is row lo + c, so only cells above the diagonal have i < j.
+_ABOVE_DIAGONAL = ~np.tri(_TILE, dtype=bool)
 
 
 def _similar_pairs(a: np.ndarray, theta: float, b: np.ndarray | None = None) -> np.ndarray:
@@ -56,12 +59,15 @@ def _similar_pairs(a: np.ndarray, theta: float, b: np.ndarray | None = None) -> 
     Without b, pairs (i, j) of a's rows with i < j; with b, every pair of a row
     i of a and a row j of b. Returns the pairs row-major as an exact-size
     (E, 2) int32 array. Each tile of a's rows is compared once and its mask
-    kept as packed bits (about n^2/16 bytes over all tiles); the pairs are
-    then read out of the bits tile by tile, so no edge is held twice.
+    kept as packed bits (about n^2/16 bytes over all tiles) with its per-row
+    pair counts. The pairs are then read out of the bits tile by tile straight
+    into the result: row ids repeated by the counts, column ids compressed out
+    of an int32 column range. So no edge is held twice, and no cell index is
+    split into row and column by a divide and a remainder.
     """
     ua = _unit_rows(np.asarray(a, dtype=np.float64))
     ub = ua if b is None else _unit_rows(np.asarray(b, dtype=np.float64))
-    masks, total = [], 0
+    tiles, total = [], 0
     for lo in range(0, ua.shape[0], _TILE):
         first = lo if b is None else 0  # columns before lo lie below the diagonal
         sims = ua[lo:lo + _TILE] @ ub[first:].T
@@ -69,25 +75,28 @@ def _similar_pairs(a: np.ndarray, theta: float, b: np.ndarray | None = None) -> 
         keep = sims > theta
         del sims  # before the next tile's product, so one tile is held at a time
         if b is None:
-            keep = np.triu(keep, k=1)
-        total += np.count_nonzero(keep)
-        masks.append((lo, first, keep.shape[1], np.packbits(keep, axis=1)))
+            rows = keep.shape[0]
+            keep[:, :rows] &= _ABOVE_DIAGONAL[:rows, :rows]
+        counts = np.count_nonzero(keep, axis=1)
+        total += int(counts.sum())
+        tiles.append((lo, first, keep.shape[1], counts, np.packbits(keep, axis=1)))
     pairs = np.empty((total, 2), dtype=np.int32)
     at = 0
-    for lo, first, width, bits in masks:
-        cells = np.flatnonzero(np.unpackbits(bits, axis=1, count=width))
-        i, j = pairs[at:at + cells.size].T  # views: no int64 copy of the pairs
-        np.floor_divide(cells, width, out=i, casting="unsafe")
-        np.remainder(cells, width, out=j, casting="unsafe")
-        i += lo
-        j += first
-        at += cells.size
+    for lo, first, width, counts, bits in tiles:
+        keep = np.unpackbits(bits, axis=1, count=width).view(bool)
+        end = at + int(counts.sum())
+        pairs[at:end, 0] = np.repeat(np.arange(lo, lo + counts.size, dtype=np.int32), counts)
+        columns = np.arange(first, first + width, dtype=np.int32)
+        # np.compress (nonzero, then take) is several times faster here than
+        # indexing with keep, whose copy loop is slow on scattered masks
+        pairs[at:end, 1] = np.compress(keep.ravel(), np.tile(columns, counts.size))
+        at = end
     return pairs
 
 
 # Node ids are stored as int32, so a graph has fewer than 2^31 nodes.
 _MAX_NODES = np.iinfo(np.int32).max
-_KEY_CHUNK = 1 << 16  # edges per int64 temporary in the checks and degrees
+_KEY_CHUNK = 1 << 16  # edges per temporary in the checks and degrees
 
 
 @dataclass
@@ -109,16 +118,19 @@ class RelationGraph:
         if edges.size and (edges.min() < 0 or edges.max() >= self.n):
             raise DataError("edge endpoint outside [0, n)")
         self.edges = np.ascontiguousarray(edges, dtype=np.int32)
-        # keys i * n + j in int64, one chunk at a time; builds emit strictly
-        # increasing keys, and only other inputs pay for a sort of all of them
-        increasing, last = True, -1
+        # row-major order checked on the int32 columns, one chunk at a time;
+        # each chunk reaches one row into the next, so the order check spans
+        # chunk borders. Builds emit strictly increasing (i, j), and only other
+        # inputs pay for a sort of all the edges.
+        increasing = True
         for lo in range(0, self.n_edges, _KEY_CHUNK):
-            e = self.edges[lo:lo + _KEY_CHUNK].astype(np.int64)
-            if np.any(e[:, 0] >= e[:, 1]):
+            i, j = self.edges[lo:lo + _KEY_CHUNK + 1].T
+            if np.any(i >= j):
                 raise DataError("edges must satisfy i < j (no self loops)")
-            keys = e[:, 0] * self.n + e[:, 1]
-            increasing = increasing and keys[0] > last and bool(np.all(keys[1:] > keys[:-1]))
-            last = keys[-1]
+            if increasing and i.size > 1:
+                di, dj = np.diff(i), np.diff(j)  # ids < 2^31: no int32 overflow
+                # with di >= 0, (i, j) grows exactly where di > 0 or dj > 0
+                increasing = di.min() >= 0 and np.maximum(di, dj).min() > 0
         if not increasing:
             # each (i, j) row read as one int64: equal rows give equal values
             keys = np.sort(self.edges.view(np.int64).ravel())
@@ -324,38 +336,54 @@ def pairwise_class_similarity(
     return out
 
 
-_WRITE_CHUNK = 1 << 16  # edges joined per write
+_WRITE_CHUNK = 1 << 16  # edges gathered per write
 
 
-def _id_words(n: int) -> np.ndarray:
-    """Object array of 2n id strings: "i " at index i and "j\\n" at n + j."""
-    ids = list(map(str, range(n)))
-    return np.array([s + " " for s in ids] + [s + "\n" for s in ids], dtype=object)
+def _id_table(n: int) -> np.ndarray:
+    """The 2n byte strings of ids 0..n-1, "k " at k and "k\\n" at n + k, each
+    NUL-padded to one 8-byte item (16 from 8 digits on), so that a gather
+    moves one fixed-size item per id. Digits come from numpy arithmetic over
+    each digit count's id range, not from one Python string per id."""
+    digits = len(str(n - 1))
+    width = 8 if digits < 8 else 16
+    table = np.zeros((2, n, width), dtype=np.uint8)
+    lo = 0
+    for d in range(1, digits + 1):
+        hi = min(n, 10 ** d)  # ids lo..hi-1 have d digits
+        rest = np.arange(lo, hi)
+        for p in range(d - 1, -1, -1):
+            rest, digit = np.divmod(rest, 10)
+            table[:, lo:hi, p] = digit + ord("0")
+        table[0, lo:hi, d] = ord(" ")
+        table[1, lo:hi, d] = ord("\n")
+        lo = hi
+    return table.reshape(2 * n, width).view(np.dtype((np.void, width))).ravel()
 
 
-def write_edge_list(path, graph: RelationGraph, words: np.ndarray | None = None) -> None:
+def write_edge_list(path, graph: RelationGraph, table: np.ndarray | None = None) -> None:
     """One `i j` line per edge, i < j, in the graph's edge order, which
-    is row-major for every built graph. No id is formatted per edge: words is
-    _id_words(graph.n), built here unless a caller writing several graphs over
-    the same nodes passes it, so a chunk of edges is one gather and one join.
+    is row-major for every built graph. No id is formatted per edge: table is
+    _id_table(graph.n), built here unless a caller writing several graphs over
+    the same nodes passes it, so a chunk of edges is one gather of its ids'
+    items into one buffer, written with the NUL padding dropped.
     """
-    n = graph.n
-    if words is None:
-        words = _id_words(n)
-    with open(path, "w") as fh:
+    if table is None:
+        table = _id_table(graph.n)
+    with open(path, "wb") as fh:
         for lo in range(0, graph.n_edges, _WRITE_CHUNK):
-            cells = words[graph.edges[lo:lo + _WRITE_CHUNK].astype(np.int64) + (0, n)]
-            fh.write("".join(cells.ravel().tolist()))
+            items = graph.edges[lo:lo + _WRITE_CHUNK].astype(np.intp)
+            items[:, 1] += graph.n  # j's item is the one ending in a newline
+            fh.write(table[items].tobytes().translate(None, b"\0"))
 
 
 def write_multiplex(out_dir, g: MultiplexGraph) -> dict:
     """Write per-relation edge lists plus a JSON manifest; returns the manifest."""
     os.makedirs(out_dir, exist_ok=True)
     rel_meta = []
-    words = _id_words(g.n_nodes)
+    table = _id_table(g.n_nodes)
     for r, graph in enumerate(g.relations):
         fname = "edges_r%d.txt" % r
-        write_edge_list(os.path.join(out_dir, fname), graph, words)
+        write_edge_list(os.path.join(out_dir, fname), graph, table)
         deg = graph.degrees()
         rel_meta.append(
             {

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -50,6 +51,8 @@ SCORE_CLAMP = 1e-7
 # Columns of corrupted features propagated at once: fit makes one block
 # product per relation every max(1, _BLOCK_COLUMNS // in_dim) epochs.
 _BLOCK_COLUMNS = 144
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -542,7 +545,8 @@ def fit(graph: MultiplexGraph, labels: LabelVector, cfg: TrainingConfig):
     products during the steps (see _corrupted_inputs); it is joined before
     fit returns or raises, and an early stop leaves at most one block unused.
     The step's n-row arrays are made once (StepArrays) and rewritten every
-    epoch. A multiplex whose relations are all edgeless raises DataError.
+    epoch. A multiplex whose relations are all edgeless raises DataError; one
+    where only some are logs a warning naming them.
     """
     if labels.n_rows != graph.n_nodes:
         raise DataError("labels cover %d rows, graph has %d" % (labels.n_rows, graph.n_nodes))
@@ -550,9 +554,14 @@ def fit(graph: MultiplexGraph, labels: LabelVector, cfg: TrainingConfig):
         raise DataError(
             "config says %d relations, graph has %d" % (cfg.n_relations, len(graph.relations))
         )
-    if all(g.n_edges == 0 for g in graph.relations):
+    edgeless = [r for r, g in enumerate(graph.relations) if g.n_edges == 0]
+    if len(edgeless) == len(graph.relations):
         raise DataError("every relation is edgeless at thresholds %s: no graph to learn from"
                         % ", ".join("%g" % t for t in graph.thetas))
+    if edgeless:
+        log.warning("edgeless relations %s at thresholds %s: their encoders see no neighbours",
+                    ", ".join(map(str, edgeless)),
+                    ", ".join("%g" % graph.thetas[r] for r in edgeless))
     x = graph.attributes.x
     dims = ModelDims(
         n_nodes=graph.n_nodes,

@@ -527,20 +527,40 @@ def constant_features(data):
         writer = csv.writer(fh)
         writer.writerow(rows[0])
         writer.writerows([row[0]] + ["3.0"] * (len(row) - 1) for row in rows[1:])
-    return 2, "data error: every relation is edgeless at thresholds 0.5, 0.5: no graph to learn from"
+    return [], 2, ["data error: every relation is edgeless at thresholds 0.5, 0.5: "
+                   "no graph to learn from"]
 
 
-@pytest.mark.parametrize("fault", [constant_features])
-def test_degenerate_cohorts_exit_with_a_message(tmp_path, capsys, fault):
+def one_edgeless_relation(data):
+    """Relation 1 at threshold 1, which no pair exceeds: trains, with a warning."""
+    return ["--thetas", "0.5,1"], 0, ["WARNING medplex.train: edgeless relations 1 at "
+                                      "thresholds 1: their encoders see no neighbours"]
+
+
+def class_of_size_one(data):
+    """One patient relabelled into a third class of its own."""
+    path = data / "labels.csv"
+    rows = list(csv.reader(path.open()))
+    rows[1][1] = "2"
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return [], 2, ["data error: class 2 has only 1 members, need at least 3"]
+
+
+@pytest.mark.parametrize("fault", [constant_features, one_edgeless_relation, class_of_size_one])
+def test_degenerate_cohorts_exit_with_a_message(tmp_path, fault):
     scfg_path = tmp_path / "synth.json"
     scfg_path.write_text(json.dumps(dict(SYNTH_CONFIG, n=120)))
     data = tmp_path / "cohort"
     assert run(["--quiet", "synth", "--out", str(data), "--config", str(scfg_path)]) == 0
-    code, line = fault(data)
-    capsys.readouterr()
-    assert run(["--quiet", "train", "--data", str(data), "--preset", "synth",
-                "--epochs", "5", "--out", str(tmp_path / "run")]) == code
-    assert capsys.readouterr().err.splitlines() == [line]
+    flags, code, lines = fault(data)
+    # in a child process, where stderr holds all that --quiet lets through:
+    # in this one, pytest's log capture would take the warnings
+    proc = subprocess.run(
+        [sys.executable, "-m", "medplex.cli", "--quiet", "train", "--data", str(data),
+         "--preset", "synth", "--epochs", "5", *flags, "--out", str(tmp_path / "run")],
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr.splitlines()) == (code, lines)
 
 
 # ---------------------------------------------------------------- process entry

@@ -12,7 +12,6 @@ from medplex.clustering import (
     kmeans_columns,
     load_manual_split,
     save_partition,
-    total_column_variance,
 )
 from medplex.data import FeatureTable, empty_embeddings
 from medplex.errors import DataError
@@ -64,7 +63,8 @@ def test_kmeans_k1_equals_total_column_variance():
     rng = np.random.default_rng(2)
     t = table_from(rng.normal(size=(15, 6)))
     part = kmeans_columns(t, 1)
-    assert part.wcss == pytest.approx(total_column_variance(t), rel=1e-12)
+    points = t.values.T  # the k=1 WCSS: scatter of the columns about the mean column
+    assert part.wcss == pytest.approx(float(np.sum((points - points.mean(axis=0)) ** 2)), rel=1e-12)
     assert np.all(part.assignment == 0)
 
 

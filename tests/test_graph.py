@@ -200,6 +200,23 @@ def test_tiled_weighted_and_rectangular_pairs_equal_full_matrix():
     assert np.array_equal(pairs, np.argwhere(full_matrix_sims(a, b) > 0.4))
 
 
+@pytest.mark.parametrize("m", [None, 300])
+@pytest.mark.parametrize("n", [1, TILE - 1, TILE, TILE + 1, 2 * TILE + 1])
+def test_similar_pairs_equal_argwhere_over_full_matrix(n, m):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, 3))
+    b = None if m is None else rng.normal(size=(m, 3))
+    sims = full_matrix_sims(a, b)
+    if b is None:  # pairs i < j only
+        sims[np.tri(n, dtype=bool)] = -np.inf
+    every = n * (n - 1) // 2 if b is None else n * m
+    for theta, count in ((-1.5, every), (0.2, None), (1.0, 0)):  # all, some, none pass
+        pairs = graph_module._similar_pairs(a, theta, b)
+        assert pairs.dtype == np.int32
+        assert np.array_equal(pairs, np.argwhere(sims > theta))
+        assert count is None or pairs.shape == (count, 2)
+
+
 def test_build_memory_stays_below_full_matrix():
     n = 3000
     block = np.random.default_rng(17).normal(size=(n, 4))
@@ -246,6 +263,10 @@ def test_order_checks_span_chunks(monkeypatch):
     assert g.degrees().tolist() == [4] * 5
     with pytest.raises(DataError, match="duplicate edges"):  # across a chunk border
         RelationGraph(n=5, edges=np.concatenate([edges[:2], edges[1:]]))
+    # each chunk increasing, the border between the first two not, so only a
+    # check that spans the border sends these edges to the duplicate search
+    with pytest.raises(DataError, match="duplicate edges"):
+        RelationGraph(n=5, edges=np.concatenate([edges[:2], edges[:1], edges[2:]]))
     with pytest.raises(DataError, match="i < j"):  # in the last chunk only
         RelationGraph(n=5, edges=np.concatenate([edges, [[4, 3]]]))
     swapped = edges[[0, 1, 3, 2, 4, 5, 6, 7, 8, 9]]  # not row-major, still valid
@@ -303,6 +324,16 @@ def test_write_edge_list_ids_across_digit_widths(tmp_path):
     assert path.read_text() == line_by_line(g)
 
 
+@pytest.mark.parametrize("n", [1, 2, 10, 11, 100, 101, 1001])
+def test_write_edge_list_equals_percent_formatting(tmp_path, n):
+    path = tmp_path / "edges.txt"
+    for g in (RelationGraph(n=n, edges=np.stack(np.triu_indices(n, k=1), axis=1)),
+              RelationGraph(n=n, edges=np.empty((0, 2)))):
+        write_edge_list(path, g)
+        # as lists of lines, so that a failure reports its first wrong line
+        assert path.read_text().splitlines(True) == line_by_line(g).splitlines(True)
+
+
 def test_write_edge_list_keeps_stored_order(tmp_path, monkeypatch):
     monkeypatch.setattr(graph_module, "_WRITE_CHUNK", 7)
     path = tmp_path / "edges.txt"
@@ -331,8 +362,8 @@ def test_write_edge_list_memory_stays_below_output(tmp_path):
 
 def test_write_multiplex_builds_the_id_table_once(tmp_path, monkeypatch):
     calls = []
-    real = graph_module._id_words
-    monkeypatch.setattr(graph_module, "_id_words", lambda n: calls.append(n) or real(n))
+    real = graph_module._id_table
+    monkeypatch.setattr(graph_module, "_id_table", lambda n: calls.append(n) or real(n))
     g, _ = make_trained_multiplex()
     manifest = write_multiplex(tmp_path, g)
     assert calls == [g.n_nodes]
