@@ -235,7 +235,7 @@ def _read_numeric_csv(path):
         if len(header) < 1:
             raise DataError("%s: header has no columns" % path)
         col_names = [h.strip() for h in header[1:]]
-        row_ids, rows = [], []
+        row_ids, row_nums, cells = [], [], []
         for row_num, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -244,17 +244,23 @@ def _read_numeric_csv(path):
                     "%s: row %d has %d cells, expected %d" % (path, row_num, len(row), len(header))
                 )
             row_ids.append(row[0].strip())
-            rows.append(
-                [_parse_cell(cell, path, row_num, col_names[j]) for j, cell in enumerate(row[1:])]
-            )
-    if not rows:
+            row_nums.append(row_num)
+            cells.append(row[1:])
+    if not cells:
         raise DataError("%s: no data rows" % path)
+    try:
+        # numpy applies float() to every cell, as _parse_cell does
+        values = np.array(cells, dtype=np.float64)
+    except ValueError:  # a missing or unparseable cell: the per-cell rule decides
+        values = np.array([[_parse_cell(cell, path, row_num, col_names[j])
+                            for j, cell in enumerate(row)]
+                           for row_num, row in zip(row_nums, cells)], dtype=np.float64)
     seen = set()
     for rid in row_ids:
         if rid in seen:
             raise DataError("%s: duplicate row id %r" % (path, rid))
         seen.add(rid)
-    return np.asarray(rows, dtype=np.float64), col_names, row_ids
+    return values, col_names, row_ids
 
 
 def load_feature_csv(path) -> FeatureTable:

@@ -13,8 +13,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import expit
 
 from .errors import DataError, NumericError
 from .graph import _TILE, RelationGraph
@@ -146,13 +144,18 @@ class ModelState(FlatParams):
         self.params["cls_w"] = _xavier(rng, d, c)
 
 
-def normalize_adjacency(graph: RelationGraph) -> sp.csr_matrix:
-    """Symmetric operator D^-1/2 (A + I) D^-1/2 with degrees from A + I.
+def normalize_adjacency(graph: RelationGraph):
+    """Symmetric operator D^-1/2 (A + I) D^-1/2 with degrees from A + I, as a
+    scipy.sparse CSR matrix.
 
     The self loop keeps every degree at 1 or more. A + I is built as CSR from
     the stored upper triangle and scaled in place, row factor first, so the
     transient memory stays within a small multiple of the returned operator.
+    scipy.sparse is imported here, the one place that needs it, so a run
+    whose relations are all dense never loads it.
     """
+    import scipy.sparse as sp
+
     n = graph.n
     i, j = graph.edges[:, 0], graph.edges[:, 1]
     upper = sp.csr_matrix((np.ones(graph.n_edges), (i, j)), shape=(n, n))
@@ -308,6 +311,13 @@ def gcn_backward(cache: GcnCache, dh: np.ndarray):
     dw, dpre = gcn_layer_backward(cache, dh)
     dx = propagate(cache.op, dpre @ cache.w.T)
     return dw, dx
+
+
+def expit(x):
+    """The logistic sigmoid 1 / (1 + exp(-x)), elementwise. Where exp(-x)
+    overflows to inf the result is exactly 0; nan stays nan."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass

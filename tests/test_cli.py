@@ -19,6 +19,7 @@ from medplex.data import (
     normalize_embeddings,
 )
 from medplex.graph import build_multiplex
+from medplex import model as M
 from medplex.model import attention_weights, load_checkpoint
 from medplex.pipeline import inductive_predict
 from medplex.train import TrainingConfig
@@ -519,16 +520,60 @@ def test_divergent_training_is_numeric_error(workdir, tmp_path, capsys):
     assert "numeric error" in capsys.readouterr().err
 
 
+def synth_cohort(tmp_path, **overrides):
+    """A synth cohort under tmp_path, SYNTH_CONFIG with overrides; returns its directory."""
+    scfg_path = tmp_path / "synth.json"
+    scfg_path.write_text(json.dumps(dict(SYNTH_CONFIG, **overrides)))
+    data = tmp_path / "cohort"
+    assert run(["--quiet", "synth", "--out", str(data), "--config", str(scfg_path)]) == 0
+    return data
+
+
+def rewrite_csv(path, edit):
+    """Reads a CSV into a list of rows, lets edit change them, writes it back."""
+    rows = list(csv.reader(path.open()))
+    edit(rows)
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def constant_features(data):
     """Every feature column set to 3.0, so no relation has an edge."""
-    path = data / "features.csv"
-    rows = list(csv.reader(path.open()))
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(rows[0])
-        writer.writerows([row[0]] + ["3.0"] * (len(row) - 1) for row in rows[1:])
+    def edit(rows):
+        rows[1:] = [[row[0]] + ["3.0"] * (len(row) - 1) for row in rows[1:]]
+    rewrite_csv(data / "features.csv", edit)
     return [], 2, ["data error: every relation is edgeless at thresholds 0.5, 0.5: "
                    "no graph to learn from"]
+
+
+def one_constant_column(data):
+    """Feature column t0c1 set to 3.0: z-scored to zeros, it trains normally."""
+    def edit(rows):
+        j = rows[0].index("t0c1")
+        for row in rows[1:]:
+            row[j] = "3.0"
+    rewrite_csv(data / "features.csv", edit)
+    return [], 0, []
+
+
+def one_isolated_patient(data):
+    """Patient 0's features set to the column means, so its z-scored row is
+    all zeros and no relation links it: it trains normally."""
+    def edit(rows):
+        values = np.array([row[1:] for row in rows[1:]], dtype=np.float64)
+        values[0] = values[1:].mean(axis=0)
+        for _ in range(10):  # row 0 moves the mean by rounding: iterate to where it is the mean
+            values[0] = values.mean(axis=0)
+        assert (values[0] == values.mean(axis=0)).all()
+        rows[1][1:] = [repr(float(v)) for v in values[0]]
+    rewrite_csv(data / "features.csv", edit)
+    gdir = data.parent / "graph"
+    assert run(["--quiet", "graph", "--data", str(data), "--preset", "synth",
+                "--out", str(gdir)]) == 0
+    for rel in json.loads((gdir / "multiplex.json").read_text())["relations"]:
+        edges = np.loadtxt(gdir / rel["file"], dtype=np.int64, ndmin=2)
+        assert len(edges) and 0 not in edges
+    return [], 0, []
 
 
 def one_edgeless_relation(data):
@@ -537,22 +582,31 @@ def one_edgeless_relation(data):
                                       "thresholds 1: their encoders see no neighbours"]
 
 
+def relabel(data, n_rows):
+    """The first n_rows patients relabelled into a third class of their own."""
+    def edit(rows):
+        for row in rows[1:n_rows + 1]:
+            row[1] = "2"
+    rewrite_csv(data / "labels.csv", edit)
+
+
 def class_of_size_one(data):
-    """One patient relabelled into a third class of its own."""
-    path = data / "labels.csv"
-    rows = list(csv.reader(path.open()))
-    rows[1][1] = "2"
-    with path.open("w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    """Too small to split: a data error."""
+    relabel(data, 1)
     return [], 2, ["data error: class 2 has only 1 members, need at least 3"]
 
 
-@pytest.mark.parametrize("fault", [constant_features, one_edgeless_relation, class_of_size_one])
+def class_of_size_three(data):
+    """One member each for train, validation and test: trains normally."""
+    relabel(data, 3)
+    return [], 0, []
+
+
+@pytest.mark.parametrize("fault", [constant_features, one_constant_column, one_isolated_patient,
+                                   one_edgeless_relation, class_of_size_one,
+                                   class_of_size_three])
 def test_degenerate_cohorts_exit_with_a_message(tmp_path, fault):
-    scfg_path = tmp_path / "synth.json"
-    scfg_path.write_text(json.dumps(dict(SYNTH_CONFIG, n=120)))
-    data = tmp_path / "cohort"
-    assert run(["--quiet", "synth", "--out", str(data), "--config", str(scfg_path)]) == 0
+    data = synth_cohort(tmp_path, n=120)
     flags, code, lines = fault(data)
     # in a child process, where stderr holds all that --quiet lets through:
     # in this one, pytest's log capture would take the warnings
@@ -561,6 +615,58 @@ def test_degenerate_cohorts_exit_with_a_message(tmp_path, fault):
          "--preset", "synth", "--epochs", "5", *flags, "--out", str(tmp_path / "run")],
         capture_output=True, text=True)
     assert (proc.returncode, proc.stderr.splitlines()) == (code, lines)
+
+
+# ---------------------------------------------------------------- import footprint
+
+
+# Runs medplex.cli.run on its arguments in a fresh interpreter and prints the
+# exit code and the scipy packages that the run loaded.
+SCIPY_PROBE = (
+    "import json, sys\n"
+    "from medplex.cli import run\n"
+    "code = run(sys.argv[1:])\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules\n"
+    "                            if m.startswith(('scipy.sparse', 'scipy.special')))]))\n"
+)
+
+
+def scipy_loaded_by(args):
+    """(exit code, scipy.sparse and scipy.special modules loaded) of one command."""
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, "--quiet", *args],
+                          capture_output=True, text=True)
+    assert proc.stderr == ""
+    return tuple(json.loads(proc.stdout))
+
+
+def relation_densities(data, tmp_path, thetas):
+    """Nonzero share (2E + n) / n^2 of each relation's A + I, from a graph run."""
+    gdir = tmp_path / ("graph-" + thetas)
+    assert run(["--quiet", "graph", "--data", str(data), "--preset", "synth",
+                "--thetas", thetas, "--out", str(gdir)]) == 0
+    meta = json.loads((gdir / "multiplex.json").read_text())
+    n = meta["n_nodes"]
+    return [(2 * rel["n_edges"] + n) / (n * n) for rel in meta["relations"]]
+
+
+def test_dense_relations_load_no_scipy(tmp_path):
+    data = synth_cohort(tmp_path, n=120)
+    assert min(relation_densities(data, tmp_path, "0.5,0.5")) >= M._DENSE_FROM
+    assert scipy_loaded_by(["train", "--data", str(data), "--preset", "synth",
+                            "--epochs", "5", "--out", str(tmp_path / "run")]) == (0, [])
+    assert scipy_loaded_by(["graph", "--data", str(data), "--preset", "synth",
+                            "--out", str(tmp_path / "graph")]) == (0, [])
+
+
+def test_a_sparse_relation_loads_scipy_sparse(tmp_path):
+    data = synth_cohort(tmp_path, n=120)
+    dense, sparse = relation_densities(data, tmp_path, "0.5,0.9")
+    assert 1 / 120 < sparse < M._DENSE_FROM <= dense  # relation 1 has edges and is CSR
+    code, loaded = scipy_loaded_by(["train", "--data", str(data), "--preset", "synth",
+                                    "--thetas", "0.5,0.9", "--epochs", "5",
+                                    "--out", str(tmp_path / "run")])
+    assert code == 0
+    assert "scipy.sparse" in loaded
 
 
 # ---------------------------------------------------------------- process entry

@@ -1,9 +1,11 @@
+import csv
 import os
 import tempfile
 
 import numpy as np
 import pytest
 
+from medplex import data as D
 from medplex.data import (
     TRAIN,
     VAL,
@@ -195,6 +197,25 @@ def test_load_feature_csv_unparseable_cell():
             load_feature_csv(path)
     finally:
         os.unlink(path)
+
+
+@pytest.mark.parametrize("token", [" 1.5 ", "1e-3", "-0", "1_0", "nan", "NaN", "",
+                                   "na", "n/a", "x", "inf"])
+def test_bulk_parse_matches_the_per_cell_rule(tmp_path, token):
+    path = tmp_path / "cells.csv"
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows([["id", "a", "b"], ["p1", "2", "3"], ["p2", "4", token]])
+    try:
+        expected = D._parse_cell(token, path, 3, "b")
+    except DataError as err:
+        with pytest.raises(DataError) as got:
+            D._read_numeric_csv(path)
+        assert str(got.value) == str(err)
+    else:
+        values, _, _ = D._read_numeric_csv(path)
+        assert values.tolist()[0] == [2.0, 3.0]
+        assert values[1, 0] == 4.0
+        assert values[1, 1].tobytes() == np.float64(expected).tobytes()
 
 
 def test_load_feature_csv_all_missing_column():

@@ -1,6 +1,7 @@
 import os
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -364,6 +365,26 @@ def test_propagate_rejects_size_mismatch():
         gcn_layer(identity_op(3), np.zeros((3, 2)), np.zeros((3, 1)))
     with pytest.raises(DataError):  # applies W first
         gcn_forward(identity_op(3), np.zeros((4, 5)), np.zeros((5, 2)))
+
+
+# ---------------------------------------------------------------- sigmoid
+
+
+def test_expit_agrees_with_scipy_to_one_rounding():
+    x = np.linspace(-800.0, 800.0, 320_001)  # steps of 0.005
+    assert np.max(np.abs(model_module.expit(x) - expit(x))) <= 2.3e-16
+
+
+def test_expit_limits_are_exact_and_warn_nothing():
+    x = np.array([-np.inf, -800.0, 0.0, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # exp(800) overflows
+        assert model_module.expit(x).tolist() == [0.0, 0.0, 0.5, 1.0]
+        assert model_module.expit(-800.0) == 0.0
+
+
+def test_expit_propagates_nan():
+    assert np.isnan(model_module.expit(np.array([np.nan, 1.0]))).tolist() == [True, False]
 
 
 # ---------------------------------------------------------------- readout

@@ -311,6 +311,25 @@ def test_micle_row_scale_invariance():
     assert micle_loss(z1 * s1, z2 * s2, tau=0.3) == pytest.approx(base, abs=1e-9)
 
 
+def test_micle_matches_scipy_logsumexp_at_any_temperature():
+    from scipy.special import logsumexp
+
+    def oracle(z1, z2, tau):
+        u = np.vstack([z1, z2])
+        u = u / np.linalg.norm(u, axis=1, keepdims=True)
+        sims = (u @ u.T) / tau
+        n = len(z1)
+        pos = sims[np.arange(2 * n), np.concatenate([np.arange(n) + n, np.arange(n)])]
+        np.fill_diagonal(sims, -np.inf)
+        return float(np.mean(logsumexp(sims, axis=1) - pos))
+
+    rng = np.random.default_rng(26)
+    z1 = rng.normal(size=(6, 4))
+    z2 = z1 + rng.normal(scale=0.5, size=(6, 4))
+    for tau in (0.5, 0.01, 1e-3):  # at 1e-3 the similarities reach 1000: exp overflows unshifted
+        assert micle_loss(z1, z2, tau) == pytest.approx(oracle(z1, z2, tau), rel=1e-12)
+
+
 def test_micle_validation():
     z = np.ones((1, 2))
     with pytest.raises(DataError):
