@@ -235,7 +235,7 @@ def _read_numeric_csv(path):
         if len(header) < 1:
             raise DataError("%s: header has no columns" % path)
         col_names = [h.strip() for h in header[1:]]
-        row_ids, row_nums, cells = [], [], []
+        row_ids, rows = [], []
         for row_num, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -244,23 +244,20 @@ def _read_numeric_csv(path):
                     "%s: row %d has %d cells, expected %d" % (path, row_num, len(row), len(header))
                 )
             row_ids.append(row[0].strip())
-            row_nums.append(row_num)
-            cells.append(row[1:])
-    if not cells:
+            try:
+                # float() strips and parses each cell as _parse_cell does
+                rows.append(tuple(map(float, row[1:])))
+            except ValueError:  # a missing token or a bad cell: the per-cell rule decides
+                rows.append([_parse_cell(cell, path, row_num, col_names[j])
+                             for j, cell in enumerate(row[1:])])
+    if not rows:
         raise DataError("%s: no data rows" % path)
-    try:
-        # numpy applies float() to every cell, as _parse_cell does
-        values = np.array(cells, dtype=np.float64)
-    except ValueError:  # a missing or unparseable cell: the per-cell rule decides
-        values = np.array([[_parse_cell(cell, path, row_num, col_names[j])
-                            for j, cell in enumerate(row)]
-                           for row_num, row in zip(row_nums, cells)], dtype=np.float64)
     seen = set()
     for rid in row_ids:
         if rid in seen:
             raise DataError("%s: duplicate row id %r" % (path, rid))
         seen.add(rid)
-    return values, col_names, row_ids
+    return np.asarray(rows, dtype=np.float64), col_names, row_ids
 
 
 def load_feature_csv(path) -> FeatureTable:

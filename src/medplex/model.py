@@ -314,10 +314,14 @@ def gcn_backward(cache: GcnCache, dh: np.ndarray):
 
 
 def expit(x):
-    """The logistic sigmoid 1 / (1 + exp(-x)), elementwise. Where exp(-x)
-    overflows to inf the result is exactly 0; nan stays nan."""
+    """The logistic sigmoid 1 / (1 + exp(-x)), elementwise, in one float64
+    buffer. Where exp(-x) overflows to inf the result is exactly 0; nan stays
+    nan."""
+    out = np.negative(x, out=np.empty(np.shape(x)))  # an array also for scalar x
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 @dataclass

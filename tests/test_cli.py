@@ -639,11 +639,8 @@ def scipy_loaded_by(args):
     return tuple(json.loads(proc.stdout))
 
 
-def relation_densities(data, tmp_path, thetas):
-    """Nonzero share (2E + n) / n^2 of each relation's A + I, from a graph run."""
-    gdir = tmp_path / ("graph-" + thetas)
-    assert run(["--quiet", "graph", "--data", str(data), "--preset", "synth",
-                "--thetas", thetas, "--out", str(gdir)]) == 0
+def relation_densities(gdir):
+    """Nonzero share (2E + n) / n^2 of each relation's A + I, from a graph run's output."""
     meta = json.loads((gdir / "multiplex.json").read_text())
     n = meta["n_nodes"]
     return [(2 * rel["n_edges"] + n) / (n * n) for rel in meta["relations"]]
@@ -651,19 +648,22 @@ def relation_densities(data, tmp_path, thetas):
 
 def test_dense_relations_load_no_scipy(tmp_path):
     data = synth_cohort(tmp_path, n=120)
-    assert min(relation_densities(data, tmp_path, "0.5,0.5")) >= M._DENSE_FROM
-    assert scipy_loaded_by(["train", "--data", str(data), "--preset", "synth",
-                            "--epochs", "5", "--out", str(tmp_path / "run")]) == (0, [])
-    assert scipy_loaded_by(["graph", "--data", str(data), "--preset", "synth",
-                            "--out", str(tmp_path / "graph")]) == (0, [])
+    flags = ["--data", str(data), "--preset", "synth", "--thetas", "0.5,0.5"]
+    gdir = tmp_path / "graph"
+    assert scipy_loaded_by(["graph", *flags, "--out", str(gdir)]) == (0, [])
+    assert min(relation_densities(gdir)) >= M._DENSE_FROM  # the train run builds these
+    assert scipy_loaded_by(["train", *flags, "--epochs", "5",
+                            "--out", str(tmp_path / "run")]) == (0, [])
 
 
 def test_a_sparse_relation_loads_scipy_sparse(tmp_path):
     data = synth_cohort(tmp_path, n=120)
-    dense, sparse = relation_densities(data, tmp_path, "0.5,0.9")
+    flags = ["--data", str(data), "--preset", "synth", "--thetas", "0.5,0.9"]
+    gdir = tmp_path / "graph"
+    assert run(["--quiet", "graph", *flags, "--out", str(gdir)]) == 0
+    dense, sparse = relation_densities(gdir)
     assert 1 / 120 < sparse < M._DENSE_FROM <= dense  # relation 1 has edges and is CSR
-    code, loaded = scipy_loaded_by(["train", "--data", str(data), "--preset", "synth",
-                                    "--thetas", "0.5,0.9", "--epochs", "5",
+    code, loaded = scipy_loaded_by(["train", *flags, "--epochs", "5",
                                     "--out", str(tmp_path / "run")])
     assert code == 0
     assert "scipy.sparse" in loaded

@@ -201,7 +201,7 @@ def test_load_feature_csv_unparseable_cell():
 
 @pytest.mark.parametrize("token", [" 1.5 ", "1e-3", "-0", "1_0", "nan", "NaN", "",
                                    "na", "n/a", "x", "inf"])
-def test_bulk_parse_matches_the_per_cell_rule(tmp_path, token):
+def test_row_parse_matches_the_per_cell_rule(tmp_path, token):
     path = tmp_path / "cells.csv"
     with path.open("w", newline="") as fh:
         csv.writer(fh).writerows([["id", "a", "b"], ["p1", "2", "3"], ["p2", "4", token]])
@@ -216,6 +216,13 @@ def test_bulk_parse_matches_the_per_cell_rule(tmp_path, token):
         assert values.tolist()[0] == [2.0, 3.0]
         assert values[1, 0] == 4.0
         assert values[1, 1].tobytes() == np.float64(expected).tobytes()
+
+
+def test_errors_are_reported_in_row_order(tmp_path):
+    path = tmp_path / "cells.csv"
+    path.write_text("id,a,b\np1,1,na\np2,2,x\np3,3\n")
+    with pytest.raises(DataError, match="unparseable value 'x' at row 3, column b"):
+        D._read_numeric_csv(path)
 
 
 def test_load_feature_csv_all_missing_column():
