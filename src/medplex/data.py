@@ -157,11 +157,22 @@ class LabelVector:
 
 @dataclass
 class Normalizer:
-    """Per-column z-score transform fitted on training data, reusable on new rows."""
+    """Per-column z-score transform fitted on training data, reusable on new rows.
+
+    n_rows counts the rows the mean was taken over; it sets how close to the
+    mean a cell must be to count as the mean (transform). A transform stored
+    without it reads 0 and snaps nothing.
+    """
 
     mean: np.ndarray
     std: np.ndarray
     column_names: list[str]
+    n_rows: int = 0
+
+    @classmethod
+    def fit(cls, values: np.ndarray, column_names: list[str]) -> "Normalizer":
+        """Population mean and std of each column of values."""
+        return cls(values.mean(axis=0), values.std(axis=0), list(column_names), values.shape[0])
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=np.float64)
@@ -171,6 +182,13 @@ class Normalizer:
                 % (values.shape[-1], self.mean.shape[0])
             )
         out = values - self.mean
+        # A mean over n rows is off by at most about n rounding steps of the
+        # column's magnitude (its RMS); n * eps * RMS, twice that, also covers
+        # a cell that is itself a computed mean. A cell that close to the mean
+        # is the mean: it becomes exactly 0, not a residue of rounding that
+        # unit-length scaling would blow up into a direction.
+        snap = self.n_rows * np.finfo(np.float64).eps * np.hypot(self.mean, self.std)
+        out[np.abs(out) <= snap] = 0.0
         # constant columns map to zero instead of dividing by zero
         nz = self.std > 0
         out[:, nz] /= self.std[nz]
@@ -182,6 +200,7 @@ class Normalizer:
             "mean": [float(v) for v in self.mean],
             "std": [float(v) for v in self.std],
             "column_names": list(self.column_names),
+            "n_rows": self.n_rows,
         }
 
     @classmethod
@@ -190,6 +209,7 @@ class Normalizer:
             mean=np.asarray(d["mean"], dtype=np.float64),
             std=np.asarray(d["std"], dtype=np.float64),
             column_names=list(d["column_names"]),
+            n_rows=int(d.get("n_rows", 0)),
         )
 
 
@@ -336,9 +356,7 @@ def normalize_columns(table: FeatureTable, normalizer: Normalizer | None = None)
     (the inductive path). Population std; constant columns become zeros.
     """
     if normalizer is None:
-        mean = table.values.mean(axis=0)
-        std = table.values.std(axis=0)
-        normalizer = Normalizer(mean, std, list(table.column_names))
+        normalizer = Normalizer.fit(table.values, table.column_names)
     else:
         if normalizer.column_names != table.column_names:
             raise DataError("normalizer was fitted on different columns")
@@ -356,8 +374,7 @@ def normalize_embeddings(table: EmbeddingTable, normalizer: Normalizer | None = 
     """Z-score embedding columns with the same rules as feature columns."""
     values = table.values
     if normalizer is None:
-        names = ["e%d" % j for j in range(values.shape[1])]
-        normalizer = Normalizer(values.mean(axis=0), values.std(axis=0), names)
+        normalizer = Normalizer.fit(values, ["e%d" % j for j in range(values.shape[1])])
     if values.shape[1] != normalizer.mean.shape[0]:
         raise DataError("embedding width does not match stored transform")
     return EmbeddingTable(normalizer.transform(values), list(table.row_ids)), normalizer

@@ -52,17 +52,18 @@ class _Views(dict):
 class FlatParams:
     """Named parameters and their gradients, as views of one flat vector each.
 
-    `flat` and `grad` hold every parameter in param_order; `params` and
-    `grads` map each name to its view. Whole-vector operations (L2, finiteness
-    checks, Adam) act on the vectors; error messages name the parameter.
+    `flat` and `grad` hold every parameter in param_order, both of one float
+    dtype; `params` and `grads` map each name to its view. Whole-vector
+    operations (L2, finiteness checks, Adam) act on the vectors; error
+    messages name the parameter.
     """
 
-    def __init__(self, shapes: dict):
+    def __init__(self, shapes: dict, dtype=np.float64):
         self._order = list(shapes)
         self._shapes = [tuple(s) for s in shapes.values()]
         self._bounds = np.cumsum([0] + [int(np.prod(s, dtype=int)) for s in self._shapes])
-        self.flat = np.zeros(self._bounds[-1])
-        self.grad = np.zeros(self._bounds[-1])
+        self.flat = np.zeros(self._bounds[-1], dtype=dtype)
+        self.grad = np.zeros(self._bounds[-1], dtype=dtype)
         self.params = self._views(self.flat)
         self.grads = self._views(self.grad)
 
@@ -123,10 +124,13 @@ class ModelState(FlatParams):
 
     Order is frozen (it is also the checkpoint blob order): per-relation
     encoder weights, per-relation discriminator forms, consensus matrix,
-    attention logits, classifier weights, classifier bias.
+    attention logits, classifier weights, classifier bias. dtype is that of
+    the two vectors: float64 for checkpoints and inference, float32 for the
+    copy fit trains. The initial values are float64 draws rounded to float32
+    whatever the dtype, so both start equal for one seed.
     """
 
-    def __init__(self, dims: ModelDims, seed: int = 0):
+    def __init__(self, dims: ModelDims, seed: int = 0, dtype=np.float64):
         dims.validate()
         self.dims = dims
         self.seed = seed
@@ -134,7 +138,7 @@ class ModelState(FlatParams):
         shapes = {"enc_w_%d" % i: (f, d) for i in range(r)}
         shapes.update(("disc_m_%d" % i, (d, d)) for i in range(r))
         shapes.update(consensus=(dims.n_nodes, d), att_logits=(r,), cls_w=(d, c), cls_b=(c,))
-        super().__init__(shapes)
+        super().__init__(shapes, dtype)
         rng = np.random.default_rng(seed)  # draws in param_order; logits and bias stay 0
         for i in range(r):
             self.params["enc_w_%d" % i] = _xavier(rng, f, d)
@@ -142,6 +146,7 @@ class ModelState(FlatParams):
             self.params["disc_m_%d" % i] = _xavier(rng, d, d)
         self.params["consensus"] = rng.normal(0.0, 0.01, size=(dims.n_nodes, d))
         self.params["cls_w"] = _xavier(rng, d, c)
+        self.flat[...] = self.flat.astype(np.float32)
 
 
 def normalize_adjacency(graph: RelationGraph):
@@ -314,10 +319,12 @@ def gcn_backward(cache: GcnCache, dh: np.ndarray):
 
 
 def expit(x):
-    """The logistic sigmoid 1 / (1 + exp(-x)), elementwise, in one float64
-    buffer. Where exp(-x) overflows to inf the result is exactly 0; nan stays
-    nan."""
-    out = np.negative(x, out=np.empty(np.shape(x)))  # an array also for scalar x
+    """The logistic sigmoid 1 / (1 + exp(-x)), elementwise, in one buffer of
+    x's float dtype (float64 for a Python scalar or an integer input). Where
+    exp(-x) overflows to inf the result is exactly 0; nan stays nan."""
+    x = np.asarray(x)
+    dtype = x.dtype if x.dtype.kind == "f" else np.float64
+    out = np.negative(x, out=np.empty(x.shape, dtype))  # an array also for scalar x
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
     out += 1.0
@@ -485,20 +492,21 @@ class StepArrays:
     its terms, the consensus difference (2n x d) and dO (n x d), the head's
     dO (n x d), one bool relu mask (2n x d), X[perm] for an n-row input
     (n x in_dim), and one vector of the parameters' size for the L2 term.
+    The float arrays take the dtype of the state's parameters.
     """
 
     def __init__(self, state: ModelState):
         n, f, d = state.dims.n_nodes, state.dims.in_dim, state.dims.hidden_dim
-        r_count = state.dims.n_relations
-        self.h = [np.empty((2 * n, d)) for _ in range(r_count)]
-        self.dh = [np.empty((2 * n, d)) for _ in range(r_count)]
-        self.pool = np.empty((2 * n, d))
-        self.term = np.empty((2 * n, d))
-        self.diff = np.empty((2 * n, d))
-        self.do = np.empty((n, d))
-        self.head_do = np.empty((n, d))
+        r_count, dtype = state.dims.n_relations, state.flat.dtype
+        self.h = [np.empty((2 * n, d), dtype) for _ in range(r_count)]
+        self.dh = [np.empty((2 * n, d), dtype) for _ in range(r_count)]
+        self.pool = np.empty((2 * n, d), dtype)
+        self.term = np.empty((2 * n, d), dtype)
+        self.diff = np.empty((2 * n, d), dtype)
+        self.do = np.empty((n, d), dtype)
+        self.head_do = np.empty((n, d), dtype)
         self.mask = np.empty((2 * n, d), dtype=bool)
-        self.x_perm = np.empty((n, f))
+        self.x_perm = np.empty((n, f), dtype)
         self.flat = np.empty_like(state.flat)
 
 

@@ -47,6 +47,10 @@ from .model import (
 )
 
 SCORE_CLAMP = 1e-7
+# The dtype fit trains in. Graph products are made in float64 and rounded
+# into it; the state fit returns, and so checkpoints and inference, are
+# float64 (README, "Training cost and memory").
+_TRAIN_DTYPE = np.float32
 # Columns of corrupted features propagated at once: fit makes one block
 # product per relation every max(1, _BLOCK_COLUMNS // in_dim) epochs.
 _BLOCK_COLUMNS = 144
@@ -214,7 +218,7 @@ def consensus_loss(o: np.ndarray, pooled: np.ndarray, pooled_tilde: np.ndarray |
     loss = float((sq[0] - sq[1]) / nd)
     do = np.subtract(q[1], q[0], out=do_out)
     do *= 2.0 / nd
-    dq *= np.array([-2.0 / nd, 2.0 / nd]).reshape((2,) + (1,) * o.ndim)
+    dq *= np.array([-2.0 / nd, 2.0 / nd], dq.dtype).reshape((2,) + (1,) * o.ndim)
     if pooled_tilde is not None:
         return loss, do, dq[0], dq[1]
     return loss, do, dq.reshape(pooled.shape), None
@@ -463,7 +467,8 @@ def _corrupted_inputs(x: np.ndarray, ops: list, cfg: TrainingConfig, stacks: lis
     and their bytes are the same either way. Before each yield the epoch's
     columns of every block are written, on the caller's thread, into the
     bottom half of its stack. On the W-first side the stacks hold n rows and
-    the step propagates per epoch.
+    the step propagates per epoch. x is float64 and each block is rounded to
+    the stacks' dtype as it is made.
     """
     n, d = x.shape
     if stacks[0].shape[0] == n:
@@ -476,7 +481,9 @@ def _corrupted_inputs(x: np.ndarray, ops: list, cfg: TrainingConfig, stacks: lis
         perms = [corrupt_features(x, seed=[cfg.seed, e])
                  for e in range(start, min(start + k, cfg.epochs))]
         xs = x[np.stack(perms, axis=1)].reshape(n, -1)
-        return perms, [propagate(op, xs) for op in ops]
+        # held in the stacks' dtype: rounding here gives the bytes the copy
+        # into them would
+        return perms, [propagate(op, xs).astype(stacks[0].dtype, copy=False) for op in ops]
 
     for perms, blocks in _made_ahead(make_block, list(range(0, cfg.epochs, k))):
         for i, perm in enumerate(perms):
@@ -545,8 +552,11 @@ def fit(graph: MultiplexGraph, labels: LabelVector, cfg: TrainingConfig):
     products during the steps (see _corrupted_inputs); it is joined before
     fit returns or raises, and an early stop leaves at most one block unused.
     The step's n-row arrays are made once (StepArrays) and rewritten every
-    epoch. A multiplex whose relations are all edgeless raises DataError; one
-    where only some are logs a warning naming them.
+    epoch. The steps run on a _TRAIN_DTYPE copy of the model and inputs; the
+    graph products are made from the float64 attributes and rounded once,
+    into the stacks, and the selected parameters come back as a float64
+    ModelState. A multiplex whose relations are all edgeless raises
+    DataError; one where only some are logs a warning naming them.
     """
     if labels.n_rows != graph.n_nodes:
         raise DataError("labels cover %d rows, graph has %d" % (labels.n_rows, graph.n_nodes))
@@ -570,7 +580,7 @@ def fit(graph: MultiplexGraph, labels: LabelVector, cfg: TrainingConfig):
         n_relations=cfg.n_relations,
         n_classes=labels.n_classes,
     )
-    state = ModelState(dims, seed=cfg.seed)
+    state = ModelState(dims, seed=cfg.seed, dtype=_TRAIN_DTYPE)
     ops = [relation_operator(g) for g in graph.relations]
     # op @ x on top; where the layer propagates first, a bottom half takes
     # each epoch's op @ x[perm] (see _corrupted_inputs)
@@ -578,13 +588,14 @@ def fit(graph: MultiplexGraph, labels: LabelVector, cfg: TrainingConfig):
     rows = 2 * n if propagates_first(x.shape[1], cfg.embed_dim) else n
     stacks = []
     for op in ops:
-        stacks.append(np.empty((rows, x.shape[1])))
+        stacks.append(np.empty((rows, x.shape[1]), _TRAIN_DTYPE))
         stacks[-1][:n] = propagate(op, x)
     arrays = StepArrays(state)
     perms = _corrupted_inputs(x, ops, cfg, stacks)
+    x_step = x.astype(_TRAIN_DTYPE)  # X[perm] of the W-first side is gathered from it
 
     def step(epoch):
-        s = loss_and_grads(state, ops, x, labels, cfg, next(perms), stacks, arrays)
+        s = loss_and_grads(state, ops, x_step, labels, cfg, next(perms), stacks, arrays)
         return s.total, s.probs, {"total": s.total, "infomax": s.infomax,
                                   "consensus": s.consensus, "supervised": s.supervised,
                                   "l2": s.l2}
@@ -593,11 +604,13 @@ def fit(graph: MultiplexGraph, labels: LabelVector, cfg: TrainingConfig):
         report = select_epochs(state, cfg.learning_rate, cfg.epochs, cfg.patience, labels, step)
     finally:
         perms.close()  # joins the block worker after any end of the loop
+    best = ModelState(dims, seed=cfg.seed)
+    best.unflatten(state.flat)  # exact: every float32 value is a float64 one
     report.config_hash = cfg.config_hash()
     report.seed = cfg.seed
     report.n_nodes = n
-    # attention weights of the selected model
-    report.att_weights = [float(v) for v in attention_weights(state.params["att_logits"])]
-    probs, _ = classify(state.params["consensus"], state.params["cls_w"], state.params["cls_b"])
+    # attention weights and test metrics of the selected model, in float64
+    report.att_weights = [float(v) for v in attention_weights(best.params["att_logits"])]
+    probs, _ = classify(best.params["consensus"], best.params["cls_w"], best.params["cls_b"])
     report.test_metrics = held_out_metrics(probs, labels)
-    return state, report
+    return best, report

@@ -20,9 +20,10 @@ from medplex.data import (
 )
 from medplex.graph import build_multiplex
 from medplex import model as M
-from medplex.model import attention_weights, load_checkpoint
+from medplex import pipeline
+from medplex.model import ModelState, attention_weights, load_checkpoint
 from medplex.pipeline import inductive_predict
-from medplex.train import TrainingConfig
+from medplex.train import TrainingConfig, fit
 
 SYNTH_CONFIG = {
     "n": 45,
@@ -181,6 +182,31 @@ def test_eval_matches_training_metrics(workdir, tmp_path):
     assert payload["metrics"]["micro_f1"] == trained["metrics"]["micro_f1"]
     assert payload["metrics"]["confusion"] == trained["metrics"]["confusion"]
     assert payload["split"] == "test"
+
+
+def test_train_steps_in_float32_and_saves_the_float64_state(workdir, tmp_path, monkeypatch):
+    returned = []
+
+    def recording_fit(*args):
+        state, report = fit(*args)
+        returned.append(state)
+        return state, report
+
+    monkeypatch.setattr(pipeline, "fit", recording_fit)
+    rundir, out = tmp_path / "run", tmp_path / "eval.json"
+    assert run(["--quiet", "train", "--data", str(workdir["data"]), "--preset", "synth",
+                "--epochs", "30", "--out", str(rundir)]) == 0
+    assert run(["--quiet", "eval", "--run", str(rundir), "--data", str(workdir["data"]),
+                "--split", "test", "--out", str(out)]) == 0
+    trained = json.loads((rundir / "metrics.json").read_text())
+    assert json.loads(out.read_text())["metrics"]["micro_f1"] == trained["metrics"]["micro_f1"]
+    [state] = returned
+    assert state.flat.dtype == np.float64
+    saved, _ = load_checkpoint(rundir / "checkpoint.bin")
+    assert np.array_equal(saved.flat, state.flat)
+    # trained away from its start, and every value one a float32 holds
+    assert not np.array_equal(saved.flat, ModelState(saved.dims, seed=saved.seed).flat)
+    assert np.array_equal(saved.flat.astype(np.float32).astype(np.float64), saved.flat)
 
 
 def test_eval_val_split_runs(workdir, tmp_path):
@@ -556,15 +582,18 @@ def one_constant_column(data):
     return [], 0, []
 
 
-def one_isolated_patient(data):
-    """Patient 0's features set to the column means, so its z-scored row is
-    all zeros and no relation links it: it trains normally."""
+def patient_0_at_the_means(data, exact):
+    """Writes patient 0's features as the other patients' column means. With
+    exact, the value is iterated until it is bitwise the mean of all rows;
+    without, it differs from that mean by rounding. Either way a graph run
+    links patient 0 in no relation."""
     def edit(rows):
         values = np.array([row[1:] for row in rows[1:]], dtype=np.float64)
         values[0] = values[1:].mean(axis=0)
-        for _ in range(10):  # row 0 moves the mean by rounding: iterate to where it is the mean
-            values[0] = values.mean(axis=0)
-        assert (values[0] == values.mean(axis=0)).all()
+        if exact:
+            for _ in range(10):  # row 0 moves the mean by rounding: iterate to where it is the mean
+                values[0] = values.mean(axis=0)
+        assert (values[0] == values.mean(axis=0)).all() == exact
         rows[1][1:] = [repr(float(v)) for v in values[0]]
     rewrite_csv(data / "features.csv", edit)
     gdir = data.parent / "graph"
@@ -573,6 +602,19 @@ def one_isolated_patient(data):
     for rel in json.loads((gdir / "multiplex.json").read_text())["relations"]:
         edges = np.loadtxt(gdir / rel["file"], dtype=np.int64, ndmin=2)
         assert len(edges) and 0 not in edges
+
+
+def one_isolated_patient(data):
+    """Patient 0's features set to the column means, so its z-scored row is
+    all zeros and no relation links it: it trains normally."""
+    patient_0_at_the_means(data, exact=True)
+    return [], 0, []
+
+
+def one_patient_at_the_means_to_rounding(data):
+    """Patient 0's features written as the other rows' means, not iterated:
+    z-scoring snaps the rounding residues to zero, so it is isolated too."""
+    patient_0_at_the_means(data, exact=False)
     return [], 0, []
 
 
@@ -603,6 +645,7 @@ def class_of_size_three(data):
 
 
 @pytest.mark.parametrize("fault", [constant_features, one_constant_column, one_isolated_patient,
+                                   one_patient_at_the_means_to_rounding,
                                    one_edgeless_relation, class_of_size_one,
                                    class_of_size_three])
 def test_degenerate_cohorts_exit_with_a_message(tmp_path, fault):
