@@ -120,7 +120,7 @@ def _resolve_config(args) -> TrainingConfig:
     if getattr(args, "preset", None):
         cfg = preset_config(args.preset)
     elif getattr(args, "config", None):
-        cfg = TrainingConfig.from_json_dict(_read_json(args.config))
+        cfg = TrainingConfig.from_json_dict(_read_json(args.config), args.config)
     else:
         cfg = TrainingConfig()
     overrides = {}
@@ -174,9 +174,11 @@ def _load_run(run_dir: str, data_dir: str):
     cfg_path, ckpt_path, norm_path, part_path = (
         os.path.join(run_dir, name) for name in
         ("resolved_config.json", "checkpoint.bin", "normalizers.json", "partition.json"))
-    cfg = TrainingConfig.from_json_dict(_read_json(cfg_path))
+    cfg = TrainingConfig.from_json_dict(_read_json(cfg_path), cfg_path)
     state, _ = load_checkpoint(ckpt_path)
     norms = _read_json(norm_path)
+    if not isinstance(norms, dict) or "features" not in norms:
+        raise DataError("%s: no feature transform" % norm_path)
     table, embeddings, labels, inputs = _load_cohort(data_dir)
     inputs += [cfg_path, ckpt_path, norm_path]
     partition = _read_partition(part_path, table, inputs)
@@ -188,8 +190,8 @@ def _load_run(run_dir: str, data_dir: str):
             % (table.n_rows, state.dims.n_nodes)
         )
     c_norm, z_norm, feat_norm, emb_norm = D.prepare_tables(
-        table, embeddings, Normalizer.from_dict(norms["features"]),
-        Normalizer.from_dict(norms["embeddings"]) if norms.get("embeddings") else None,
+        table, embeddings, Normalizer.from_dict(norms["features"], norm_path),
+        Normalizer.from_dict(norms["embeddings"], norm_path) if norms.get("embeddings") else None,
     )
     width = z_norm.n_cols + c_norm.n_cols
     if width != state.dims.in_dim:
@@ -277,7 +279,7 @@ def _cmd_train(args) -> dict:
     outputs.append(cfg_path)
 
     part_path = os.path.join(args.out, "partition.json")
-    save_partition(part_path, result.partition)
+    save_partition(part_path, result.graph.partition)
     outputs.append(part_path)
 
     norm_path = os.path.join(args.out, "normalizers.json")
@@ -425,13 +427,12 @@ def _cmd_sweep(args) -> dict:
                 outputs=[csv_path, summary_path])
 
 
-def _add_config_flags(p, with_thetas: bool = True):
+def _add_config_flags(p):
     p.add_argument("--config", help="training config JSON")
     p.add_argument("--preset", help="named preset: %s" % ", ".join(sorted(PRESETS)))
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--epochs", type=int, default=None, help="override the epoch budget")
-    if with_thetas:
-        p.add_argument("--thetas", help="comma-separated per-relation thresholds")
+    p.add_argument("--thetas", help="comma-separated per-relation thresholds")
 
 
 def build_parser() -> _Parser:

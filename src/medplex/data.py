@@ -107,6 +107,11 @@ class EmbeddingTable:
         return self.values.shape[1]
 
 
+def is_number(value) -> bool:
+    """Whether a value read from JSON is a number (int or float, not bool)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def empty_embeddings(row_ids) -> EmbeddingTable:
     """Zero-width embedding table for cohorts without imaging."""
     return EmbeddingTable(np.zeros((len(row_ids), 0)), list(row_ids))
@@ -204,11 +209,19 @@ class Normalizer:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Normalizer":
+    def from_dict(cls, d: dict, source: str = "transform") -> "Normalizer":
+        """Read back to_dict's output; source names the file in errors."""
+        mean, std, names = (d.get(k) if isinstance(d, dict) else None
+                            for k in ("mean", "std", "column_names"))
+        if not (isinstance(mean, list) and isinstance(std, list) and isinstance(names, list)
+                and len(mean) == len(std)
+                and all(map(is_number, mean + std + [d.get("n_rows", 0)]))):
+            raise DataError("%s: a transform needs lists mean, std and column_names, with one "
+                            "number per column, and a number n_rows" % source)
         return cls(
-            mean=np.asarray(d["mean"], dtype=np.float64),
-            std=np.asarray(d["std"], dtype=np.float64),
-            column_names=list(d["column_names"]),
+            mean=np.asarray(mean, dtype=np.float64),
+            std=np.asarray(std, dtype=np.float64),
+            column_names=list(names),
             n_rows=int(d.get("n_rows", 0)),
         )
 
@@ -315,8 +328,9 @@ def load_embedding_csv(path) -> EmbeddingTable:
     return EmbeddingTable(values, row_ids)
 
 
-def load_label_csv(path, n_classes=None) -> LabelVector:
-    """Read an id,label CSV. All rows start as TRAIN; split_masks reassigns."""
+def load_label_csv(path) -> tuple[LabelVector, list[str]]:
+    """Read an id,label CSV into (labels, row ids); one class per label up to
+    the largest. All rows start as TRAIN; split_masks reassigns."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -340,12 +354,7 @@ def load_label_csv(path, n_classes=None) -> LabelVector:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.min() < 0:
         raise DataError("%s: negative class label" % path)
-    inferred = int(labels.max()) + 1
-    if n_classes is None:
-        n_classes = inferred
-    elif inferred > n_classes:
-        raise DataError("%s: label %d exceeds n_classes=%d" % (path, labels.max(), n_classes))
-    lv = LabelVector(labels, np.full(labels.shape, TRAIN, dtype=np.int8), n_classes)
+    lv = LabelVector(labels, np.full(labels.shape, TRAIN, dtype=np.int8), int(labels.max()) + 1)
     return lv, row_ids
 
 

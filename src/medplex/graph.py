@@ -172,7 +172,6 @@ class MultiplexGraph:
     attributes: NodeAttributes
     partition: ClusterPartition
     thetas: tuple
-    table: FeatureTable  # normalized features, column order matches partition
     feat_normalizer: Normalizer | None = None
     embed_normalizer: Normalizer | None = None
 
@@ -185,8 +184,6 @@ class MultiplexGraph:
                 raise DataError("relation %d has %d nodes, expected %d" % (g.relation_index, g.n, n))
         if len(self.thetas) != len(self.relations):
             raise DataError("one threshold per relation required")
-        if self.table.n_rows != n:
-            raise DataError("feature table rows do not match attribute rows")
 
     @property
     def n_nodes(self) -> int:
@@ -227,7 +224,6 @@ def build_multiplex(
         attributes=attributes,
         partition=partition,
         thetas=thetas,
-        table=table,
         feat_normalizer=feat_normalizer,
         embed_normalizer=embed_normalizer,
     )
@@ -247,9 +243,9 @@ def attach_new_nodes(
     """
     if g.feat_normalizer is None:
         raise DataError("multiplex graph lacks a stored feature transform")
-    if new_features.column_names != g.table.column_names:
+    if new_features.column_names != g.partition.column_names:
         raise DataError("new rows have different feature columns")
-    overlap = set(new_features.row_ids) & set(g.table.row_ids)
+    overlap = set(new_features.row_ids) & set(g.attributes.row_ids)
     if overlap:
         raise DataError("new row ids collide with existing: %s" % sorted(overlap)[:5])
     if new_embeddings.row_ids != new_features.row_ids:
@@ -267,32 +263,24 @@ def attach_new_nodes(
 
     n_old = g.n_nodes
     m = new_norm.n_rows
+    old_features = g.attributes.x[:, expected_width:]
     relations = []
     for r, old in enumerate(g.relations):
         cols = g.partition.columns_of(r)
-        pairs = _similar_pairs(g.table.values[:, cols], g.thetas[r], new_norm.values[:, cols])
+        pairs = _similar_pairs(old_features[:, cols], g.thetas[r], new_norm.values[:, cols])
         pairs[:, 1] += n_old  # RelationGraph refuses an n_old + m past int32
         relations.append(
             RelationGraph(n=n_old + m, edges=np.concatenate([old.edges, pairs]), relation_index=r)
         )
 
-    table_ext = FeatureTable(
-        values=np.vstack([g.table.values, new_norm.values]),
-        column_names=list(g.table.column_names),
-        column_kinds=list(g.table.column_kinds),
-        row_ids=list(g.table.row_ids) + list(new_norm.row_ids),
-    )
-    emb_ext = EmbeddingTable(
-        values=np.vstack([g.attributes.x[:, :expected_width], new_emb.values]),
-        row_ids=table_ext.row_ids,
-    )
-    attributes = concat_attributes(emb_ext, table_ext)
+    new = concat_attributes(new_emb, new_norm)
+    attributes = NodeAttributes(np.vstack([g.attributes.x, new.x]), expected_width,
+                                g.attributes.row_ids + new.row_ids)
     return MultiplexGraph(
         relations=relations,
         attributes=attributes,
         partition=g.partition,
         thetas=g.thetas,
-        table=table_ext,
         feat_normalizer=g.feat_normalizer,
         embed_normalizer=g.embed_normalizer,
     )
@@ -393,7 +381,7 @@ def write_multiplex(out_dir, g: MultiplexGraph) -> dict:
                 "n_edges": int(graph.n_edges),
                 "mean_degree": float(deg.mean()),
                 "isolated_nodes": int((deg == 0).sum()),
-                "columns": [g.table.column_names[j] for j in g.partition.columns_of(r)],
+                "columns": [g.partition.column_names[j] for j in g.partition.columns_of(r)],
             }
         )
     manifest = {

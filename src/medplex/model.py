@@ -165,8 +165,7 @@ def normalize_adjacency(graph: RelationGraph):
     i, j = graph.edges[:, 0], graph.edges[:, 1]
     upper = sp.csr_matrix((np.ones(graph.n_edges), (i, j)), shape=(n, n))
     a_hat = upper + upper.T + sp.identity(n, format="csr")
-    deg = np.asarray(a_hat.sum(axis=1)).ravel()
-    dinv = 1.0 / np.sqrt(deg)
+    dinv = 1.0 / np.sqrt(graph.degrees() + 1.0)
     a_hat.data *= np.repeat(dinv, np.diff(a_hat.indptr))
     a_hat.data *= dinv[a_hat.indices]
     return a_hat
@@ -612,29 +611,27 @@ def load_checkpoint(path):
         header = json.loads(raw[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError("%s: bad checkpoint header (%s)" % (path, exc)) from None
+    if not isinstance(header, dict):
+        raise DataError("%s: checkpoint header is not a JSON object" % path)
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise DataError("%s: unsupported checkpoint version %r" % (path, header.get("format_version")))
-    d = header["dims"]
-    dims = ModelDims(
-        n_nodes=d["n_nodes"],
-        in_dim=d["in_dim"],
-        hidden_dim=d["hidden_dim"],
-        n_relations=d["n_relations"],
-        n_classes=d["n_classes"],
-    )
-    state = ModelState(dims, seed=header.get("seed", 0))
-    blob = raw[nl + 1 :]
-    expected = sum(np.prod(p["shape"], dtype=int) for p in header["params"])
-    if len(blob) != 8 * expected:  # a truncated blob need not end on a whole value
-        raise DataError("%s: blob has %d bytes, header says %d values"
-                        % (path, len(blob), expected))
-    flat = np.frombuffer(blob, dtype="<f8")
-    names = [p["name"] for p in header["params"]]
-    if names != state.param_order:
+    d, params, seed = header.get("dims"), header.get("params"), header.get("seed", 0)
+    if not (isinstance(d, dict) and sorted(d) == sorted(ModelDims.__dataclass_fields__)
+            and all(type(v) is int for v in [*d.values(), seed])):
+        raise DataError("%s: checkpoint header needs integer dims and seed" % path)
+    if not (isinstance(params, list) and all(isinstance(p, dict) for p in params)):
+        raise DataError("%s: checkpoint header lacks a params list" % path)
+    state = ModelState(ModelDims(**d), seed=seed)
+    if [p.get("name") for p in params] != state.param_order:
         raise DataError("%s: parameter order does not match this version" % path)
-    for p in header["params"]:
-        if list(state.params[p["name"]].shape) != list(p["shape"]):
+    for p in params:
+        shape = list(state.params[p["name"]].shape)
+        if p.get("shape") != shape:
             raise DataError("%s: parameter %s has shape %s, expected %s"
-                            % (path, p["name"], p["shape"], list(state.params[p["name"]].shape)))
-    state.unflatten(flat.astype(np.float64))
+                            % (path, p["name"], p.get("shape"), shape))
+    blob = raw[nl + 1 :]
+    if len(blob) != 8 * state.flat.size:  # a truncated blob need not end on a whole value
+        raise DataError("%s: blob has %d bytes, header says %d values"
+                        % (path, len(blob), state.flat.size))
+    state.unflatten(np.frombuffer(blob, dtype="<f8").astype(np.float64))
     return state, header

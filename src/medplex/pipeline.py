@@ -35,7 +35,6 @@ class ExperimentResult:
     state: ModelState
     report: TrainReport
     cfg: TrainingConfig
-    partition: ClusterPartition
 
 
 def assign_masks(labels: LabelVector, cfg: TrainingConfig,
@@ -75,10 +74,7 @@ def run_experiment(table: FeatureTable, embeddings: EmbeddingTable, labels: Labe
     masked = assign_masks(labels, cfg, labeled_frac)
     graph = build_graph_for(table, embeddings, cfg, partition)
     state, report = fit(graph, masked, cfg)
-    return ExperimentResult(
-        graph=graph, labels=masked, state=state, report=report,
-        cfg=cfg, partition=graph.partition,
-    )
+    return ExperimentResult(graph=graph, labels=masked, state=state, report=report, cfg=cfg)
 
 
 def baseline_config_from(cfg: TrainingConfig) -> BaselineConfig:

@@ -24,7 +24,7 @@ from .errors import DataError, NumericError
 from . import data as D
 from . import evaluate as E
 from .data import LabelVector
-from .graph import MultiplexGraph
+from .graph import MultiplexGraph, _unit_rows
 from .model import (
     FlatParams,
     ForwardCache,
@@ -102,19 +102,29 @@ class TrainingConfig:
         return d
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "TrainingConfig":
-        """Also reads configs from before tau and weighted_full were dropped:
+    def from_json_dict(cls, d: dict, source: str = "config") -> "TrainingConfig":
+        """A config from its JSON object; source names the file in errors.
+
+        Also reads configs from before tau and weighted_full were dropped:
         tau never entered the objective, and only weighted_full false built
         the graphs this version builds."""
+        if not isinstance(d, dict):
+            raise DataError("%s: a config must be a JSON object" % source)
         kwargs = dict(d)
         kwargs.pop("tau", None)
         if kwargs.pop("weighted_full", False):
-            raise DataError("weighted_full graphs are no longer supported")
+            raise DataError("%s: weighted_full graphs are no longer supported" % source)
         bad = set(kwargs) - set(cls.__dataclass_fields__)
         if bad:
-            raise DataError("unknown config keys: %s" % sorted(bad))
-        if "thetas" in kwargs:
-            kwargs["thetas"] = tuple(kwargs["thetas"])
+            raise DataError("%s: unknown config keys: %s" % (source, sorted(bad)))
+        for key, value in kwargs.items():
+            default = cls.__dataclass_fields__[key].default
+            if isinstance(default, tuple):
+                ok = isinstance(value, (list, tuple)) and all(map(D.is_number, value))
+            else:  # a float field takes any number, an int field only ints
+                ok = D.is_number(value) and (isinstance(default, float) or isinstance(value, int))
+            if not ok:
+                raise DataError("%s: %s has the wrong type: %r" % (source, key, value))
         return cls(**kwargs)
 
     def config_hash(self) -> str:
@@ -265,9 +275,7 @@ def micle_loss(z1: np.ndarray, z2: np.ndarray, tau: float) -> float:
         raise DataError("need at least two items for a contrastive loss")
     if tau <= 0:
         raise DataError("tau must be positive")
-    pool = np.vstack([z1, z2])
-    norms = np.linalg.norm(pool, axis=1, keepdims=True)
-    u = pool / np.where(norms > 0, norms, 1.0)
+    u = _unit_rows(np.vstack([z1, z2]))
     sims = (u @ u.T) / tau
     np.fill_diagonal(sims, -np.inf)  # exclude self from every denominator
     pos = np.concatenate([np.arange(n) + n, np.arange(n)])

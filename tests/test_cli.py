@@ -386,6 +386,55 @@ def drop_embeddings(rundir, data):
     return "data error: data dir has 8 attribute columns, checkpoint was trained on 12"
 
 
+def rewrite_checkpoint_header(rundir, edit):
+    raw = (rundir / "checkpoint.bin").read_bytes()
+    nl = raw.index(b"\n")
+    header = edit(json.loads(raw[:nl]))
+    (rundir / "checkpoint.bin").write_bytes(json.dumps(header).encode() + raw[nl:])
+
+
+def checkpoint_without_dims(rundir, data):
+    rewrite_checkpoint_header(rundir, lambda h: {k: v for k, v in h.items() if k != "dims"})
+    return ("data error: %s: checkpoint header needs integer dims and seed"
+            % (rundir / "checkpoint.bin"))
+
+
+def checkpoint_seed_a_word(rundir, data):
+    rewrite_checkpoint_header(rundir, lambda h: dict(h, seed="x"))
+    return ("data error: %s: checkpoint header needs integer dims and seed"
+            % (rundir / "checkpoint.bin"))
+
+
+def checkpoint_header_a_list(rundir, data):
+    rewrite_checkpoint_header(rundir, lambda h: [h])
+    return "data error: %s: checkpoint header is not a JSON object" % (rundir / "checkpoint.bin")
+
+
+def config_a_list(rundir, data):
+    (rundir / "resolved_config.json").write_text("[1, 2]\n")
+    return "data error: %s: a config must be a JSON object" % (rundir / "resolved_config.json")
+
+
+def config_epochs_a_word(rundir, data):
+    path = rundir / "resolved_config.json"
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), epochs="many")))
+    return "data error: %s: epochs has the wrong type: 'many'" % path
+
+
+def normalizers_empty(rundir, data):
+    (rundir / "normalizers.json").write_text("{}\n")
+    return "data error: %s: no feature transform" % (rundir / "normalizers.json")
+
+
+def normalizer_without_std(rundir, data):
+    path = rundir / "normalizers.json"
+    norms = json.loads(path.read_text())
+    del norms["features"]["std"]
+    path.write_text(json.dumps(norms))
+    return ("data error: %s: a transform needs lists mean, std and column_names, with one "
+            "number per column, and a number n_rows" % path)
+
+
 @pytest.mark.parametrize("command, fault", [
     ("eval", drop_checkpoint),
     ("explain", drop_checkpoint),
@@ -395,7 +444,11 @@ def drop_embeddings(rundir, data):
     ("eval", drop_embeddings),
     ("explain", drop_embeddings),
     ("infer", drop_embeddings),
-])
+] + [(command, fault) for fault in (checkpoint_without_dims, checkpoint_seed_a_word,
+                                    checkpoint_header_a_list, config_a_list,
+                                    config_epochs_a_word, normalizers_empty,
+                                    normalizer_without_std)
+     for command in ("eval", "infer")])
 def test_run_directory_faults_are_data_errors(workdir, tmp_path, capsys, command, fault):
     rundir, data = tmp_path / "run", tmp_path / "cohort"
     shutil.copytree(workdir["run"], rundir)

@@ -321,15 +321,6 @@ def test_label_csv_negative_label():
         os.unlink(path)
 
 
-def test_label_csv_exceeds_declared_classes():
-    path = write_tmp("id,label\np1,0\np2,5\n")
-    try:
-        with pytest.raises(DataError, match="exceeds"):
-            load_label_csv(path, n_classes=3)
-    finally:
-        os.unlink(path)
-
-
 # ---------------------------------------------------------------- tables
 
 

@@ -13,6 +13,7 @@ from medplex.data import (
     empty_embeddings,
     generate_synthetic_cohort,
     normalize_columns,
+    normalize_embeddings,
 )
 from medplex.errors import DataError
 from medplex.graph import (
@@ -432,19 +433,23 @@ def test_multiplex_partition_column_mismatch():
 # ---------------------------------------------------------------- inductive attachment
 
 
-def make_trained_multiplex(seed=0, n=20):
+def make_trained_multiplex(seed=0, n=20, embed_width=0):
     rng = np.random.default_rng(seed)
     raw = table_from(rng.normal(size=(n, 6)))
     t, feat_norm = normalize_columns(raw)
     part = ClusterPartition(np.array([0, 0, 0, 1, 1, 1]), 2, "manual", list(t.column_names))
-    return build_multiplex(t, part, (0.3, 0.3), empty_embeddings(t.row_ids),
-                           feat_normalizer=feat_norm), feat_norm
+    emb, emb_norm = empty_embeddings(t.row_ids), None
+    if embed_width:
+        emb, emb_norm = normalize_embeddings(
+            EmbeddingTable(rng.exponential(size=(n, embed_width)), list(t.row_ids)))
+    return build_multiplex(t, part, (0.3, 0.3), emb, feat_normalizer=feat_norm,
+                           embed_normalizer=emb_norm), feat_norm
 
 
 def test_attach_duplicate_row_links_like_source():
     g, feat_norm = make_trained_multiplex()
     # raw values that normalize to exactly row 4's normalized values
-    raw_dup = g.table.values[4] * feat_norm.std + feat_norm.mean
+    raw_dup = g.attributes.x[4] * feat_norm.std + feat_norm.mean
     new = table_from(raw_dup[None, :], ids=["new0"])
     ext = attach_new_nodes(g, new, empty_embeddings(["new0"]))
     n_old = g.n_nodes
@@ -471,19 +476,27 @@ def test_attach_zero_new_nodes_impossible_but_one_noop_graph():
 
 def test_attach_matches_brute_force_oracle():
     rng = np.random.default_rng(12)
-    for trial in range(5):
-        g, feat_norm = make_trained_multiplex(seed=trial)
+    # width 0 and an embedding block Z, so X = [Z | C] puts C at an offset
+    for trial, width in [(t, w) for t in range(5) for w in (0, 3)]:
+        g, feat_norm = make_trained_multiplex(seed=trial, embed_width=width)
         new_raw = rng.normal(size=(4, 6))
-        new = table_from(new_raw, ids=["n%d" % i for i in range(4)])
-        ext = attach_new_nodes(g, new, empty_embeddings(list(new.row_ids)))
-        new_norm = feat_norm.transform(new_raw)
+        ids = ["n%d" % i for i in range(4)]
+        new_emb = EmbeddingTable(rng.exponential(size=(4, width)), ids)
+        ext = attach_new_nodes(g, table_from(new_raw, ids=ids), new_emb)
+        old_c = g.attributes.x[:, width:]
+        new_c = feat_norm.transform(new_raw)
+        new_z = g.embed_normalizer.transform(new_emb.values) if width else new_emb.values
+        np.testing.assert_array_equal(
+            ext.attributes.x, np.vstack([g.attributes.x, np.hstack([new_z, new_c])]))
+        assert ext.attributes.n_embed_cols == width
+        assert ext.attributes.row_ids == g.attributes.row_ids + ids
         n_old = g.n_nodes
         for r in range(2):
             cols = g.partition.columns_of(r)
             expected = set(g.relations[r].edge_set())
             for j in range(4):
                 for i in range(n_old):
-                    s = cosine_similarity(g.table.values[i, cols], new_norm[j, cols])
+                    s = cosine_similarity(old_c[i, cols], new_c[j, cols])
                     if s > g.thetas[r]:
                         expected.add((i, n_old + j))
             assert ext.relations[r].edge_set() == expected
@@ -520,7 +533,7 @@ def test_attach_errors():
     new = table_from(np.zeros((1, 6)), ids=["n0"])
     # missing stored transform
     bare = MultiplexGraph(relations=g.relations, attributes=g.attributes,
-                          partition=g.partition, thetas=g.thetas, table=g.table)
+                          partition=g.partition, thetas=g.thetas)
     with pytest.raises(DataError, match="stored feature transform"):
         attach_new_nodes(bare, new, empty_embeddings(["n0"]))
     # column mismatch
