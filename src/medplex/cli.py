@@ -10,8 +10,8 @@ Exit codes: 0 ok, 1 usage, 2 bad data, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
-import json
 import logging
 import os
 import sys
@@ -47,22 +47,6 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _write_json(path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _read_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise DataError("missing file: %s" % path) from None
-    except json.JSONDecodeError as exc:
-        raise DataError("%s: not valid JSON (%s)" % (path, exc)) from None
-
-
 def _write_manifest(path, command: str, inputs: list, outputs: list,
                     wall_s: float, extra: dict | None = None) -> None:
     manifest = {
@@ -74,7 +58,7 @@ def _write_manifest(path, command: str, inputs: list, outputs: list,
     }
     if extra:
         manifest["extra"] = extra
-    _write_json(path, manifest)
+    D.write_json(path, manifest)
 
 
 def _cohort_paths(data_dir: str) -> dict:
@@ -120,7 +104,7 @@ def _resolve_config(args) -> TrainingConfig:
     if getattr(args, "preset", None):
         cfg = preset_config(args.preset)
     elif getattr(args, "config", None):
-        cfg = TrainingConfig.from_json_dict(_read_json(args.config), args.config)
+        cfg = TrainingConfig.from_json_dict(D.read_json(args.config), args.config)
     else:
         cfg = TrainingConfig()
     overrides = {}
@@ -130,11 +114,7 @@ def _resolve_config(args) -> TrainingConfig:
         overrides["thetas"] = tuple(_parse_floats(args.thetas, "--thetas"))
     if getattr(args, "epochs", None) is not None:
         overrides["epochs"] = args.epochs
-    if overrides:
-        d = cfg.to_json_dict()
-        d.update(overrides)
-        cfg = TrainingConfig.from_json_dict(d)
-    return cfg
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _parse_floats(text: str, flag: str) -> list:
@@ -155,8 +135,6 @@ def _read_partition(path, table, inputs: list):
     """A column->type JSON file as a partition, or None (k-means) without one."""
     if not path:
         return None
-    if not os.path.exists(path):
-        raise DataError("missing file: %s" % path)
     inputs.append(path)
     return load_manual_split(path, table)
 
@@ -174,9 +152,9 @@ def _load_run(run_dir: str, data_dir: str):
     cfg_path, ckpt_path, norm_path, part_path = (
         os.path.join(run_dir, name) for name in
         ("resolved_config.json", "checkpoint.bin", "normalizers.json", "partition.json"))
-    cfg = TrainingConfig.from_json_dict(_read_json(cfg_path), cfg_path)
+    cfg = TrainingConfig.from_json_dict(D.read_json(cfg_path), cfg_path)
     state, _ = load_checkpoint(ckpt_path)
-    norms = _read_json(norm_path)
+    norms = D.read_json(norm_path)
     if not isinstance(norms, dict) or "features" not in norms:
         raise DataError("%s: no feature transform" % norm_path)
     table, embeddings, labels, inputs = _load_cohort(data_dir)
@@ -202,15 +180,13 @@ def _load_run(run_dir: str, data_dir: str):
 
 def _cmd_synth(args) -> dict:
     if args.config:
-        scfg = SynthConfig.from_dict(_read_json(args.config))
+        scfg = SynthConfig.from_dict(D.read_json(args.config), args.config)
         inputs = [args.config]
     else:
         scfg = SynthConfig()
         inputs = []
     if args.seed is not None:
-        d = scfg.to_dict()
-        d["seed"] = args.seed
-        scfg = SynthConfig.from_dict(d)
+        scfg = dataclasses.replace(scfg, seed=args.seed)
     table, embeddings, labels, truth = D.generate_synthetic_cohort(scfg)
     os.makedirs(args.out, exist_ok=True)
     paths = _cohort_paths(args.out)
@@ -275,7 +251,7 @@ def _cmd_train(args) -> dict:
     outputs = []
 
     cfg_path = os.path.join(args.out, "resolved_config.json")
-    _write_json(cfg_path, cfg.to_json_dict())
+    D.write_json(cfg_path, cfg.to_json_dict())
     outputs.append(cfg_path)
 
     part_path = os.path.join(args.out, "partition.json")
@@ -283,7 +259,7 @@ def _cmd_train(args) -> dict:
     outputs.append(part_path)
 
     norm_path = os.path.join(args.out, "normalizers.json")
-    _write_json(norm_path, {
+    D.write_json(norm_path, {
         "features": result.graph.feat_normalizer.to_dict(),
         "embeddings": result.graph.embed_normalizer.to_dict()
         if result.graph.embed_normalizer else None,
@@ -295,11 +271,11 @@ def _cmd_train(args) -> dict:
     outputs.append(ckpt_path)
 
     report_path = os.path.join(args.out, "train_report.json")
-    _write_json(report_path, result.report.to_json_dict())
+    D.write_json(report_path, result.report.to_json_dict())
     outputs.append(report_path)
 
     metrics_path = os.path.join(args.out, "metrics.json")
-    _write_json(metrics_path, {
+    D.write_json(metrics_path, {
         "config_hash": cfg.config_hash(),
         "seed": cfg.seed,
         "split": "test",
@@ -335,7 +311,7 @@ def _cmd_eval(args) -> dict:
         "split": args.split,
         "metrics": report.to_json_dict(),
     }
-    _write_json(args.out, payload)
+    D.write_json(args.out, payload)
     log.info("%s split: micro %.4f macro %.4f over %d rows",
              args.split, report.micro_f1, report.macro_f1, idx.size)
     return dict(path=args.out + ".manifest.json", inputs=inputs, outputs=[args.out])
@@ -349,7 +325,7 @@ def _cmd_explain(args) -> dict:
 
     report = E.attention_report(trained.state, partition)
     att_path = os.path.join(args.out, "attention.json")
-    _write_json(att_path, report)
+    D.write_json(att_path, report)
     outputs.append(att_path)
 
     def _write_matrix(path, matrix):
@@ -382,8 +358,6 @@ def _cmd_infer(args) -> dict:
     inputs.append(args.new_features)
     if args.new_embeddings:
         new_emb = D.load_embedding_csv(args.new_embeddings)
-        if new_emb.row_ids != new_table.row_ids:
-            raise DataError("new embeddings row ids do not match new features")
         inputs.append(args.new_embeddings)
     else:
         new_emb = D.empty_embeddings(new_table.row_ids)
@@ -417,7 +391,7 @@ def _cmd_sweep(args) -> dict:
     csv_path = os.path.join(args.out, "sweep.csv")
     E.write_sweep_csv(csv_path, rows)
     summary_path = os.path.join(args.out, "summary.json")
-    _write_json(summary_path, {
+    D.write_json(summary_path, {
         "kind": args.kind,
         "config_hash": cfg.config_hash(),
         "summary": E.summarize_sweep(rows),

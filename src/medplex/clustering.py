@@ -8,13 +8,12 @@ farthest-point repair of empty clusters.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, NumericError
-from .data import FeatureTable
+from .data import FeatureTable, read_json, write_json
 
 
 @dataclass
@@ -149,11 +148,7 @@ def load_manual_split(path, table: FeatureTable) -> ClusterPartition:
     Every table column must appear exactly once; type indices must be dense
     from zero. A "source" key, if present, is ignored (written by exports).
     """
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError("%s: not valid JSON (%s)" % (path, exc)) from None
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise DataError("%s: expected a JSON object" % path)
     raw = {k: v for k, v in raw.items() if k != "source"}
@@ -178,6 +173,4 @@ def load_manual_split(path, table: FeatureTable) -> ClusterPartition:
 
 
 def save_partition(path, partition: ClusterPartition) -> None:
-    with open(path, "w") as fh:
-        json.dump(partition.to_export_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, partition.to_export_dict())

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -110,6 +110,52 @@ class EmbeddingTable:
 def is_number(value) -> bool:
     """Whether a value read from JSON is a number (int or float, not bool)."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def write_json(path, obj) -> None:
+    """Write obj as JSON with indent 2, sorted keys and a final newline: the
+    one layout of every JSON file medplex writes."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def read_json(path):
+    """The JSON value in a file; a missing file or invalid JSON is a DataError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise DataError("missing file: %s" % path) from None
+    except json.JSONDecodeError as exc:
+        raise DataError("%s: not valid JSON (%s)" % (path, exc)) from None
+
+
+def config_from_json(cls, d, source: str):
+    """An instance of the config dataclass cls from its JSON object; source
+    names the file in errors.
+
+    Each key must be a field. A tuple field takes a list of numbers, a float
+    field any number and an int field only ints; a field defaulting to None
+    is left to the class's own checks.
+    """
+    if not isinstance(d, dict):
+        raise DataError("%s: a config must be a JSON object" % source)
+    fields = cls.__dataclass_fields__
+    bad = set(d) - set(fields)
+    if bad:
+        raise DataError("%s: unknown config keys: %s" % (source, sorted(bad)))
+    for key, value in d.items():
+        default = fields[key].default
+        if default is None:
+            continue
+        if isinstance(default, tuple):
+            ok = isinstance(value, (list, tuple)) and all(map(is_number, value))
+        else:
+            ok = is_number(value) and (isinstance(default, float) or isinstance(value, int))
+        if not ok:
+            raise DataError("%s: %s has the wrong type: %r" % (source, key, value))
+    return cls(**d)
 
 
 def empty_embeddings(row_ids) -> EmbeddingTable:
@@ -490,39 +536,23 @@ class SynthConfig:
         if self.embed_dim < 0 or self.embed_separation < 0 or self.embed_noise_std < 0:
             raise DataError("embedding knobs must be non-negative")
         if self.class_groups is not None:
-            if len(self.class_groups) != self.n_types:
+            if not isinstance(self.class_groups, list) or len(self.class_groups) != self.n_types:
                 raise DataError("class_groups must list one partition per type")
             for t, groups in enumerate(self.class_groups):
+                if not (isinstance(groups, list) and all(
+                        isinstance(g, list) and all(type(c) is int for c in g) for g in groups)):
+                    raise DataError("class_groups[%d] must be a list of lists of class indices" % t)
                 seen = sorted(c for g in groups for c in g)
                 if seen != list(range(self.n_classes)):
                     raise DataError("class_groups[%d] is not a partition of the classes" % t)
 
     def to_dict(self) -> dict:
-        d = {
-            "n": self.n,
-            "n_classes": self.n_classes,
-            "n_types": self.n_types,
-            "cols_per_type": self.cols_per_type,
-            "separations": list(self.separations),
-            "noise_std": self.noise_std,
-            "embed_dim": self.embed_dim,
-            "embed_separation": self.embed_separation,
-            "embed_noise_std": self.embed_noise_std,
-            "class_groups": self.class_groups,
-            "seed": self.seed,
-        }
-        return d
+        return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SynthConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(d) - known
-        if bad:
-            raise DataError("unknown synthetic config keys: %s" % sorted(bad))
-        kwargs = dict(d)
-        if "separations" in kwargs:
-            kwargs["separations"] = tuple(kwargs["separations"])
-        return cls(**kwargs)
+    def from_dict(cls, d: dict, source: str = "synthetic config") -> "SynthConfig":
+        """A config from its JSON object; source names the file in errors."""
+        return config_from_json(cls, d, source)
 
 
 def generate_synthetic_cohort(cfg: SynthConfig):
@@ -601,6 +631,4 @@ def write_label_csv(path, labels: LabelVector, row_ids) -> None:
 
 
 def write_truth_json(path, truth: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(truth, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, truth)

@@ -9,7 +9,7 @@ predictions; the code keeps that equality exact.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -81,18 +81,10 @@ def macro_f1(cc: ConfusionCounts) -> float:
 
 
 def micro_f1(cc: ConfusionCounts) -> float:
-    """F1 over pooled counts. With equal pooled denominators (always true for
-    single-label confusion matrices) this is exactly TP / n, i.e. accuracy."""
-    tp = float(cc.tp().sum())
-    pden = tp + float(cc.fp().sum())
-    rden = tp + float(cc.fn().sum())
-    if pden == rden:
-        if pden == 0:
-            return 0.0
-        return tp / pden
-    p = _safe_div(tp, pden)
-    r = _safe_div(tp, rden)
-    return _safe_div(2.0 * p * r, p + r)
+    """F1 over pooled counts. In a square confusion matrix pooled FP and pooled
+    FN both equal n - TP, so pooled precision and recall are both TP / n and
+    their F1 is exactly accuracy."""
+    return accuracy(cc)
 
 
 def accuracy(cc: ConfusionCounts) -> float:
@@ -109,14 +101,7 @@ class MetricsReport:
     confusion: list
 
     def to_json_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "micro_f1": self.micro_f1,
-            "macro_f1": self.macro_f1,
-            "n": self.n,
-            "per_class": self.per_class,
-            "confusion": self.confusion,
-        }
+        return asdict(self)
 
 
 def metrics_report(pred, truth, n_classes: int) -> MetricsReport:
@@ -215,7 +200,6 @@ def sweep(kind: str, values, table, embeddings, labels, base_cfg, seeds=(0, 1, 2
     from . import pipeline
     from .clustering import ClusterPartition, kmeans_columns
     from .data import normalize_columns
-    from .train import TrainingConfig
 
     if kind not in SWEEP_KINDS:
         raise DataError("unknown sweep kind %r (have: %s)" % (kind, ", ".join(SWEEP_KINDS)))
@@ -234,16 +218,14 @@ def sweep(kind: str, values, table, embeddings, labels, base_cfg, seeds=(0, 1, 2
     rows = []
     for value in values:
         for seed in seeds:
-            cfg_d = base_cfg.to_json_dict()
-            cfg_d["seed"] = int(seed)
+            changes = {"seed": int(seed)}
             labeled_frac = None
             run_table, run_partition = table, partition
             if kind == "cluster_count":
                 v = int(value)
                 if v < 1:
                     raise DataError("cluster_count values must be positive")
-                cfg_d["n_relations"] = v
-                cfg_d["thetas"] = [min(base_cfg.thetas)] * v
+                changes.update(n_relations=v, thetas=(min(base_cfg.thetas),) * v)
                 run_partition = None  # re-cluster at each |R|
             elif kind == "label_fraction":
                 labeled_frac = float(value)
@@ -261,9 +243,8 @@ def sweep(kind: str, values, table, embeddings, labels, base_cfg, seeds=(0, 1, 2
                     source=base_partition.source,
                     column_names=[base_partition.column_names[j] for j in keep],
                 )
-                cfg_d["n_relations"] = v
-                cfg_d["thetas"] = list(base_cfg.thetas[:v])
-            cfg = TrainingConfig.from_json_dict(cfg_d)
+                changes.update(n_relations=v, thetas=base_cfg.thetas[:v])
+            cfg = replace(base_cfg, **changes)
             result = pipeline.run_experiment(
                 run_table, embeddings, labels, cfg,
                 partition=run_partition, labeled_frac=labeled_frac,

@@ -7,7 +7,6 @@ edge sets differ.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
@@ -21,6 +20,7 @@ from .data import (
     Normalizer,
     concat_attributes,
     prepare_tables,
+    write_json,
 )
 from .clustering import ClusterPartition
 
@@ -390,7 +390,5 @@ def write_multiplex(out_dir, g: MultiplexGraph) -> dict:
         "partition_source": g.partition.source,
         "relations": rel_meta,
     }
-    with open(os.path.join(out_dir, "multiplex.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "multiplex.json"), manifest)
     return manifest

@@ -10,7 +10,7 @@ transposes never appear in the backward passes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -576,13 +576,7 @@ def save_checkpoint(path, state: ModelState, config_hash: str = ""):
     """One sorted-key JSON header line, then the little-endian float64 blob."""
     header = {
         "format_version": CHECKPOINT_VERSION,
-        "dims": {
-            "n_nodes": state.dims.n_nodes,
-            "in_dim": state.dims.in_dim,
-            "hidden_dim": state.dims.hidden_dim,
-            "n_relations": state.dims.n_relations,
-            "n_classes": state.dims.n_classes,
-        },
+        "dims": asdict(state.dims),
         "seed": state.seed,
         "config_hash": config_hash,
         "params": [

@@ -16,7 +16,7 @@ import json
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -97,9 +97,7 @@ class TrainingConfig:
             raise DataError("split fractions must be non-negative and sum to 1")
 
     def to_json_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["thetas"] = list(self.thetas)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict, source: str = "config") -> "TrainingConfig":
@@ -108,24 +106,12 @@ class TrainingConfig:
         Also reads configs from before tau and weighted_full were dropped:
         tau never entered the objective, and only weighted_full false built
         the graphs this version builds."""
-        if not isinstance(d, dict):
-            raise DataError("%s: a config must be a JSON object" % source)
-        kwargs = dict(d)
-        kwargs.pop("tau", None)
-        if kwargs.pop("weighted_full", False):
-            raise DataError("%s: weighted_full graphs are no longer supported" % source)
-        bad = set(kwargs) - set(cls.__dataclass_fields__)
-        if bad:
-            raise DataError("%s: unknown config keys: %s" % (source, sorted(bad)))
-        for key, value in kwargs.items():
-            default = cls.__dataclass_fields__[key].default
-            if isinstance(default, tuple):
-                ok = isinstance(value, (list, tuple)) and all(map(D.is_number, value))
-            else:  # a float field takes any number, an int field only ints
-                ok = D.is_number(value) and (isinstance(default, float) or isinstance(value, int))
-            if not ok:
-                raise DataError("%s: %s has the wrong type: %r" % (source, key, value))
-        return cls(**kwargs)
+        if isinstance(d, dict):
+            d = dict(d)
+            d.pop("tau", None)
+            if d.pop("weighted_full", False):
+                raise DataError("%s: weighted_full graphs are no longer supported" % source)
+        return D.config_from_json(cls, d, source)
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_json_dict(), sort_keys=True).encode("utf-8")
@@ -414,19 +400,7 @@ class TrainReport:
     mask_digest: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "best_epoch": self.best_epoch,
-            "best_val_micro": self.best_val_micro,
-            "epochs_run": self.epochs_run,
-            "stopped_early": self.stopped_early,
-            "att_weights": self.att_weights,
-            "test_metrics": self.test_metrics,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "n_nodes": self.n_nodes,
-            "mask_digest": self.mask_digest,
-        }
+        return asdict(self)
 
 
 def _mask_digest(mask: np.ndarray) -> str:

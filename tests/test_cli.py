@@ -93,6 +93,25 @@ def test_synth_seed_reproducibility(workdir, tmp_path):
     assert sha256(a / "features.csv") != sha256(c / "features.csv")
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"n": "many"}, "{path}: n has the wrong type: 'many'"),
+    ({"noise_std": None}, "{path}: noise_std has the wrong type: None"),
+    ({"separations": [1, "x"]}, "{path}: separations has the wrong type: [1, 'x']"),
+    ({"n_types": 2.5}, "{path}: n_types has the wrong type: 2.5"),
+    ([1, 2], "{path}: a config must be a JSON object"),
+    # SynthConfig itself refuses class_groups, and knows no file name
+    ({"class_groups": [1, 2]}, "class_groups[0] must be a list of lists of class indices"),
+    ({"class_groups": [[[0], ["1"]], [[0, 1, 2]]]},
+     "class_groups[0] must be a list of lists of class indices"),
+], ids=["n_a_word", "noise_null", "separation_a_word", "n_types_a_float", "a_list",
+        "class_groups_flat", "class_group_a_string"])
+def test_malformed_synth_config_exits_2(tmp_path, capsys, config, message):
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps(config))
+    assert run(["--quiet", "synth", "--out", str(tmp_path / "cohort"), "--config", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["data error: " + message.format(path=path)]
+
+
 # ---------------------------------------------------------------- cluster
 
 
@@ -319,13 +338,19 @@ def test_infer_matches_library_path(workdir, tmp_path):
     assert probs_cli == pytest.approx(ref_probs[0], abs=1e-12)
 
 
-def test_infer_needs_matching_embeddings(workdir, tmp_path):
+def test_infer_needs_matching_embeddings(workdir, tmp_path, capsys):
     new_feat = tmp_path / "new_features.csv"
     duplicate_first_row(workdir["data"] / "features.csv", new_feat, "newcomer")
-    code = run(["--quiet", "infer", "--run", str(workdir["run"]),
-                "--data", str(workdir["data"]), "--new-features", str(new_feat),
-                "--out", str(tmp_path / "x")])
-    assert code == 2
+    argv = ["--quiet", "infer", "--run", str(workdir["run"]), "--data", str(workdir["data"]),
+            "--new-features", str(new_feat), "--out", str(tmp_path / "x")]
+    assert run(argv) == 2
+    capsys.readouterr()
+    # embeddings of the right width, but for another patient
+    new_emb = tmp_path / "new_embeddings.csv"
+    duplicate_first_row(workdir["data"] / "embeddings.csv", new_emb, "stranger")
+    assert run(argv + ["--new-embeddings", str(new_emb)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: new embeddings and features disagree on row ids"]
 
 
 # ---------------------------------------------------------------- run loader
@@ -510,6 +535,11 @@ def test_manifest_records_what_the_command_read_and_wrote(workdir, tmp_path, com
         manifest_path = out / "manifest.json"
         written = [p for p in out.iterdir() if p.name != "manifest.json"]
     manifest = json.loads(manifest_path.read_text())
+    # every JSON file written has one layout: indent 2, sorted keys, a final newline
+    for path in [manifest_path] + [p for p in written
+                                   if p.suffix == ".json" or command in ("cluster", "eval")]:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path
     assert manifest["command"] == command
     assert manifest["outputs"] == {str(p): sha256(p) for p in written}
     assert manifest["inputs"] == {str(p): sha256(p) for p in inputs}

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -208,6 +209,13 @@ def test_manual_split_not_json():
             load_manual_split(path, t)
     finally:
         os.unlink(path)
+
+
+def test_manual_split_missing_file(tmp_path):
+    t = table_from(np.zeros((3, 1)), names=["a"])
+    path = tmp_path / "absent.json"
+    with pytest.raises(DataError, match=re.escape("missing file: %s" % path)):
+        load_manual_split(path, t)
 
 
 def test_partition_save_load_roundtrip_with_source_key():

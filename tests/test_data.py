@@ -555,5 +555,5 @@ def test_synth_config_dict_roundtrip():
     cfg = SynthConfig(n=50, n_classes=2, separations=(1.5, 0.5), class_groups=[[[0], [1]], [[0, 1]]])
     back = SynthConfig.from_dict(cfg.to_dict())
     assert back == cfg
-    with pytest.raises(DataError, match="unknown synthetic config keys"):
+    with pytest.raises(DataError, match="synthetic config: unknown config keys"):
         SynthConfig.from_dict({"n": 10, "bogus": 1})
