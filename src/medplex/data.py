@@ -121,13 +121,16 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
-    """The JSON value in a file; a missing file or invalid JSON is a DataError."""
+    """The JSON value in a file. A missing file, one that cannot be read (a
+    directory, say) and one that is not UTF-8 JSON are each a DataError."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise DataError("missing file: %s" % path) from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise DataError("%s: cannot read (%s)" % (path, exc.strerror or exc)) from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError("%s: not valid JSON (%s)" % (path, exc)) from None
 
 

@@ -187,8 +187,10 @@ class PackedOperator:
     product works through _TILE x _TILE blocks of A + I, each unpacked into
     one reused float tile, and adds a row block's products left to right; the
     fixed inner dimension keeps the bytes equal at 1 and 2 BLAS threads, where
-    one full-width product per row block differs. The result is within
-    rounding of the CSR product, not bitwise equal to it.
+    one full-width product per row block differs. The product is made in Y's
+    float dtype (float64 for an integer Y): the tile, dinv and the result
+    all take it, so a float32 Y gets float32 GEMMs. A float64 result is
+    within rounding of the CSR product, not bitwise equal to it.
     """
 
     def __init__(self, graph: RelationGraph):
@@ -210,10 +212,12 @@ class PackedOperator:
 
     def __matmul__(self, y: np.ndarray) -> np.ndarray:
         n = self.shape[0]
-        out = np.empty((n, y.shape[1]))
-        buf = np.empty((min(_TILE, n),) * 2)  # every block is unpacked into it
+        dtype = y.dtype if y.dtype.kind == "f" else np.float64
+        dinv = self.dinv.astype(dtype, copy=False)
+        out = np.empty((n, y.shape[1]), dtype)
+        buf = np.empty((min(_TILE, n),) * 2, dtype)  # every block is unpacked into it
         for c in range(0, n, _TILE):
-            z = y[c:c + _TILE] * self.dinv[c:c + _TILE, None]
+            z = y[c:c + _TILE] * dinv[c:c + _TILE, None]
             cols = self.bits[:, c // 8:(c + z.shape[0] + 7) // 8]
             for lo in range(0, n, _TILE):
                 block = buf[:min(_TILE, n - lo), :z.shape[0]]
@@ -222,7 +226,7 @@ class PackedOperator:
                     out[lo:lo + _TILE] += block @ z
                 else:
                     np.matmul(block, z, out=out[lo:lo + _TILE])
-        out *= self.dinv[:, None]
+        out *= dinv[:, None]
         return out
 
 

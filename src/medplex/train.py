@@ -47,9 +47,10 @@ from .model import (
 )
 
 SCORE_CLAMP = 1e-7
-# The dtype fit trains in. Graph products are made in float64 and rounded
-# into it; the state fit returns, and so checkpoints and inference, are
-# float64 (README, "Training cost and memory").
+# The dtype fit trains in. Its graph products are made from a copy of X in
+# this dtype: a packed operator multiplies in it, a CSR one in float64 and
+# the product is rounded into it. The state fit returns, and so checkpoints
+# and inference, are float64 (README, "Precision").
 _TRAIN_DTYPE = np.float32
 # Columns of corrupted features propagated at once: fit makes one block
 # product per relation every max(1, _BLOCK_COLUMNS // in_dim) epochs.
@@ -449,8 +450,10 @@ def _corrupted_inputs(x: np.ndarray, ops: list, cfg: TrainingConfig, stacks: lis
     and their bytes are the same either way. Before each yield the epoch's
     columns of every block are written, on the caller's thread, into the
     bottom half of its stack. On the W-first side the stacks hold n rows and
-    the step propagates per epoch. x is float64 and each block is rounded to
-    the stacks' dtype as it is made.
+    the step propagates per epoch. x is fit's copy of the attributes in the
+    stacks' dtype, so the corrupted rows are gathered in it and a packed
+    operator's block comes back in it; a CSR block, made in float64, is
+    rounded to it as it is made.
     """
     n, d = x.shape
     if stacks[0].shape[0] == n:
@@ -463,9 +466,9 @@ def _corrupted_inputs(x: np.ndarray, ops: list, cfg: TrainingConfig, stacks: lis
         perms = [corrupt_features(x, seed=[cfg.seed, e])
                  for e in range(start, min(start + k, cfg.epochs))]
         xs = x[np.stack(perms, axis=1)].reshape(n, -1)
-        # held in the stacks' dtype: rounding here gives the bytes the copy
-        # into them would
-        return perms, [propagate(op, xs).astype(stacks[0].dtype, copy=False) for op in ops]
+        # held in x's dtype: rounding a CSR block here gives the bytes the
+        # copy into the stacks would
+        return perms, [propagate(op, xs).astype(x.dtype, copy=False) for op in ops]
 
     for perms, blocks in _made_ahead(make_block, list(range(0, cfg.epochs, k))):
         for i, perm in enumerate(perms):
@@ -534,9 +537,9 @@ def fit(graph: MultiplexGraph, labels: LabelVector, cfg: TrainingConfig):
     products during the steps (see _corrupted_inputs); it is joined before
     fit returns or raises, and an early stop leaves at most one block unused.
     The step's n-row arrays are made once (StepArrays) and rewritten every
-    epoch. The steps run on a _TRAIN_DTYPE copy of the model and inputs; the
-    graph products are made from the float64 attributes and rounded once,
-    into the stacks, and the selected parameters come back as a float64
+    epoch. The steps run on a _TRAIN_DTYPE copy of the model and the
+    attributes, and every graph product is made from that copy (see
+    _TRAIN_DTYPE); the selected parameters come back as a float64
     ModelState. A multiplex whose relations are all edgeless raises
     DataError; one where only some are logs a warning naming them.
     """
@@ -568,13 +571,13 @@ def fit(graph: MultiplexGraph, labels: LabelVector, cfg: TrainingConfig):
     # each epoch's op @ x[perm] (see _corrupted_inputs)
     n = graph.n_nodes
     rows = 2 * n if propagates_first(x.shape[1], cfg.embed_dim) else n
+    x_step = x.astype(_TRAIN_DTYPE)  # every X[perm] is gathered from it
     stacks = []
     for op in ops:
         stacks.append(np.empty((rows, x.shape[1]), _TRAIN_DTYPE))
-        stacks[-1][:n] = propagate(op, x)
+        stacks[-1][:n] = propagate(op, x_step)
     arrays = StepArrays(state)
-    perms = _corrupted_inputs(x, ops, cfg, stacks)
-    x_step = x.astype(_TRAIN_DTYPE)  # X[perm] of the W-first side is gathered from it
+    perms = _corrupted_inputs(x_step, ops, cfg, stacks)
 
     def step(epoch):
         s = loss_and_grads(state, ops, x_step, labels, cfg, next(perms), stacks, arrays)

@@ -1,4 +1,8 @@
 """Shared helpers for the test suite. Import directly: from conftest import fd_grad."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 
 
@@ -24,6 +28,15 @@ def max_rel_err(analytic, numeric, floor=1e-6):
     return float(np.max(np.abs(analytic - numeric) / scale))
 
 
+def random_graph(rng, n, p):
+    """A relation graph on n nodes with each pair an edge with probability p."""
+    from medplex.graph import RelationGraph
+
+    iu, ju = np.triu_indices(n, k=1)
+    keep = rng.random(iu.shape[0]) < p
+    return RelationGraph(n=n, edges=np.stack([iu[keep], ju[keep]], axis=1))
+
+
 class CountingOp:
     """A graph operator (CSR or packed) that records the width of every
     product op @ M."""
@@ -37,3 +50,21 @@ class CountingOp:
     def __matmul__(self, other):
         self.widths.append(other.shape[1] if other.ndim == 2 else 1)
         return self.op @ other
+
+
+def stdout_at_blas_threads(script, counts=("1", "2")):
+    """The stripped stdout of `python -c script` run with each BLAS thread
+    count. The count must be set before numpy loads, hence one process each."""
+    import medplex
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(medplex.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outs = []
+    for threads in counts:
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout.strip())
+    return outs

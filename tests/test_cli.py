@@ -112,6 +112,36 @@ def test_malformed_synth_config_exits_2(tmp_path, capsys, config, message):
     assert capsys.readouterr().err.splitlines() == ["data error: " + message.format(path=path)]
 
 
+def _unreadable(path, kind):
+    """Makes path a directory, or a file whose bytes are not UTF-8."""
+    if kind == "a_directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{")
+
+
+UNREADABLE = [("a_directory", "{path}: cannot read (Is a directory)"),
+              ("not_utf8", "{path}: not valid JSON ('utf-8' codec can't decode byte 0xff"
+                           " in position 0: invalid start byte)")]
+
+
+@pytest.mark.parametrize("kind, message", UNREADABLE, ids=[k for k, _ in UNREADABLE])
+def test_unreadable_json_exits_2(workdir, tmp_path, capsys, kind, message):
+    # a synth --config, and a JSON file of the run directory eval reads
+    path = tmp_path / "synth.json"
+    _unreadable(path, kind)
+    assert run(["--quiet", "synth", "--out", str(tmp_path / "cohort"), "--config", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["data error: " + message.format(path=path)]
+    run_dir = tmp_path / "run"
+    shutil.copytree(workdir["run"], run_dir)
+    path = run_dir / "resolved_config.json"
+    path.unlink()
+    _unreadable(path, kind)
+    assert run(["--quiet", "eval", "--run", str(run_dir), "--data", str(workdir["data"]),
+                "--split", "test", "--out", str(tmp_path / "eval.json")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["data error: " + message.format(path=path)]
+
+
 # ---------------------------------------------------------------- cluster
 
 

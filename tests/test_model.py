@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.special import expit
 
-from conftest import CountingOp, fd_grad, max_rel_err
+from conftest import CountingOp, fd_grad, max_rel_err, random_graph, stdout_at_blas_threads
 from medplex import model as model_module
 from medplex.data import EmbeddingTable, FeatureTable, SynthConfig, generate_synthetic_cohort
 from medplex.errors import DataError, NumericError
@@ -119,12 +119,6 @@ def assert_same_csr(a, b):
     for name in ("data", "indices", "indptr"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
-
-
-def random_graph(rng, n, p):
-    iu, ju = np.triu_indices(n, k=1)
-    keep = rng.random(iu.shape[0]) < p
-    return RelationGraph(n=n, edges=np.stack([iu[keep], ju[keep]], axis=1))
 
 
 def test_adjacency_bytes_equal_coo_construction():
@@ -262,6 +256,62 @@ def test_packed_operator_matches_csr():
         keys = rel.edges[:, 0].astype(np.int64) * rel.n + rel.edges[:, 1]
         assert np.any(keys[1:] < keys[:-1])
         assert_packed_matches_csr(rel, rng)
+
+
+def float64_packed_product(op, y):
+    """PackedOperator's product as made before it followed Y's dtype: the
+    float64 kernel, whose bytes a float64 Y must still get."""
+    n, t = op.shape[0], model_module._TILE
+    out = np.empty((n, y.shape[1]))
+    buf = np.empty((min(t, n),) * 2)
+    for c in range(0, n, t):
+        z = y[c:c + t] * op.dinv[c:c + t, None]
+        cols = op.bits[:, c // 8:(c + z.shape[0] + 7) // 8]
+        for lo in range(0, n, t):
+            block = buf[:min(t, n - lo), :z.shape[0]]
+            block[...] = np.unpackbits(cols[lo:lo + t], axis=1, count=z.shape[0])
+            if c:
+                out[lo:lo + t] += block @ z
+            else:
+                np.matmul(block, z, out=out[lo:lo + t])
+    out *= op.dinv[:, None]
+    return out
+
+
+def test_packed_product_follows_the_input_dtype():
+    rng = np.random.default_rng(49)
+    for n in (1, 301, 517):
+        g = random_graph(rng, n, 0.3)
+        op = PackedOperator(g)
+        y = rng.normal(size=(n, 12))
+        got = op @ y
+        assert got.dtype == np.float64
+        assert got.tobytes() == float64_packed_product(op, y).tobytes()
+        got32 = op @ y.astype(np.float32)
+        assert got32.dtype == np.float32
+        assert np.max(np.abs(got32 - got)) <= 1e-6 * np.max(np.abs(got))
+        ints = rng.integers(-3, 4, size=(n, 3))
+        assert (op @ ints).tobytes() == (op @ ints.astype(np.float64)).tobytes()
+
+
+_PACKED_DIGEST = """
+import hashlib
+import numpy as np
+from medplex.graph import RelationGraph
+from medplex.model import PackedOperator
+rng = np.random.default_rng(50)
+iu, ju = np.triu_indices(600, k=1)
+keep = rng.random(iu.shape[0]) < 0.3
+op = PackedOperator(RelationGraph(n=600, edges=np.stack([iu[keep], ju[keep]], axis=1)))
+y = rng.normal(size=(600, 144)).astype(np.float32)
+print(hashlib.sha256((op @ y).tobytes()).hexdigest())
+"""
+
+
+def test_float32_packed_product_bytes_equal_across_blas_threads():
+    # n = 600 spans three tiles; 144 columns is fit's block width
+    digests = stdout_at_blas_threads(_PACKED_DIGEST)
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------- gcn layer

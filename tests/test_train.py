@@ -2,8 +2,6 @@ import dataclasses
 import importlib
 import json
 import math
-import os
-import subprocess
 import sys
 import threading
 import tracemalloc
@@ -11,9 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import CountingOp, fd_grad, max_rel_err
+from conftest import CountingOp, fd_grad, max_rel_err, random_graph, stdout_at_blas_threads
 from test_perfbench_targets import traced_targets
-import medplex
 from medplex import data as D
 from medplex import model as M
 from medplex import train as T
@@ -27,6 +24,7 @@ from medplex.model import (
     model_forward,
     normalize_adjacency,
     propagate,
+    propagates_first,
     relation_operator,
 )
 from medplex.graph import RelationGraph
@@ -836,6 +834,37 @@ def test_fit_sparse_products_per_epoch(monkeypatch):
         assert [op.widths for op in counting] == [[in_dim] + after] * 2
 
 
+def test_w_first_fit_makes_float32_products(monkeypatch):
+    # in_dim 12 above embed_dim 8: the corrupted rows apply W first, so each
+    # epoch makes op @ (X[perm] W) and op @ dpre, by packed operators here
+    dtypes, step_arrays = [], []
+    matmul = M.PackedOperator.__matmul__
+
+    def recording_matmul(op, y):
+        out = matmul(op, y)
+        dtypes.append((y.dtype, out.dtype))
+        return out
+
+    class RecordingArrays(StepArrays):
+        def __init__(self, state):
+            super().__init__(state)
+            step_arrays.append(self)
+
+    monkeypatch.setattr(M.PackedOperator, "__matmul__", recording_matmul)
+    monkeypatch.setattr(T, "StepArrays", RecordingArrays)
+    monkeypatch.setattr(M, "_DENSE_FROM", 0.0)
+    graph, masked, cfg = synth_setup(seed=8, epochs=5, embed_dim=8)
+    assert not propagates_first(graph.attributes.x.shape[1], cfg.embed_dim)
+    _, report = fit(graph, masked, cfg)
+    # op @ X per relation, then two products per relation and epoch
+    assert len(dtypes) == cfg.n_relations * (1 + 2 * report.epochs_run)
+    assert set(dtypes) == {(np.dtype(np.float32),) * 2}
+    (arrays,) = step_arrays
+    held = [a for v in vars(arrays).values() for a in (v if isinstance(v, list) else [v])]
+    assert {a.dtype for a in held} == {np.dtype(np.float32), np.dtype(bool)}
+    assert [a for a in held if a.dtype == bool] == [arrays.mask]
+
+
 def test_fit_blocks_match_per_epoch_products(monkeypatch):
     widths = []
 
@@ -855,10 +884,11 @@ def test_fit_blocks_match_per_epoch_products(monkeypatch):
         k = T._BLOCK_COLUMNS // in_dim
         ops = [relation_operator(g) for g in graph.relations]
         assert any(isinstance(op, M.PackedOperator) for op in ops)  # packed bits run too
-        # the reference propagates each epoch's X[perm] alone, by CSR
+        # the reference propagates each epoch's X[perm] alone, by the same
+        # operators: a packed float32 product of 12 columns per epoch
+        # (test_fit_block_products_match_csr checks the products against CSR)
         with monkeypatch.context() as m:
             m.setattr(T, "_BLOCK_COLUMNS", 1)
-            m.setattr(M, "_DENSE_FROM", np.inf)
             ref_state, ref_report = fit(graph, masked, cfg)
         for cpus in (1, 2):
             widths.clear()
@@ -885,6 +915,28 @@ def test_fit_blocks_match_per_epoch_products(monkeypatch):
             assert widths[len(ops):] == [min(k, cfg.epochs - e) * in_dim
                                          for e in starts for _ in ops]
             assert widths[len(ops)::len(ops)] == made[cpus]
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_fit_block_products_match_csr(n, monkeypatch):
+    # one block of fit's corrupted inputs by packed operators in float32,
+    # against the float64 CSR product of the float64 attributes
+    graph, masked, cfg = synth_setup(seed=11, n=n, embed_dim=16, epochs=12)
+    x = graph.attributes.x
+    k = T._BLOCK_COLUMNS // x.shape[1]
+    monkeypatch.setattr(T, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(M, "_DENSE_FROM", 0.0)
+    ops = [relation_operator(g) for g in graph.relations]
+    assert all(isinstance(op, M.PackedOperator) for op in ops)
+    csr = [normalize_adjacency(g) for g in graph.relations]
+    stacks = [np.empty((2 * n, x.shape[1]), T._TRAIN_DTYPE) for _ in ops]
+    epochs = 0
+    for perm in T._corrupted_inputs(x.astype(T._TRAIN_DTYPE), ops, cfg, stacks):
+        epochs += 1
+        for a, stack in zip(csr, stacks):
+            want = a @ x[perm]
+            assert np.max(np.abs(stack[n:] - want)) <= 1e-6 * np.max(np.abs(want))
+    assert epochs == k == cfg.epochs  # one block product per operator
 
 
 def _propagate_threads(monkeypatch):
@@ -1018,18 +1070,8 @@ print(hashlib.sha256(blob).hexdigest())
 
 
 def test_fit_bytes_equal_across_blas_threads():
-    # n = 600 spans three tiles of a dense operator; the thread count must be
-    # set before numpy loads, hence one process per count
-    src = os.path.dirname(os.path.dirname(os.path.abspath(medplex.__file__)))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        proc = subprocess.run([sys.executable, "-c", _FIT_DIGEST], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout.strip())
+    # n = 600 spans three tiles of a dense operator
+    digests = stdout_at_blas_threads(_FIT_DIGEST)
     assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
@@ -1049,6 +1091,36 @@ def test_fit_never_holds_a_dense_operator():
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * n, peak
+
+
+def test_making_a_block_holds_no_float64_block(monkeypatch):
+    # fit's corrupted inputs gathered from its float32 X and propagated by a
+    # packed operator: the block made and held is float32, and so is the
+    # gather; a float64 gather alone would take one float64 n x k·in_dim array
+    n, in_dim = 2000, 18
+    rng = np.random.default_rng(51)
+    op = M.PackedOperator(random_graph(rng, n, 0.3))
+    x = rng.normal(size=(n, in_dim)).astype(T._TRAIN_DTYPE)
+    cfg = preset_config("synth", n_relations=1, thetas=(0.5,), epochs=8)
+    width = T._BLOCK_COLUMNS // in_dim * in_dim  # 144: one block of all 8 epochs
+    stacks = [np.empty((2 * n, in_dim), T._TRAIN_DTYPE)]
+    monkeypatch.setattr(T, "_usable_cpus", lambda: 1)  # the block is made inline
+    blocks = T._corrupted_inputs(x, [op], cfg, stacks)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        next(blocks)
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+        blocks.close()
+    float64_block = 8 * n * width  # 2,304,000 bytes
+    # held: the float32 block (1,152,000 bytes) and the 8 permutations
+    assert held < float64_block, held
+    # beyond it: the float32 gather and the product's fixed tile buffers (at
+    # n = 1000 those two alone come to just above the float64 block)
+    assert peak - held < float64_block, peak - held
 
 
 def test_warm_training_step_allocates_no_n_row_array():
