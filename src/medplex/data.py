@@ -7,6 +7,7 @@ the column mean); embeddings are machine-generated and must be complete.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 from dataclasses import asdict, dataclass
@@ -120,18 +121,32 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def read_json(path):
-    """The JSON value in a file. A missing file, one that cannot be read (a
-    directory, say) and one that is not UTF-8 JSON are each a DataError."""
+@contextlib.contextmanager
+def open_input(path, mode: str = "r", **kwargs):
+    """open(path, mode) for reading an input file. A missing file, one that
+    cannot be read (a directory, say) and, in text mode, one that is not
+    UTF-8 are each a one-line DataError naming the file."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        fh = open(path, mode, **kwargs)
     except FileNotFoundError:
         raise DataError("missing file: %s" % path) from None
     except OSError as exc:
         raise DataError("%s: cannot read (%s)" % (path, exc.strerror or exc)) from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError("%s: not valid JSON (%s)" % (path, exc)) from None
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError("%s: not UTF-8 text (%s)" % (path, exc)) from None
+
+
+def read_json(path):
+    """The JSON value in a file. A missing file, one that cannot be read (a
+    directory, say) and one that is not UTF-8 JSON are each a DataError."""
+    with open_input(path) as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DataError("%s: not valid JSON (%s)" % (path, exc)) from None
 
 
 def config_from_json(cls, d, source: str):
@@ -308,7 +323,7 @@ def _parse_cell(text: str, path, row_num: int, col_name: str) -> float:
 
 
 def _read_numeric_csv(path):
-    with open(path, newline="") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -380,7 +395,7 @@ def load_embedding_csv(path) -> EmbeddingTable:
 def load_label_csv(path) -> tuple[LabelVector, list[str]]:
     """Read an id,label CSV into (labels, row ids); one class per label up to
     the largest. All rows start as TRAIN; split_masks reassigns."""
-    with open(path, newline="") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .data import open_input
 from .errors import DataError, NumericError
 from .graph import _TILE, RelationGraph
 
@@ -148,6 +149,13 @@ class ModelState(FlatParams):
         self.params["cls_w"] = _xavier(rng, d, c)
         self.flat[...] = self.flat.astype(np.float32)
 
+    def relation_stack(self, vec: np.ndarray, prefix: str) -> np.ndarray:
+        """prefix_0 ... prefix_{R-1} of vec (flat or grad) as one (R, *shape)
+        view; param_order keeps a prefix's R arrays consecutive."""
+        first = self._order.index(prefix + "_0")
+        lo, hi = self._bounds[first], self._bounds[first + self.dims.n_relations]
+        return vec[lo:hi].reshape((self.dims.n_relations,) + self._shapes[first])
+
 
 def normalize_adjacency(graph: RelationGraph):
     """Symmetric operator D^-1/2 (A + I) D^-1/2 with degrees from A + I, as a
@@ -261,6 +269,25 @@ def propagates_first(in_width: int, out_width: int) -> bool:
     return in_width <= out_width
 
 
+def rows_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """aᵀ b over the rows a and b share (their second-to-last axis), as the
+    sum of the products of fixed _TILE-row chunks, left to right; stacked
+    (R, rows, ·) inputs give one product per relation. OpenBLAS splits one
+    GEMM over a long inner dimension differently at 1 and 2 threads, and
+    the bytes then differ; fixed chunks keep them equal. The whole chunks
+    are one batched product. out takes the result."""
+    k = a.shape[-2]
+    whole = k - k % _TILE
+
+    def chunks(m):
+        return m[..., :whole, :].reshape(m.shape[:-2] + (whole // _TILE, _TILE, m.shape[-1]))
+
+    out = np.sum(np.matmul(np.swapaxes(chunks(a), -1, -2), chunks(b)), axis=-3, out=out)
+    if whole < k:
+        out += np.swapaxes(a[..., whole:, :], -1, -2) @ b[..., whole:, :]
+    return out
+
+
 @dataclass
 class GcnCache:
     op: object  # CSR or PackedOperator
@@ -270,40 +297,26 @@ class GcnCache:
     h: np.ndarray  # the layer's output: positive exactly where its pre-activations are
 
 
-def gcn_layer(op, x: np.ndarray, w: np.ndarray, ax: np.ndarray | None = None,
-              out: np.ndarray | None = None):
+def gcn_layer(op, x: np.ndarray, w: np.ndarray, ax: np.ndarray | None = None):
     """H = relu(op @ X @ W); returns (H, cache).
 
     ax = op @ x, from a caller whose X stays fixed across calls, makes the
-    layer (op X) W with no sparse product. ax may stack more rows than X,
-    as fit's 2n-row [op X; op X[perm]] over an n-row X does; H and the
-    cache then cover all of them. Without ax the association follows
-    propagates_first. out, an array of H's shape, takes the pre-activations
-    and then, rectified in place, H; only a W-first layer's graph product
-    is then made afresh.
+    layer (op X) W with no sparse product. Without ax the association
+    follows propagates_first. H is rectified in place, since H > 0 exactly
+    where the pre-activations are.
     """
     if x.shape[1] != w.shape[0]:
         raise DataError("input width %d does not match weight rows %d" % (x.shape[1], w.shape[0]))
     if ax is None and propagates_first(x.shape[1], w.shape[1]):
         ax = propagate(op, x)
-    if ax is not None:
-        h = np.matmul(ax, w, out=out)
-    else:
-        h = np.matmul(x, w, out=out)
-        h[...] = propagate(op, h)
+    h = ax @ w if ax is not None else propagate(op, x @ w)
     np.maximum(h, 0.0, out=h)
     return h, GcnCache(op, x, ax, w, h)
 
 
-def gcn_layer_backward(cache: GcnCache, dh: np.ndarray, mask: np.ndarray | None = None,
-                       out: np.ndarray | None = None):
-    """Returns (dW, dpre); a layer that propagated first makes no sparse product.
-
-    mask, a bool array of dh's shape, takes the relu's mask and out takes
-    dpre; out may be dh itself.
-    """
-    # a multiply by the mask; np.where is several times slower
-    dpre = np.multiply(dh, np.greater(cache.h, 0.0, out=mask), out=out)
+def gcn_layer_backward(cache: GcnCache, dh: np.ndarray):
+    """Returns (dW, dpre); a layer that propagated first makes no sparse product."""
+    dpre = dh * (cache.h > 0.0)
     if cache.ax is not None:
         return cache.ax.T @ dpre, dpre
     return cache.x.T @ propagate(cache.op, dpre), dpre
@@ -341,15 +354,19 @@ class SummaryCache:
 
 
 def readout_summary(h: np.ndarray):
-    """s = sigmoid(column means of H); returns (s, cache)."""
-    s = expit(h.mean(axis=0))
-    return s, SummaryCache(s, h.shape[0])
+    """s = sigmoid(column means of H); returns (s, cache). A stacked
+    (R, n, d) H gives one summary per relation, (R, d). The column sums are
+    one product with a ones vector, several times faster than mean()."""
+    n = h.shape[-2]
+    s = expit(np.ones(n, h.dtype) @ h / n)
+    return s, SummaryCache(s, n)
 
 
 def summary_backward(cache: SummaryCache, ds: np.ndarray) -> np.ndarray:
-    """dH, every row the same: a read-only broadcast view of one row."""
+    """dH, every row of a relation the same: a read-only broadcast view of
+    one row per relation."""
     row = ds * cache.s * (1.0 - cache.s) / cache.n
-    return np.broadcast_to(row, (cache.n, row.shape[0]))
+    return np.broadcast_to(row[..., None, :], row.shape[:-1] + (cache.n, row.shape[-1]))
 
 
 @dataclass
@@ -362,21 +379,26 @@ class DiscCache:
 
 
 def discriminate(h: np.ndarray, s: np.ndarray, m: np.ndarray):
-    """Bilinear probe: sigmoid(h_i^T M s) per row; returns (scores, cache)."""
-    if m.shape != (h.shape[1], s.shape[0]):
+    """Bilinear probe: sigmoid(h_i^T M s) per row; returns (scores, cache).
+
+    Stacked inputs, h (R, rows, d), s (R, d) and m (R, d, d), probe each
+    relation's rows with its own summary and form, in one batched product
+    each; scores are then (R, rows).
+    """
+    if m.shape != s.shape[:-1] + (h.shape[-1], s.shape[-1]) or h.ndim != s.ndim + 1:
         raise DataError("discriminator shape mismatch")
-    ms = m @ s
-    scores = expit(h @ ms)
+    ms = (m @ s[..., None])[..., 0]
+    scores = expit((h @ ms[..., None])[..., 0])
     return scores, DiscCache(h, s, m, scores, ms)
 
 
 def discriminate_backward_pre(cache: DiscCache, da: np.ndarray, out: np.ndarray | None = None):
     """Backward with gradients already at the pre-sigmoid activations; out,
     an array of h's shape, takes dh."""
-    dh = np.outer(da, cache.ms, out=out)
-    hda = cache.h.T @ da
-    dm = np.outer(hda, cache.s)
-    ds = cache.m.T @ hda
+    dh = np.einsum("...i,...j->...ij", da, cache.ms, out=out)  # twice np.outer's speed
+    hda = (da[..., None, :] @ cache.h)[..., 0, :]
+    dm = hda[..., :, None] * cache.s[..., None, :]
+    ds = (hda[..., None, :] @ cache.m)[..., 0, :]
     return dh, ds, dm
 
 
@@ -399,7 +421,7 @@ def corrupt_features(x: np.ndarray, seed) -> np.ndarray:
 
 @dataclass
 class PoolCache:
-    hs: list
+    hs: np.ndarray  # R x rows x d
     weights: np.ndarray
 
 
@@ -409,38 +431,38 @@ def attention_weights(att_logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def attentive_pool(hs: list, att_logits: np.ndarray, out: np.ndarray | None = None,
-                   scratch: np.ndarray | None = None):
+def attentive_pool(hs, att_logits: np.ndarray, out: np.ndarray | None = None):
     """Relation-weighted sum of embeddings, weights = softmax of the logits.
 
-    Returns (pooled, weights, cache). Weights are shared across nodes; they
-    are the model's estimate of how informative each relation is. The sum is
-    taken element by element, so a row's result does not depend on how many
-    rows are pooled with it. out and scratch, arrays of an embedding's shape,
-    take the sum and each weighted term before it is added.
+    hs is one (R, rows, d) array or a list of R (rows, d) arrays, which is
+    stacked. Returns (pooled, weights, cache). Weights are shared across
+    nodes; they are the model's estimate of how informative each relation
+    is. The sum is one product of the weights with the R flattened
+    embeddings. out, an array of an embedding's shape, takes it.
     """
-    if len(hs) != att_logits.shape[0]:
+    hs = np.asarray(hs)
+    if hs.shape[0] != att_logits.shape[0]:
         raise DataError("one attention logit per relation required")
     weights = attention_weights(att_logits)
-    pooled = np.multiply(hs[0], weights[0], out=out)
-    for w, h in zip(weights[1:], hs[1:]):
-        pooled += np.multiply(h, w, out=scratch)
-    return pooled, weights, PoolCache(list(hs), weights)
+    flat = np.matmul(weights, hs.reshape(hs.shape[0], -1),
+                     out=None if out is None else out.reshape(-1))
+    return flat.reshape(hs.shape[1:]), weights, PoolCache(hs, weights)
 
 
-def attentive_pool_backward(cache: PoolCache, dpooled: np.ndarray, add_into: list | None = None,
+def attentive_pool_backward(cache: PoolCache, dpooled: np.ndarray,
+                            add_into: np.ndarray | None = None,
                             scratch: np.ndarray | None = None):
-    """Returns (dhs list, dlogits).
+    """Returns (dhs, dlogits), dhs one (R, rows, d) array.
 
-    Given add_into, one array per relation, each relation's gradient is added
-    into its array, through scratch (an array of dpooled's shape), and dhs
-    is add_into.
+    Given add_into, an array of that shape, each relation's gradient is
+    added into its rows, through scratch (an array of dpooled's shape), and
+    dhs is add_into.
     """
     w = cache.weights
-    dw = np.array([np.einsum("i,i->", dpooled.ravel(), h.ravel()) for h in cache.hs])
+    dw = cache.hs.reshape(w.shape[0], -1) @ dpooled.ravel()  # <dpooled, H_r> per relation
     dlogits = w * (dw - float(np.dot(w, dw)))
     if add_into is None:
-        return [w[r] * dpooled for r in range(w.shape[0])], dlogits
+        return w[:, None, None] * dpooled, dlogits
     for r, dh in enumerate(add_into):
         dh += np.multiply(dpooled, w[r], out=scratch)
     return add_into, dlogits
@@ -476,39 +498,33 @@ def classify_backward(cache: ClassifyCache, dprobs: np.ndarray):
     return classify_backward_from_logits(cache, dlogits)
 
 
-def classify_backward_from_logits(cache: ClassifyCache, dlogits: np.ndarray,
-                                  out: np.ndarray | None = None):
-    """Same as classify_backward but with gradients already at the logits;
-    out, an array of o's shape, takes do."""
-    dw = cache.o.T @ dlogits
-    db = dlogits.sum(axis=0)
-    do = np.matmul(dlogits, cache.w.T, out=out)
-    return do, dw, db
+def classify_backward_from_logits(cache: ClassifyCache, dlogits: np.ndarray):
+    """Same as classify_backward but with gradients already at the logits."""
+    return dlogits @ cache.w.T, cache.o.T @ dlogits, dlogits.sum(axis=0)
 
 
 class StepArrays:
     """The n-row arrays of the training step, made once per fit; every step
     writes them afresh, so a step's results hold only until the next step.
 
-    Per relation, h and dh (2n x d): its embeddings, clean rows on top, and
-    their gradient. Shared by the relations: the pool and one scratch for
-    its terms, the consensus difference (2n x d) and dO (n x d), the head's
-    dO (n x d), one bool relu mask (2n x d), X[perm] for an n-row input
-    (n x in_dim), and one vector of the parameters' size for the L2 term.
-    The float arrays take the dtype of the state's parameters.
+    Stacked over the R relations: h and dh (R x 2n x d), the embeddings,
+    clean rows on top, and their gradient, and the bool relu mask of the
+    same shape. Shared by the relations: the pool and one scratch for its
+    terms, the consensus difference (2n x d) and dO (n x d), X[perm] for an
+    n-row input (n x in_dim), and one vector of the parameters' size for the
+    L2 term. The float arrays take the dtype of the state's parameters.
     """
 
     def __init__(self, state: ModelState):
         n, f, d = state.dims.n_nodes, state.dims.in_dim, state.dims.hidden_dim
         r_count, dtype = state.dims.n_relations, state.flat.dtype
-        self.h = [np.empty((2 * n, d), dtype) for _ in range(r_count)]
-        self.dh = [np.empty((2 * n, d), dtype) for _ in range(r_count)]
+        self.h = np.empty((r_count, 2 * n, d), dtype)
+        self.dh = np.empty((r_count, 2 * n, d), dtype)
+        self.mask = np.empty((r_count, 2 * n, d), dtype=bool)
         self.pool = np.empty((2 * n, d), dtype)
         self.term = np.empty((2 * n, d), dtype)
         self.diff = np.empty((2 * n, d), dtype)
         self.do = np.empty((n, d), dtype)
-        self.head_do = np.empty((n, d), dtype)
-        self.mask = np.empty((2 * n, d), dtype=bool)
         self.x_perm = np.empty((n, f), dtype)
         self.flat = np.empty_like(state.flat)
 
@@ -519,30 +535,31 @@ class ForwardCache:
 
     Each relation's embeddings stack 2n rows: the n clean rows on top, the n
     corrupted rows (X[perm]) below. The pool stacks the same way, so the
-    clean pool is pool[:n]. A relation's layers are one GcnCache over all 2n
-    rows where the layer propagated first, else the clean rows' cache and
-    the corrupted rows' cache. The arrays are the StepArrays' own.
+    clean pool is pool[:n]. The arrays are the StepArrays' own.
     """
 
-    layers: list  # per relation: GcnCaches covering the 2n rows top to bottom
-    h: list  # per relation: 2n x d embeddings
-    summaries: list  # per relation: readout of the clean rows
-    summary_caches: list
+    ax: np.ndarray  # R x 2n x in_dim propagated inputs, or R x n x in_dim on the W-first side
+    x_perm: np.ndarray | None  # X[perm] on the W-first side, else None
+    h: np.ndarray  # R x 2n x d embeddings
+    summaries: np.ndarray  # R x d readouts of the clean rows
+    summary_cache: SummaryCache
     pool: np.ndarray  # 2n x d
     pool_cache: PoolCache
 
 
 def model_forward(state: ModelState, ops: list, x: np.ndarray, perm: np.ndarray,
-                  ax: list, arrays: StepArrays) -> ForwardCache:
+                  ax, arrays: StepArrays) -> ForwardCache:
     """Run every relation encoder once on the clean and corrupted rows, stacked.
 
-    ax[r] holds propagate(ops[r], x) in its first n rows, in one of the two
-    forms fit builds. Where the layer propagates first, ax[r] has 2n rows,
-    the last n holding ops[r] @ x[perm], and the step makes no sparse
-    product. Where X is wider than the embedding, ax[r] has n rows and the
-    corrupted rows apply W first: op @ (X[perm] W) here and one more product
-    in the backward pass (see propagates_first). Either way the embeddings
-    and the pool are written into arrays.
+    ax, an (R, rows, in_dim) array (or a list of R (rows, in_dim) arrays,
+    which is stacked), holds propagate(ops[r], x) in the first n rows of
+    relation r. With 2n rows the last n hold ops[r] @ x[perm], and the step
+    makes no graph product: the layers are one batched product
+    (op X) W. With n rows where X is wider than the embedding, the corrupted
+    rows apply W first, op @ (X[perm] W) per relation here and one more
+    product in the backward pass (see propagates_first); where the layer
+    propagates first, ops[r] @ x[perm] is made here and stacked below. The
+    embeddings and the pool are written into arrays.
     """
     if len(ops) != state.dims.n_relations:
         raise DataError("operator count does not match n_relations")
@@ -551,29 +568,25 @@ def model_forward(state: ModelState, ops: list, x: np.ndarray, perm: np.ndarray,
         if a.shape[0] not in (n, 2 * n):
             raise DataError("propagated input has %d rows, expected %d or %d"
                             % (a.shape[0], n, 2 * n))
-    if any(a.shape[0] == n for a in ax):
+    if len({a.shape for a in ax}) != 1 or len(ax) != len(ops):
+        raise DataError("need one propagated input per relation, all of one shape")
+    ax = np.asarray(ax)
+    w, h, x_perm = state.relation_stack(state.flat, "enc_w"), arrays.h, None
+    if ax.shape[1] == n and propagates_first(x.shape[1], state.dims.hidden_dim):
+        ax = np.concatenate([ax, [propagate(op, x[perm]) for op in ops]], axis=1)
+    if ax.shape[1] == 2 * n:
+        np.matmul(ax, w, out=h)
+    else:
+        np.matmul(ax, w, out=h[:, :n])
         # mode "clip" writes straight into out; the default buffers it in a copy
-        np.take(x, perm, axis=0, out=arrays.x_perm, mode="clip")
-    layers, s_list, sc = [], [], []
-    for r, h in enumerate(arrays.h):
-        w = state.params["enc_w_%d" % r]
-        rows = ax[r].shape[0]
-        layers.append([gcn_layer(ops[r], x, w, ax[r], out=h[:rows])[1]])
-        if rows == n:
-            layers[-1].append(gcn_layer(ops[r], arrays.x_perm, w, out=h[n:])[1])
-        sr, c3 = readout_summary(h[:n])
-        s_list.append(sr)
-        sc.append(c3)
-    pool, _, pc = attentive_pool(arrays.h, state.params["att_logits"],
-                                 out=arrays.pool, scratch=arrays.term)
-    return ForwardCache(
-        layers=layers,
-        h=arrays.h,
-        summaries=s_list,
-        summary_caches=sc,
-        pool=pool,
-        pool_cache=pc,
-    )
+        x_perm = np.take(x, perm, axis=0, out=arrays.x_perm, mode="clip")
+        np.matmul(x_perm, w, out=h[:, n:])
+        for op, hr in zip(ops, h):
+            hr[n:] = propagate(op, hr[n:])
+    np.maximum(h, 0.0, out=h)  # H > 0 exactly where the pre-activations are
+    summaries, summary_cache = readout_summary(h[:, :n])
+    pool, _, pool_cache = attentive_pool(h, state.params["att_logits"], out=arrays.pool)
+    return ForwardCache(ax, x_perm, h, summaries, summary_cache, pool, pool_cache)
 
 
 def save_checkpoint(path, state: ModelState, config_hash: str = ""):
@@ -597,11 +610,8 @@ def save_checkpoint(path, state: ModelState, config_hash: str = ""):
 
 def load_checkpoint(path):
     """Returns (ModelState, header dict). Shape mismatches are hard errors."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except FileNotFoundError:
-        raise DataError("missing file: %s" % path) from None
+    with open_input(path, "rb") as fh:
+        raw = fh.read()
     nl = raw.find(b"\n")
     if nl < 0:
         raise DataError("%s: missing checkpoint header line" % path)

@@ -34,15 +34,14 @@ from .model import (
     attention_weights,
     attentive_pool_backward,
     classify,
-    classify_backward_from_logits,
     corrupt_features,
     discriminate,
     discriminate_backward_pre,
-    gcn_layer_backward,
     model_forward,
     propagate,
     propagates_first,
     relation_operator,
+    rows_product,
     summary_backward,
 )
 
@@ -159,23 +158,24 @@ def infomax_loss(h: np.ndarray, h_tilde: np.ndarray | None, s: np.ndarray, m: np
     """Mean binary cross-entropy over n clean (label 1) and n corrupted rows.
 
     h_tilde None takes h as the 2n-row stack of both, clean rows on top, as
-    the training step holds them. Scores are clamped to [1e-7, 1 - 1e-7]
-    before the logs; clamped terms contribute zero gradient. Returns
-    (loss, cache).
+    the training step holds them. A stacked h (R, 2n, d), with s (R, d) and
+    m (R, d, d), gives the sum of the R relations' losses. Scores are
+    clamped to [1e-7, 1 - 1e-7] before the logs; clamped terms contribute
+    zero gradient. Returns (loss, cache).
     """
     hs = h if h_tilde is None else np.concatenate([h, h_tilde])
-    n2 = hs.shape[0]
+    n2 = hs.shape[-2]
     n = n2 // 2
     scores, disc = discriminate(hs, s, m)
     clamped = np.clip(scores, SCORE_CLAMP, 1.0 - SCORE_CLAMP)
-    loss = float((-np.log(clamped[:n]).sum() - np.log(1.0 - clamped[n:]).sum()) / n2)
+    loss = float((-np.log(clamped[..., :n]).sum() - np.log(1.0 - clamped[..., n:]).sum()) / n2)
     label = np.arange(n2) < n  # 1 for the clean rows, 0 for the corrupted
     da = np.where(scores == clamped, scores - label, 0.0) / n2
     return loss, InfomaxCache(disc, da, h_tilde is not None)
 
 
 def infomax_backward(cache: InfomaxCache, out: np.ndarray | None = None):
-    """Returns (dh, dh_tilde, ds, dm) for one relation's infomax loss.
+    """Returns (dh, dh_tilde, ds, dm) for the infomax loss.
 
     For a stacked input dh covers all 2n rows and dh_tilde is None. out, an
     array of the 2n stacked rows' shape, takes the rows of dh and dh_tilde.
@@ -332,56 +332,59 @@ class StepResult:
 
 def loss_and_grads(state: ModelState, ops: list, x: np.ndarray,
                    labels: LabelVector, cfg: TrainingConfig,
-                   perm: np.ndarray, ax: list, arrays: StepArrays) -> StepResult:
+                   perm: np.ndarray, ax, arrays: StepArrays) -> StepResult:
     """One full objective evaluation; writes every entry of state.grads.
 
-    ax is as model_forward takes it: 2n-row stacks [op @ x; op @ x[perm]]
-    where the layer propagates first, so the step makes no sparse product,
-    and n-row op @ x where it applies W first. Each relation's infomax, its
-    share of the pool and consensus, and its backward pass down to dW run
-    once on the 2n stacked rows. Every array of n or 2n rows and embedding
-    width, but the graph products an n-row input makes, is one of arrays
-    (StepArrays(state), made once per fit) and is filled in place; what the
-    step returns in them is valid until the next step.
+    ax is as model_forward takes it: (R, 2n, in_dim) stacks
+    [op @ x; op @ x[perm]] where the layer propagates first, so the step
+    makes no graph product, and (R, n, in_dim) op @ x where it applies W
+    first. The relations' encoders, infomax terms, pool and backward pass
+    down to dW run once on the relation-stacked 2n rows, as batched
+    products over the (R, ·, ·) parameter views of state.flat and
+    state.grad. Every array of n or 2n rows and embedding width, but the
+    graph products an n-row input makes, is one of arrays (StepArrays(state),
+    made once per fit) and is filled in place; what the step returns in
+    them is valid until the next step.
     """
     fc = model_forward(state, ops, x, perm, ax, arrays)
     n = x.shape[0]
-    r_count = state.dims.n_relations
     grads = state.grads
 
-    infomax_sum = 0.0
-    for r in range(r_count):
-        loss_r, icache = infomax_loss(fc.h[r], None, fc.summaries[r],
-                                      state.params["disc_m_%d" % r])
-        infomax_sum += loss_r
-        g_h, _, g_s, grads["disc_m_%d" % r] = infomax_backward(icache, out=arrays.dh[r])
-        g_h[:n] += summary_backward(fc.summary_caches[r], g_s)
+    infomax, icache = infomax_loss(fc.h, None, fc.summaries,
+                                   state.relation_stack(state.flat, "disc_m"))
+    dh, _, ds, state.relation_stack(state.grad, "disc_m")[...] = infomax_backward(
+        icache, out=arrays.dh)
+    dh[:, :n] += summary_backward(fc.summary_cache, ds)
 
     o = state.params["consensus"]
     cs, d_o, d_pool, _ = consensus_loss(o, fc.pool, None, out=(arrays.do, arrays.diff))
     d_pool *= cfg.alpha
     _, grads["att_logits"] = attentive_pool_backward(fc.pool_cache, d_pool,
-                                                     add_into=arrays.dh, scratch=arrays.term)
+                                                     add_into=dh, scratch=arrays.term)
 
-    probs, ccache = classify(o, state.params["cls_w"], state.params["cls_b"])
+    cls_w = state.params["cls_w"]
+    probs, _ = classify(o, cls_w, state.params["cls_b"])
     sup, dlogits = supervised_loss(probs, labels)
-    d_o2, grads["cls_w"], grads["cls_b"] = classify_backward_from_logits(
-        ccache, cfg.beta * dlogits, out=arrays.head_do)
+    dlogits *= cfg.beta
+    rows_product(o, dlogits, out=grads["cls_w"])
+    grads["cls_b"] = dlogits.sum(axis=0)
     d_o *= cfg.alpha
-    np.add(d_o, d_o2, out=grads["consensus"])
+    np.matmul(dlogits, cls_w.T, out=grads["consensus"])
+    grads["consensus"] += d_o
 
-    for r in range(r_count):
-        # one layer over all 2n rows, or the clean rows' and a W-first bottom's
-        dws = []
-        for c, lo in zip(fc.layers[r], (0, n)):
-            dpre = arrays.dh[r][lo:lo + c.h.shape[0]]  # dH, overwritten by dpre
-            dws.append(gcn_layer_backward(c, dpre, arrays.mask[:dpre.shape[0]], dpre)[0])
-        grads["enc_w_%d" % r] = sum(dws[1:], dws[0])
+    # the relu's backward, then dW = (op X)^T dpre over the stacked rows; the
+    # W-first side adds X[perm]^T (op @ dpre) for its corrupted rows
+    dpre = np.multiply(dh, np.greater(fc.h, 0.0, out=arrays.mask), out=dh)
+    dw = rows_product(fc.ax, dpre[:, :fc.ax.shape[1]],
+                      out=state.relation_stack(state.grad, "enc_w"))
+    if fc.x_perm is not None:
+        for op, dw_r, dpre_r in zip(ops, dw, dpre):
+            dw_r += rows_product(fc.x_perm, propagate(op, dpre_r[n:]))
 
     l2 = state.l2(arrays.flat)
     state.add_l2_grads(cfg.gamma, arrays.flat)
-    total = total_loss(infomax_sum, cs, sup, l2, cfg)
-    return StepResult(total, infomax_sum, cs, sup, l2, probs, fc)
+    total = total_loss(infomax, cs, sup, l2, cfg)
+    return StepResult(total, infomax, cs, sup, l2, probs, fc)
 
 
 @dataclass
@@ -438,11 +441,13 @@ def _made_ahead(make, args: list):
         yield ahead.result()
 
 
-def _corrupted_inputs(x: np.ndarray, ops: list, cfg: TrainingConfig, stacks: list):
+def _corrupted_inputs(x: np.ndarray, ops: list, cfg: TrainingConfig, stacks):
     """Yields the permutation of each of cfg.epochs epochs.
 
     The permutations depend only on (cfg.seed, epoch), not on the parameters.
-    Where the layer propagates first, stacks are fit's 2n-row inputs and the
+    stacks holds one input per op: fit's (R, rows, in_dim) array, whose
+    first axis gives each relation's view. Where the layer propagates first,
+    they are fit's 2n-row inputs and the
     products op @ x[perm] of k = max(1, _BLOCK_COLUMNS // in_dim) epochs are
     made at once, one propagate per op, the last block stopping at
     cfg.epochs. With two or more usable CPUs a worker thread makes block b + 1
@@ -491,6 +496,7 @@ def select_epochs(state: FlatParams, lr: float, epochs: int, patience: int,
     selected parameters are left in state.
     """
     val_idx = labels.rows_with(D.VAL)
+    val_truth = labels.labels[val_idx]
     report = TrainReport(mask_digest=_mask_digest(labels.mask))
     adam = AdamState.for_model(state)
     best_params, best_val = None, -np.inf
@@ -499,8 +505,9 @@ def select_epochs(state: FlatParams, lr: float, epochs: int, patience: int,
         if not np.isfinite(loss):
             raise NumericError("non-finite loss at epoch %d" % epoch)
         if val_idx.size:
+            # micro-F1 is accuracy; one count gives the same float as E.micro_f1
             pred = np.argmax(probs[val_idx], axis=1)
-            val_micro = E.micro_f1(E.confusion_counts(pred, labels.labels[val_idx], labels.n_classes))
+            val_micro = int(np.count_nonzero(pred == val_truth)) / val_idx.size
         else:
             val_micro = float("nan")
         report.rows.append({"epoch": epoch, **row, "val_micro": val_micro})
@@ -572,10 +579,9 @@ def fit(graph: MultiplexGraph, labels: LabelVector, cfg: TrainingConfig):
     n = graph.n_nodes
     rows = 2 * n if propagates_first(x.shape[1], cfg.embed_dim) else n
     x_step = x.astype(_TRAIN_DTYPE)  # every X[perm] is gathered from it
-    stacks = []
-    for op in ops:
-        stacks.append(np.empty((rows, x.shape[1]), _TRAIN_DTYPE))
-        stacks[-1][:n] = propagate(op, x_step)
+    stacks = np.empty((len(ops), rows, x.shape[1]), _TRAIN_DTYPE)
+    for op, stack in zip(ops, stacks):
+        stack[:n] = propagate(op, x_step)
     arrays = StepArrays(state)
     perms = _corrupted_inputs(x_step, ops, cfg, stacks)
 

@@ -142,6 +142,40 @@ def test_unreadable_json_exits_2(workdir, tmp_path, capsys, kind, message):
     assert capsys.readouterr().err.splitlines() == ["data error: " + message.format(path=path)]
 
 
+UNREADABLE_CSV = [("a_directory", "{path}: cannot read (Is a directory)"),
+                  ("not_utf8", "{path}: not UTF-8 text ('utf-8' codec can't decode byte 0xff"
+                               " in position 0: invalid start byte)")]
+
+
+@pytest.mark.parametrize("kind, message", UNREADABLE_CSV, ids=[k for k, _ in UNREADABLE_CSV])
+def test_unreadable_cohort_file_exits_2(workdir, tmp_path, capsys, kind, message):
+    # the labels.csv that train and eval read
+    data = tmp_path / "cohort"
+    shutil.copytree(workdir["data"], data)
+    path = data / "labels.csv"
+    path.unlink()
+    _unreadable(path, kind)
+    for argv in (["train", "--data", str(data), "--preset", "synth", "--epochs", "2",
+                  "--out", str(tmp_path / "run")],
+                 ["eval", "--run", str(workdir["run"]), "--data", str(data),
+                  "--split", "test", "--out", str(tmp_path / "eval.json")]):
+        assert run(["--quiet"] + argv) == 2, argv[0]
+        assert capsys.readouterr().err.splitlines() == ["data error: " + message.format(path=path)]
+    assert not (tmp_path / "run").exists() and not (tmp_path / "eval.json").exists()
+
+
+def test_checkpoint_a_directory_exits_2(workdir, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    shutil.copytree(workdir["run"], run_dir)
+    path = run_dir / "checkpoint.bin"
+    path.unlink()
+    path.mkdir()
+    assert run(["--quiet", "eval", "--run", str(run_dir), "--data", str(workdir["data"]),
+                "--split", "test", "--out", str(tmp_path / "eval.json")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: %s: cannot read (Is a directory)" % path]
+
+
 # ---------------------------------------------------------------- cluster
 
 

@@ -12,6 +12,7 @@ import pytest
 from conftest import CountingOp, fd_grad, max_rel_err, random_graph, stdout_at_blas_threads
 from test_perfbench_targets import traced_targets
 from medplex import data as D
+from medplex import evaluate as E
 from medplex import model as M
 from medplex import train as T
 from medplex.data import LabelVector, SynthConfig, generate_synthetic_cohort, split_masks
@@ -614,10 +615,8 @@ def test_stacked_step_matches_two_pass_reference():
                         err = np.max(np.abs(state.grads[name] - ref_grads[name]))
                         assert err <= 1e-5 * np.max(np.abs(ref_grads[name])), (where, name, err)
                     # nothing the step computes is widened to float64
-                    held = [state.grad, step.probs, step.forward.pool, *step.forward.h,
-                            *step.forward.summaries]
-                    for value in vars(arrays).values():
-                        held += value if isinstance(value, list) else [value]
+                    held = [state.grad, step.probs, step.forward.pool, step.forward.h,
+                            step.forward.summaries, *vars(arrays).values()]
                     assert {v.dtype for v in held} == {np.dtype(bool), np.dtype(dtype)}, where
 
 
@@ -712,6 +711,28 @@ def test_select_epochs_zero_epochs_leaves_parameters():
     assert not report.rows and not seen
     assert math.isnan(report.best_val_micro)
     assert np.array_equal(final, [0.0])
+
+
+def test_select_epochs_scores_validation_as_micro_f1():
+    # the loop counts correct rows; the float must be E.micro_f1's, also
+    # where the accuracy is no short binary fraction
+    rng = np.random.default_rng(61)
+    for n_val, c in ((7, 3), (13, 4), (600, 2)):
+        mask = np.array([D.TRAIN] * 3 + [D.VAL] * n_val + [D.TEST] * 2)
+        truth = np.concatenate([np.arange(c), rng.integers(0, c, size=mask.size - c)])
+        labels = labeled_vector(truth, mask)
+        val = np.flatnonzero(mask == D.VAL)
+        probs = [rng.random((mask.size, c)) for _ in range(6)]
+        state = M.FlatParams({"w": (1,)})
+
+        def step(epoch):
+            state.grads["w"] = [0.0]
+            return 1.0, probs[epoch], {}
+
+        report = T.select_epochs(state, 0.1, len(probs), 0, labels, step)
+        for row, p in zip(report.rows, probs, strict=True):
+            want = E.micro_f1(E.confusion_counts(np.argmax(p[val], axis=1), truth[val], c))
+            assert type(row["val_micro"]) is float and row["val_micro"] == want, (n_val, c)
 
 
 def test_select_epochs_non_finite_loss_names_the_epoch():
@@ -860,7 +881,7 @@ def test_w_first_fit_makes_float32_products(monkeypatch):
     assert len(dtypes) == cfg.n_relations * (1 + 2 * report.epochs_run)
     assert set(dtypes) == {(np.dtype(np.float32),) * 2}
     (arrays,) = step_arrays
-    held = [a for v in vars(arrays).values() for a in (v if isinstance(v, list) else [v])]
+    held = list(vars(arrays).values())
     assert {a.dtype for a in held} == {np.dtype(np.float32), np.dtype(bool)}
     assert [a for a in held if a.dtype == bool] == [arrays.mask]
 
@@ -1061,7 +1082,7 @@ import hashlib, json
 from medplex.data import SynthConfig, generate_synthetic_cohort
 from medplex.pipeline import assign_masks, build_graph_for
 from medplex.train import fit, preset_config
-table, emb, labels, _ = generate_synthetic_cohort(SynthConfig(n=600, seed=12))
+table, emb, labels, _ = generate_synthetic_cohort(SynthConfig(n=%d, seed=12))
 cfg = preset_config("synth", epochs=20, seed=12)
 state, report = fit(build_graph_for(table, emb, cfg), assign_masks(labels, cfg), cfg)
 blob = state.flatten().tobytes() + json.dumps(report.to_json_dict(), sort_keys=True).encode()
@@ -1070,9 +1091,12 @@ print(hashlib.sha256(blob).hexdigest())
 
 
 def test_fit_bytes_equal_across_blas_threads():
-    # n = 600 spans three tiles of a dense operator
-    digests = stdout_at_blas_threads(_FIT_DIGEST)
-    assert len(digests[0]) == 64 and digests[0] == digests[1]
+    # n = 600 spans three tiles of a dense operator; at n = 1000 a dW GEMM
+    # over all 2n rows at once splits differently at 2 threads (see
+    # model.rows_product)
+    for n in (600, 1000):
+        digests = stdout_at_blas_threads(_FIT_DIGEST % n)
+        assert len(digests[0]) == 64 and digests[0] == digests[1], n
 
 
 def test_fit_never_holds_a_dense_operator():
@@ -1135,13 +1159,14 @@ def test_warm_training_step_allocates_no_n_row_array():
     assert x.shape[1] == 18 and cfg.embed_dim == 32
     ops = [relation_operator(g) for g in graph.relations]
     perm = M.corrupt_features(x, seed=[cfg.seed, 0])
-    stacks = [np.concatenate([propagate(op, x), propagate(op, x[perm])]) for op in ops]
+    # one (R, 2n, in_dim) array, as fit holds them
+    stacks = np.stack([np.concatenate([propagate(op, x), propagate(op, x[perm])]) for op in ops])
     # the float64 step, and fit's float32 one with its inputs rounded
     for dtype in (np.float64, np.float32):
         state = ModelState(ModelDims(n, x.shape[1], cfg.embed_dim, cfg.n_relations,
                                      masked.n_classes), seed=cfg.seed, dtype=dtype)
         arrays, adam = StepArrays(state), AdamState.for_model(state)
-        x_step, ax = x.astype(dtype), [v.astype(dtype) for v in stacks]
+        x_step, ax = x.astype(dtype), stacks.astype(dtype)
 
         def step():
             loss_and_grads(state, ops, x_step, masked, cfg, perm, ax, arrays)
