@@ -27,7 +27,7 @@ from . import evaluate as E
 from . import pipeline
 from .clustering import kmeans_columns, load_manual_split, save_partition
 from .data import Normalizer, SynthConfig
-from .graph import build_multiplex, pairwise_class_similarity, write_multiplex
+from .graph import _map_threads, build_multiplex, pairwise_class_similarity, write_multiplex
 from .model import load_checkpoint, save_checkpoint
 from .train import PRESETS, TrainingConfig, preset_config
 
@@ -47,26 +47,36 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def _digests(paths: list) -> dict:
+    """{path: sha256 hex digest of the file} for each path, the files hashed
+    on graph._map_threads."""
+    return dict(zip(paths, _map_threads(_sha256_file, paths)))
+
+
 def _write_manifest(path, command: str, inputs: list, outputs: list,
-                    wall_s: float, extra: dict | None = None) -> None:
+                    wall_s: float, extra: dict | None = None,
+                    digests: dict | None = None) -> None:
+    """digests: {path: sha256} of files already hashed, which are not read again."""
+    known = digests or {}
+    digests = {**known, **_digests([p for p in inputs + outputs if p not in known])}
     manifest = {
         "command": command,
         "package_version": __version__,
         "wall_time_s": round(wall_s, 3),
-        "inputs": {p: _sha256_file(p) for p in inputs},
-        "outputs": {p: _sha256_file(p) for p in outputs},
+        "inputs": {p: digests[p] for p in inputs},
+        "outputs": {p: digests[p] for p in outputs},
     }
     if extra:
         manifest["extra"] = extra
     D.write_json(path, manifest)
 
 
+_COHORT_FILES = {"features": "features.csv", "embeddings": "embeddings.csv",
+                 "labels": "labels.csv"}
+
+
 def _cohort_paths(data_dir: str) -> dict:
-    return {
-        "features": os.path.join(data_dir, "features.csv"),
-        "embeddings": os.path.join(data_dir, "embeddings.csv"),
-        "labels": os.path.join(data_dir, "labels.csv"),
-    }
+    return {key: os.path.join(data_dir, name) for key, name in _COHORT_FILES.items()}
 
 
 def _load_cohort(data_dir: str, need_labels: bool = True):
@@ -139,15 +149,37 @@ def _read_partition(path, table, inputs: list):
     return load_manual_split(path, table)
 
 
-_Run = namedtuple("_Run", "cfg state table embeddings partition labels feat_norm emb_norm")
+_Run = namedtuple("_Run", "cfg state table embeddings partition labels feat_norm emb_norm "
+                         "cohort_digests")
+
+
+def _check_trained_cohort(run_dir: str, cohort_digests: dict) -> None:
+    """Refuses the cohort files read, {path: sha256}, unless each file has
+    the digest that the run's manifest.json records for the file of its
+    name. A run without a manifest is not checked."""
+    path = os.path.join(run_dir, "manifest.json")
+    if not os.path.exists(path):
+        return
+    recorded = D.read_json(path)
+    inputs = recorded.get("inputs") if isinstance(recorded, dict) else None
+    if not isinstance(inputs, dict):
+        raise DataError("%s: no input digests" % path)
+    trained = {os.path.basename(p): d for p, d in inputs.items()}
+    given = {os.path.basename(p): d for p, d in cohort_digests.items()}
+    for name in _COHORT_FILES.values():
+        if trained.get(name) != given.get(name):
+            raise DataError("%s of the data dir is not the one %s was trained on (see %s)"
+                            % (name, run_dir, path))
 
 
 def _load_run(run_dir: str, data_dir: str):
     """Read a train run back with its cohort, normalized by the stored transforms.
 
     The cohort must have the checkpoint's row count and attribute width, the
-    partition must cover its columns, and stored transforms must cover its
-    embeddings. Builds no relation graph. Returns (_Run, list_of_input_paths).
+    partition must cover its columns, stored transforms must cover its
+    embeddings, and its files must be those the run's manifest records (see
+    _check_trained_cohort). Builds no relation graph. Returns (_Run,
+    list_of_input_paths); the _Run's cohort_digests are for the manifest.
     """
     cfg_path, ckpt_path, norm_path, part_path = (
         os.path.join(run_dir, name) for name in
@@ -158,6 +190,7 @@ def _load_run(run_dir: str, data_dir: str):
     if not isinstance(norms, dict) or "features" not in norms:
         raise DataError("%s: no feature transform" % norm_path)
     table, embeddings, labels, inputs = _load_cohort(data_dir)
+    cohort = list(inputs)
     inputs += [cfg_path, ckpt_path, norm_path]
     partition = _read_partition(part_path, table, inputs)
     if partition.n_types != len(cfg.thetas):
@@ -175,7 +208,10 @@ def _load_run(run_dir: str, data_dir: str):
     if width != state.dims.in_dim:
         raise DataError("data dir has %d attribute columns, checkpoint was trained on %d"
                         % (width, state.dims.in_dim))
-    return _Run(cfg, state, c_norm, z_norm, partition, labels, feat_norm, emb_norm), inputs
+    digests = _digests(cohort)
+    _check_trained_cohort(run_dir, digests)
+    return _Run(cfg, state, c_norm, z_norm, partition, labels, feat_norm, emb_norm,
+                digests), inputs
 
 
 def _cmd_synth(args) -> dict:
@@ -314,7 +350,8 @@ def _cmd_eval(args) -> dict:
     D.write_json(args.out, payload)
     log.info("%s split: micro %.4f macro %.4f over %d rows",
              args.split, report.micro_f1, report.macro_f1, idx.size)
-    return dict(path=args.out + ".manifest.json", inputs=inputs, outputs=[args.out])
+    return dict(path=args.out + ".manifest.json", inputs=inputs, outputs=[args.out],
+                digests=trained.cohort_digests)
 
 
 def _cmd_explain(args) -> dict:
@@ -345,7 +382,8 @@ def _cmd_explain(args) -> dict:
     top = report["ranking"][0]
     log.info("most informative relation: %d (weight %.4f, uniform %.4f)",
              top, report["weights"][top], report["uniform_weight"])
-    return dict(path=os.path.join(args.out, "manifest.json"), inputs=inputs, outputs=outputs)
+    return dict(path=os.path.join(args.out, "manifest.json"), inputs=inputs, outputs=outputs,
+                digests=trained.cohort_digests)
 
 
 def _cmd_infer(args) -> dict:
@@ -372,7 +410,8 @@ def _cmd_infer(args) -> dict:
             fh.write("%s,%d,%s\n" % (rid, cls, ",".join("%.17g" % v for v in probs[i])))
     log.info("scored %d new rows against %d training rows",
              new_table.n_rows, graph.n_nodes)
-    return dict(path=os.path.join(args.out, "manifest.json"), inputs=inputs, outputs=[pred_path])
+    return dict(path=os.path.join(args.out, "manifest.json"), inputs=inputs, outputs=[pred_path],
+                digests=trained.cohort_digests)
 
 
 def _cmd_sweep(args) -> dict:

@@ -115,10 +115,12 @@ def is_number(value) -> bool:
 
 def write_json(path, obj) -> None:
     """Write obj as JSON with indent 2, sorted keys and a final newline: the
-    one layout of every JSON file medplex writes."""
+    one layout of every JSON file medplex writes. A NaN or infinity, which
+    JSON cannot hold, raises ValueError before the file is opened, so no
+    part of it is written."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 @contextlib.contextmanager
@@ -240,8 +242,15 @@ class Normalizer:
 
     @classmethod
     def fit(cls, values: np.ndarray, column_names: list[str]) -> "Normalizer":
-        """Population mean and std of each column of values."""
-        return cls(values.mean(axis=0), values.std(axis=0), list(column_names), values.shape[0])
+        """Population mean and std of each column of values. A column whose
+        mean or std overflows (cells near the float64 limit) is refused."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, std = values.mean(axis=0), values.std(axis=0)
+        finite = np.isfinite(mean) & np.isfinite(std)
+        if not finite.all():
+            raise DataError("column %s: mean or std is not finite (cells too large)"
+                            % column_names[int(np.argmin(finite))])
+        return cls(mean, std, list(column_names), values.shape[0])
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=np.float64)

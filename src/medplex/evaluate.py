@@ -273,7 +273,9 @@ def write_sweep_csv(path, rows) -> None:
 
 
 def summarize_sweep(rows) -> dict:
-    """Median and interquartile range per grid value over its seeds."""
+    """Median and interquartile range per grid value over its seeds; None
+    (JSON null) for a metric that some run lacks (a config without TEST
+    rows)."""
     by_value: dict = {}
     for row in rows:
         by_value.setdefault(row["grid_value"], []).append(row)
@@ -282,6 +284,9 @@ def summarize_sweep(rows) -> dict:
         entry = {"runs": len(group)}
         for metric in ("macro_f1", "micro_f1"):
             vals = np.asarray([g[metric] for g in group], dtype=np.float64)
+            if np.isnan(vals).any():
+                entry["median_%s" % metric] = entry["iqr_%s" % metric] = None
+                continue
             q1, med, q3 = np.percentile(vals, [25, 50, 75])
             entry["median_%s" % metric] = float(med)
             entry["iqr_%s" % metric] = float(q3 - q1)

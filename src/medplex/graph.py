@@ -8,6 +8,7 @@ edge sets differ.
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +46,36 @@ def _unit_rows(values: np.ndarray) -> np.ndarray:
     return values / safe
 
 
-# Rows per similarity tile. A tile holds at most _TILE x n float64s, so graph
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _map_threads(fn, items, most: int | None = None) -> list:
+    """[fn(item) for item in items], made on min(_usable_cpus(), len(items),
+    most) threads. With one usable CPU or one item each call runs inline and
+    no thread starts. Every thread is joined before this returns or raises;
+    the first error in item order is raised as it was (calls not yet started
+    are dropped). fn runs untraced code only: a traced function keeps one
+    span stack per process, and belongs on the caller's thread.
+    """
+    items = list(items)
+    workers = min(_usable_cpus(), len(items), most or len(items))
+    if workers < 2:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:  # joined on any exit
+        return list(pool.map(fn, items))
+
+
+# Rows of similarities held at once. The similarity kernel's workers share
+# them, each holding a tile of _TILE // workers rows x n float64s, so graph
 # building needs O(_TILE * n + E) memory rather than the full n x n matrix.
 _TILE = 256
+# Rows of the smallest tile, which caps the kernel's workers at _TILE // it.
+_MIN_TILE = 32
 # Kept of a tile's first _TILE columns when pairing a's rows with themselves:
 # there column c is row lo + c, so only cells above the diagonal have i < j.
 _ABOVE_DIAGONAL = ~np.tri(_TILE, dtype=bool)
@@ -61,36 +89,51 @@ def _similar_pairs(a: np.ndarray, theta: float, b: np.ndarray | None = None) -> 
     (E, 2) int32 array. Each tile of a's rows is compared once and its mask
     kept as packed bits (about n^2/16 bytes over all tiles) with its per-row
     pair counts. The pairs are then read out of the bits tile by tile straight
-    into the result: row ids repeated by the counts, column ids compressed out
-    of an int32 column range. So no edge is held twice, and no cell index is
-    split into row and column by a divide and a remainder.
+    into the tile's slice of the result, found from the counts: row ids
+    repeated by the counts, column ids compressed out of an int32 column
+    range. So no edge is held twice, and no cell index is split into row and
+    column by a divide and a remainder. Both passes map over the tiles on
+    _map_threads; a tile has _TILE // workers rows, so the workers together
+    hold at most _TILE rows of similarities or masks. Every cell is one row's
+    product with one column, whatever the tile height, so the pairs are the
+    same at any worker count.
     """
     ua = _unit_rows(np.asarray(a, dtype=np.float64))
     ub = ua if b is None else _unit_rows(np.asarray(b, dtype=np.float64))
-    tiles, total = [], 0
-    for lo in range(0, ua.shape[0], _TILE):
-        first = lo if b is None else 0  # columns before lo lie below the diagonal
-        sims = ua[lo:lo + _TILE] @ ub[first:].T
+    workers = min(_usable_cpus(), _TILE // _MIN_TILE)
+    height = _TILE // workers
+    starts = range(0, ua.shape[0], height)
+
+    def first_column(lo):
+        return lo if b is None else 0  # columns before lo lie below the diagonal
+
+    def mask(lo):
+        sims = ua[lo:lo + height] @ ub[first_column(lo):].T
         np.clip(sims, -1.0, 1.0, out=sims)
         keep = sims > theta
-        del sims  # before the next tile's product, so one tile is held at a time
+        del sims  # before the mask's counts and bits are made
         if b is None:
             rows = keep.shape[0]
             keep[:, :rows] &= _ABOVE_DIAGONAL[:rows, :rows]
-        counts = np.count_nonzero(keep, axis=1)
-        total += int(counts.sum())
-        tiles.append((lo, first, keep.shape[1], counts, np.packbits(keep, axis=1)))
-    pairs = np.empty((total, 2), dtype=np.int32)
-    at = 0
-    for lo, first, width, counts, bits in tiles:
+        return np.count_nonzero(keep, axis=1), np.packbits(keep, axis=1)
+
+    tiles = _map_threads(mask, starts, workers)
+    ends = np.cumsum([0] + [int(counts.sum()) for counts, _ in tiles])
+    pairs = np.empty((int(ends[-1]), 2), dtype=np.int32)
+
+    def read_out(t):
+        lo, (counts, bits) = starts[t], tiles[t]
+        first = first_column(lo)
+        width = ub.shape[0] - first
+        at, end = ends[t], ends[t + 1]
         keep = np.unpackbits(bits, axis=1, count=width).view(bool)
-        end = at + int(counts.sum())
         pairs[at:end, 0] = np.repeat(np.arange(lo, lo + counts.size, dtype=np.int32), counts)
         columns = np.arange(first, first + width, dtype=np.int32)
         # np.compress (nonzero, then take) is several times faster here than
         # indexing with keep, whose copy loop is slow on scattered masks
         pairs[at:end, 1] = np.compress(keep.ravel(), np.tile(columns, counts.size))
-        at = end
+
+    _map_threads(read_out, range(len(tiles)), workers)
     return pairs
 
 
@@ -365,18 +408,25 @@ def write_edge_list(path, graph: RelationGraph, table: np.ndarray | None = None)
 
 
 def write_multiplex(out_dir, g: MultiplexGraph) -> dict:
-    """Write per-relation edge lists plus a JSON manifest; returns the manifest."""
+    """Write per-relation edge lists plus a JSON manifest; returns the manifest.
+
+    The edge lists are written, and their degrees counted, on _map_threads."""
     os.makedirs(out_dir, exist_ok=True)
-    rel_meta = []
     table = _id_table(g.n_nodes)
-    for r, graph in enumerate(g.relations):
-        fname = "edges_r%d.txt" % r
-        write_edge_list(os.path.join(out_dir, fname), graph, table)
-        deg = graph.degrees()
+    files = ["edges_r%d.txt" % r for r in range(g.n_relations)]
+
+    def write(r):
+        graph = g.relations[r]
+        write_edge_list(os.path.join(out_dir, files[r]), graph, table)
+        return graph.degrees()
+
+    degrees = _map_threads(write, range(g.n_relations))
+    rel_meta = []
+    for r, (graph, deg) in enumerate(zip(g.relations, degrees)):
         rel_meta.append(
             {
                 "relation": r,
-                "file": fname,
+                "file": files[r],
                 "threshold": g.thetas[r],
                 "n_edges": int(graph.n_edges),
                 "mean_degree": float(deg.mean()),

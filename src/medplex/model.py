@@ -642,4 +642,8 @@ def load_checkpoint(path):
         raise DataError("%s: blob has %d bytes, header says %d values"
                         % (path, len(blob), state.flat.size))
     state.unflatten(np.frombuffer(blob, dtype="<f8").astype(np.float64))
+    try:
+        state.check_finite("value")
+    except NumericError as exc:  # a bad file, not a failed computation
+        raise DataError("%s: %s" % (path, exc)) from None
     return state, header

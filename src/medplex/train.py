@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -24,7 +23,7 @@ from .errors import DataError, NumericError
 from . import data as D
 from . import evaluate as E
 from .data import LabelVector
-from .graph import MultiplexGraph, _unit_rows
+from .graph import MultiplexGraph, _unit_rows, _usable_cpus
 from .model import (
     FlatParams,
     ForwardCache,
@@ -393,7 +392,7 @@ class TrainReport:
 
     rows: list = field(default_factory=list)
     best_epoch: int = -1
-    best_val_micro: float = float("nan")
+    best_val_micro: float | None = None  # None without validation rows
     epochs_run: int = 0
     stopped_early: bool = False
     att_weights: list = field(default_factory=list)
@@ -409,14 +408,6 @@ class TrainReport:
 
 def _mask_digest(mask: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(mask, dtype=np.int8).tobytes()).hexdigest()
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (all of them where affinity is unknown)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _made_ahead(make, args: list):
@@ -492,8 +483,9 @@ def select_epochs(state: FlatParams, lr: float, epochs: int, patience: int,
     entries, stored between "epoch" and "val_micro". Selection: highest
     validation micro-F1, earliest epoch on ties; training stops once
     `patience` epochs pass without improvement (0 never stops). Without
-    validation rows the final epoch wins and early stopping is off. The
-    selected parameters are left in state.
+    validation rows the final epoch wins, early stopping is off, and each
+    val_micro and best_val_micro is None (JSON null). The selected
+    parameters are left in state.
     """
     val_idx = labels.rows_with(D.VAL)
     val_truth = labels.labels[val_idx]
@@ -509,7 +501,7 @@ def select_epochs(state: FlatParams, lr: float, epochs: int, patience: int,
             pred = np.argmax(probs[val_idx], axis=1)
             val_micro = int(np.count_nonzero(pred == val_truth)) / val_idx.size
         else:
-            val_micro = float("nan")
+            val_micro = None
         report.rows.append({"epoch": epoch, **row, "val_micro": val_micro})
         if val_idx.size and val_micro > best_val:
             best_val, report.best_epoch, best_params = val_micro, epoch, state.copy_params()

@@ -23,7 +23,7 @@ from medplex import model as M
 from medplex import pipeline
 from medplex.model import ModelState, attention_weights, load_checkpoint
 from medplex.pipeline import inductive_predict
-from medplex.train import TrainingConfig, fit
+from medplex.train import TrainingConfig, fit, preset_config
 
 SYNTH_CONFIG = {
     "n": 45,
@@ -267,6 +267,24 @@ def test_eval_matches_training_metrics(workdir, tmp_path):
     assert payload["split"] == "test"
 
 
+def test_eval_hashes_each_input_once(workdir, tmp_path, monkeypatch):
+    from medplex import cli
+    hashed, sha256_file = [], cli._sha256_file
+
+    def counting(path):
+        hashed.append(os.path.basename(path))
+        return sha256_file(path)
+
+    monkeypatch.setattr(cli, "_sha256_file", counting)
+    out = tmp_path / "eval.json"
+    assert run(["--quiet", "eval", "--run", str(workdir["run"]),
+                "--data", str(workdir["data"]), "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "eval.json.manifest.json").read_text())
+    assert sorted(hashed) == sorted(os.path.basename(p)
+                                    for p in [*manifest["inputs"], *manifest["outputs"]])
+    assert "labels.csv" in hashed and len(set(hashed)) == len(hashed)
+
+
 def test_train_steps_in_float32_and_saves_the_float64_state(workdir, tmp_path, monkeypatch):
     returned = []
 
@@ -475,6 +493,23 @@ def drop_embeddings(rundir, data):
     return "data error: data dir has 8 attribute columns, checkpoint was trained on 12"
 
 
+def nan_in_checkpoint(rundir, data):
+    raw = (rundir / "checkpoint.bin").read_bytes()
+    blob = raw.index(b"\n") + 1  # the first value is enc_w_0's
+    (rundir / "checkpoint.bin").write_bytes(
+        raw[:blob] + np.array([np.nan], "<f8").tobytes() + raw[blob + 8:])
+    return "data error: %s: non-finite value: enc_w_0" % (rundir / "checkpoint.bin")
+
+
+def foreign_cohort(rundir, data):
+    """One feature cell changed: the cohort keeps its shape, not its digest."""
+    def edit(rows):
+        rows[1][1] = repr(float(rows[1][1]) + 1.0)
+    rewrite_csv(data / "features.csv", edit)
+    return ("data error: features.csv of the data dir is not the one %s was trained on "
+            "(see %s)" % (rundir, rundir / "manifest.json"))
+
+
 def rewrite_checkpoint_header(rundir, edit):
     raw = (rundir / "checkpoint.bin").read_bytes()
     nl = raw.index(b"\n")
@@ -533,8 +568,12 @@ def normalizer_without_std(rundir, data):
     ("eval", drop_embeddings),
     ("explain", drop_embeddings),
     ("infer", drop_embeddings),
-] + [(command, fault) for fault in (checkpoint_without_dims, checkpoint_seed_a_word,
-                                    checkpoint_header_a_list, config_a_list,
+    ("eval", foreign_cohort),
+    ("explain", foreign_cohort),
+    ("infer", foreign_cohort),
+] + [(command, fault) for fault in (nan_in_checkpoint, checkpoint_without_dims,
+                                    checkpoint_seed_a_word, checkpoint_header_a_list,
+                                    config_a_list,
                                     config_epochs_a_word, normalizers_empty,
                                     normalizer_without_std)
      for command in ("eval", "infer")])
@@ -624,8 +663,12 @@ def test_failing_command_leaves_no_manifest(workdir, tmp_path):
     for i in ones[1:]:
         lines[i] = lines[i][:-1] + "0"
     (data / "labels.csv").write_text("\n".join(lines) + "\n")
+    # without its manifest the run cannot tell the edited labels from its own
+    trained = tmp_path / "run"
+    shutil.copytree(workdir["run"], trained)
+    (trained / "manifest.json").unlink()
     out = tmp_path / "explain"
-    assert run(["--quiet", "explain", "--run", str(workdir["run"]), "--data", str(data),
+    assert run(["--quiet", "explain", "--run", str(trained), "--data", str(data),
                 "--out", str(out)]) == 2
     assert (out / "attention.json").exists()
     assert not (out / "manifest.json").exists()
@@ -652,6 +695,38 @@ def test_sweep_subcommand(workdir, tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["kind"] == "label_fraction"
     assert len(summary["summary"]) == 2
+
+
+def _strict_json(path):
+    """The JSON at path, read with NaN and infinities refused."""
+    def refuse(token):
+        raise AssertionError("%s holds %s" % (path, token))
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_runs_without_validation_or_test_rows_write_null(workdir, tmp_path):
+    base = preset_config("synth").to_json_dict()
+    no_val = tmp_path / "no_val.json"
+    no_val.write_text(json.dumps({**base, "train_frac": 0.7, "val_frac": 0.0,
+                                  "test_frac": 0.3, "epochs": 3}))
+    rundir = tmp_path / "run"
+    assert run(["--quiet", "train", "--data", str(workdir["data"]),
+                "--config", str(no_val), "--out", str(rundir)]) == 0
+    report = _strict_json(rundir / "train_report.json")
+    assert report["best_val_micro"] is None and report["best_epoch"] == 2
+    assert [r["val_micro"] for r in report["rows"]] == [None] * 3
+    assert _strict_json(rundir / "metrics.json")["best_val_micro"] is None
+    assert (rundir / "manifest.json").exists()
+
+    no_test = tmp_path / "no_test.json"
+    no_test.write_text(json.dumps({**base, "train_frac": 0.9, "val_frac": 0.1,
+                                   "test_frac": 0.0}))
+    out = tmp_path / "sweep"
+    assert run(["--quiet", "sweep", "--data", str(workdir["data"]),
+                "--kind", "label_fraction", "--values", "1.0", "--seeds", "0",
+                "--config", str(no_test), "--epochs", "2", "--out", str(out)]) == 0
+    entry = _strict_json(out / "summary.json")["summary"][repr(1.0)]
+    assert entry["median_micro_f1"] is None and entry["iqr_macro_f1"] is None
 
 
 def test_sweep_rejects_bad_values(workdir, tmp_path):
@@ -779,6 +854,14 @@ def relabel(data, n_rows):
     rewrite_csv(data / "labels.csv", edit)
 
 
+def one_huge_cell(data):
+    """One finite feature cell of 1e308, whose column's std overflows."""
+    def edit(rows):
+        rows[5][rows[0].index("t0c2")] = "1e308"
+    rewrite_csv(data / "features.csv", edit)
+    return [], 2, ["data error: column t0c2: mean or std is not finite (cells too large)"]
+
+
 def class_of_size_one(data):
     """Too small to split: a data error."""
     relabel(data, 1)
@@ -793,7 +876,7 @@ def class_of_size_three(data):
 
 @pytest.mark.parametrize("fault", [constant_features, one_constant_column, one_isolated_patient,
                                    one_patient_at_the_means_to_rounding,
-                                   one_edgeless_relation, class_of_size_one,
+                                   one_edgeless_relation, one_huge_cell, class_of_size_one,
                                    class_of_size_three])
 def test_degenerate_cohorts_exit_with_a_message(tmp_path, fault):
     data = synth_cohort(tmp_path, n=120)

@@ -1,6 +1,7 @@
 import csv
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,25 @@ def test_normalizer_column_mismatch():
     other = table_from([[1.0], [2.0]], names=["different"])
     with pytest.raises(DataError):
         normalize_columns(other, norm)
+
+
+def test_normalizer_refuses_a_column_that_overflows():
+    # finite cells whose mean or squared deviations pass the float64 limit
+    for cells in ([1e308, 1.0, 2.0], [1e308, 1e308, 1.0], [-1e308, 1e308, -1e308]):
+        values = np.column_stack([[1.0, 2.0, 3.0], cells])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^column big: mean or std is not finite"):
+                Normalizer.fit(values, ["small", "big"])
+    norm = Normalizer.fit(np.array([[1e150], [-1e150]]), ["large"])  # squares stay finite
+    assert np.isfinite(norm.std).all()
+
+
+def test_write_json_refuses_non_finite_numbers(tmp_path):
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            D.write_json(tmp_path / "out.json", {"mean": [bad]})
+        assert not (tmp_path / "out.json").exists()  # not even a partial file
 
 
 def test_normalizer_dict_roundtrip():

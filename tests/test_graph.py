@@ -1,10 +1,13 @@
 import json
+import os
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from medplex import graph as graph_module
+from medplex.cli import run
 from medplex.clustering import ClusterPartition
 from medplex.data import (
     EmbeddingTable,
@@ -612,3 +615,113 @@ def test_class_similarity_symmetric():
         labels = rng.integers(0, 3, size=30)
     sim = pairwise_class_similarity(t, labels)
     assert np.array_equal(sim, sim.T)
+
+
+# ---------------------------------------------------------------- threads
+
+
+def at_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(graph_module, "_usable_cpus", lambda: cpus)
+
+
+@pytest.mark.parametrize("n", [TILE // 2 + 5, 2 * TILE, 1000])  # 1000: a partial last tile
+def test_similar_pairs_equal_bytes_at_one_and_two_cpus(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, 4))
+    b = rng.normal(size=(37, 4))
+    made = {}
+    for cpus in (1, 2):
+        at_cpus(monkeypatch, cpus)
+        made[cpus] = [graph_module._similar_pairs(a, 0.3, other).tobytes() for other in (None, b)]
+    assert made[1] == made[2]
+
+
+def test_kernel_workers_hold_one_tile_in_all(monkeypatch):
+    tiles = []
+    real = graph_module._map_threads
+
+    def recording(fn, items, most=None):
+        if fn.__name__ == "mask":
+            tiles.append((items.step, most))
+        return real(fn, items, most)
+
+    monkeypatch.setattr(graph_module, "_map_threads", recording)
+    a = np.random.default_rng(3).normal(size=(600, 3))
+    for cpus, workers in ((1, 1), (2, 2), (3, 3), (64, TILE // graph_module._MIN_TILE)):
+        at_cpus(monkeypatch, cpus)
+        tiles.clear()
+        graph_module._similar_pairs(a, 0.5)
+        assert tiles == [(TILE // workers, workers)], cpus
+
+
+def graph_run_bytes(tmp_path, name):
+    """Runs `medplex graph` on a 300-row synth cohort under tmp_path; returns
+    {file name: bytes} of its edge lists and multiplex.json, and {file name:
+    digest} of its manifest's outputs."""
+    data = tmp_path / "cohort"
+    if not data.exists():
+        assert run(["--quiet", "synth", "--out", str(data)]) == 0
+    out = tmp_path / name
+    assert run(["--quiet", "graph", "--data", str(data), "--preset", "synth",
+                "--out", str(out)]) == 0
+    written = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    return written, {os.path.basename(p): d for p, d in outputs.items()}
+
+
+def test_graph_command_writes_equal_bytes_at_one_and_two_cpus(tmp_path, monkeypatch):
+    made = {}
+    for cpus in (1, 2):
+        at_cpus(monkeypatch, cpus)
+        made[cpus] = graph_run_bytes(tmp_path, "graph%d" % cpus)
+    assert sorted(made[1][0]) == ["edges_r0.txt", "edges_r1.txt", "multiplex.json"]
+    assert sorted(made[1][1]) == sorted(made[1][0])
+    assert made[1] == made[2]
+
+
+def test_one_cpu_starts_no_thread(tmp_path, monkeypatch):
+    pools = []
+
+    class RecordingPool(graph_module.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(graph_module, "ThreadPoolExecutor", RecordingPool)
+    for cpus in (1, 2):
+        at_cpus(monkeypatch, cpus)
+        pools.clear()
+        graph_run_bytes(tmp_path, "graph%d" % cpus)
+        # two passes of the kernel per relation, the edge lists, the digests
+        assert pools == ([] if cpus == 1 else [2] * 6), cpus
+
+
+def test_map_threads_keeps_order_and_the_first_error(tmp_path, monkeypatch):
+    class Boom(Exception):
+        pass
+
+    def square(i):
+        if i in (3, 5):
+            raise Boom(i)
+        return i * i
+
+    at_cpus(monkeypatch, 2)
+    assert graph_module._map_threads(square, range(3)) == [0, 1, 4]
+    before = threading.active_count()
+    with pytest.raises(Boom) as caught:
+        graph_module._map_threads(square, range(8))
+    assert caught.value.args == (3,) and threading.active_count() == before
+
+    # a failing edge-list write on a worker, raised from write_multiplex
+    real = graph_module.write_edge_list
+
+    def failing_write(path, graph, table=None):
+        if graph.relation_index == 1:
+            raise OSError("disk full")
+        real(path, graph, table)
+
+    monkeypatch.setattr(graph_module, "write_edge_list", failing_write)
+    g, _ = make_trained_multiplex()
+    with pytest.raises(OSError, match="disk full"):
+        write_multiplex(tmp_path, g)
+    assert threading.active_count() == before

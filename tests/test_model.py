@@ -743,6 +743,23 @@ def test_checkpoint_truncated_blob():
         os.unlink(path)
 
 
+def test_checkpoint_refuses_non_finite_values(tmp_path):
+    state = ModelState(ModelDims(6, 5, 4, 2, 3), seed=3)
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(path, state)
+    raw = path.read_bytes()
+    blob = raw.index(b"\n") + 1
+    at = 0
+    for name in state.param_order:  # every parameter group, and its last value
+        at += state.params[name].size
+        for bad in (np.nan, np.inf, -np.inf):
+            path.write_bytes(raw[:blob + 8 * (at - 1)] + np.array([bad], "<f8").tobytes()
+                             + raw[blob + 8 * at:])
+            with pytest.raises(DataError) as caught:
+                load_checkpoint(path)
+            assert str(caught.value) == "%s: non-finite value: %s" % (path, name)
+
+
 def test_checkpoint_missing_header():
     fd, path = tempfile.mkstemp(suffix=".bin")
     with os.fdopen(fd, "wb") as fh:

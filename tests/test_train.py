@@ -13,8 +13,10 @@ from conftest import CountingOp, fd_grad, max_rel_err, random_graph, stdout_at_b
 from test_perfbench_targets import traced_targets
 from medplex import data as D
 from medplex import evaluate as E
+from medplex import graph as G
 from medplex import model as M
 from medplex import train as T
+from medplex.cli import run
 from medplex.data import LabelVector, SynthConfig, generate_synthetic_cohort, split_masks
 from medplex.errors import DataError, NumericError
 from medplex.model import (
@@ -700,8 +702,8 @@ def test_select_epochs_without_val_rows_takes_the_last_epoch():
     report, seen, final = scripted_run([4, 0, 0, 0, 0, 0], epochs=6, patience=1, val=False)
     assert report.best_epoch == 5 and report.epochs_run == 6
     assert not report.stopped_early
-    assert math.isnan(report.best_val_micro)
-    assert all(math.isnan(r["val_micro"]) for r in report.rows)
+    assert report.best_val_micro is None
+    assert all(r["val_micro"] is None for r in report.rows)
     assert final[0] < seen[-1][0]  # the last epoch's update is kept
 
 
@@ -709,7 +711,7 @@ def test_select_epochs_zero_epochs_leaves_parameters():
     report, seen, final = scripted_run([], epochs=0, patience=3)
     assert report.best_epoch == -1 and report.epochs_run == 0
     assert not report.rows and not seen
-    assert math.isnan(report.best_val_micro)
+    assert report.best_val_micro is None
     assert np.array_equal(final, [0.0])
 
 
@@ -1040,9 +1042,10 @@ def test_fit_starts_no_thread_on_one_cpu(monkeypatch):
         assert (set(threads) == {threading.main_thread()}) == (cpus == 1)
 
 
-def test_traced_functions_run_on_the_main_thread(monkeypatch):
+def test_traced_functions_run_on_the_main_thread(monkeypatch, tmp_path):
     # perfbench's Tracer keeps one span stack per process, so a traced
-    # function called from fit's block worker would nest its spans wrongly
+    # function called from fit's block worker, or from graph's pool, would
+    # nest its spans wrongly
     calls = []
 
     def recorder(fn, name):
@@ -1074,6 +1077,29 @@ def test_traced_functions_run_on_the_main_thread(monkeypatch):
     assert {"medplex.train.fit", "medplex.train.loss_and_grads",
             "medplex.train.infomax_loss", "medplex.train.consensus_loss",
             "medplex.train.supervised_loss", "medplex.train.adam_step"} <= names
+    assert [c for c in calls if c[1] is not threading.main_thread()] == []
+
+    # `medplex graph` and an attachment, with graph's pool running
+    monkeypatch.setattr(G, "_usable_cpus", lambda: 2)
+    writers = []
+    real_write = G.write_edge_list
+    monkeypatch.setattr(G, "write_edge_list", lambda *args: writers.append(
+        threading.current_thread()) or real_write(*args))
+    calls.clear()
+    data = tmp_path / "cohort"
+    assert run(["--quiet", "synth", "--out", str(data)]) == 0
+    assert run(["--quiet", "graph", "--data", str(data), "--preset", "synth",
+                "--out", str(tmp_path / "graph")]) == 0
+    table, emb, _, _ = generate_synthetic_cohort(SynthConfig(n=400, seed=11))
+    old, new = ([D.FeatureTable(table.values[rows], table.column_names, table.column_kinds,
+                                table.row_ids[rows]),
+                 D.EmbeddingTable(emb.values[rows], emb.row_ids[rows])]
+                for rows in (slice(0, 300), slice(300, 400)))
+    G.attach_new_nodes(build_graph_for(*old, preset_config("synth", seed=11)), *new)
+    assert set(writers) != {threading.main_thread()}  # the pool ran
+    names = {name for name, _ in calls}
+    assert {"medplex.graph.build_relation_graph", "medplex.graph.write_multiplex",
+            "medplex.graph.attach_new_nodes"} <= names
     assert [c for c in calls if c[1] is not threading.main_thread()] == []
 
 
