@@ -35,7 +35,7 @@ from .graph import (
 )
 from .model import ForwardCache, ModelDims, ModelState
 from .train import TrainingConfig, TrainReport, fit, micle_loss
-from .baselines import BaselineConfig, BaselineModel, fit_mlp, fit_single_gcn
+from .baselines import BaselineModel, fit_mlp, fit_single_gcn
 from .evaluate import ConfusionCounts, MetricsReport, confusion_counts, macro_f1, micro_f1
 
 __all__ = [name for name in dir() if not name.startswith("_")]

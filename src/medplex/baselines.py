@@ -22,31 +22,16 @@ from .model import (
     relation_operator,
 )
 from .graph import build_relation_graph
-from .train import held_out_metrics, select_epochs, supervised_loss
+from .train import TrainingConfig, held_out_metrics, select_epochs, supervised_loss
 
-
-@dataclass
-class BaselineConfig:
-    hidden_dim: int = 64
-    learning_rate: float = 0.01
-    epochs: int = 300
-    patience: int = 100
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.hidden_dim < 1:
-            raise DataError("hidden_dim must be positive")
-        if self.learning_rate <= 0:
-            raise DataError("learning_rate must be positive")
-        if self.epochs < 0 or self.patience < 0:
-            raise DataError("epochs and patience must be non-negative")
+# The baselines train at this rate, whatever the run's own learning_rate.
+LEARNING_RATE = 0.01
 
 
 @dataclass
 class BaselineModel:
     kind: str  # "mlp" or "single_gcn"
     params: dict
-    config: BaselineConfig
     report: dict
     op: object | None = None  # the graph operator of a single_gcn
 
@@ -97,11 +82,12 @@ def _init_params(kind: str, in_dim: int, hidden: int, n_classes: int, seed: int)
     return params
 
 
-def _train(kind: str, x: np.ndarray, labels: LabelVector, cfg: BaselineConfig, op=None):
-    """train.select_epochs on the cross-entropy; x is propagated (for the
-    GCN) once per fit."""
+def _train(kind: str, x: np.ndarray, labels: LabelVector, cfg: TrainingConfig, op=None):
+    """train.select_epochs on the cross-entropy, with the run's hidden width
+    (embed_dim), epochs, patience and seed at LEARNING_RATE; x is propagated
+    (for the GCN) once per fit."""
     ax = propagate(op, x) if kind == "single_gcn" else None
-    init = _init_params(kind, x.shape[1], cfg.hidden_dim, labels.n_classes, cfg.seed)
+    init = _init_params(kind, x.shape[1], cfg.embed_dim, labels.n_classes, cfg.seed)
     state = FlatParams({k: v.shape for k, v in init.items()})
     state.load_params(init)
 
@@ -111,7 +97,7 @@ def _train(kind: str, x: np.ndarray, labels: LabelVector, cfg: BaselineConfig, o
             state.grads[name] = g
         return loss, probs, {"loss": loss}
 
-    run = select_epochs(state, cfg.learning_rate, cfg.epochs, cfg.patience, labels, step)
+    run = select_epochs(state, LEARNING_RATE, cfg.epochs, cfg.patience, labels, step)
     params = state.copy_params()
     report = {
         "kind": kind,
@@ -121,10 +107,10 @@ def _train(kind: str, x: np.ndarray, labels: LabelVector, cfg: BaselineConfig, o
         "mask_digest": run.mask_digest,
         "test_metrics": held_out_metrics(forward(kind, params, x, op, ax)[0], labels),
     }
-    return BaselineModel(kind=kind, params=params, config=cfg, report=report, op=op)
+    return BaselineModel(kind=kind, params=params, report=report, op=op)
 
 
-def fit_mlp(x: np.ndarray, labels: LabelVector, cfg: BaselineConfig) -> BaselineModel:
+def fit_mlp(x: np.ndarray, labels: LabelVector, cfg: TrainingConfig) -> BaselineModel:
     """Two-layer relu MLP on the node attributes, no graph at all."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != labels.n_rows:
@@ -133,7 +119,7 @@ def fit_mlp(x: np.ndarray, labels: LabelVector, cfg: BaselineConfig) -> Baseline
 
 
 def fit_single_gcn(x: np.ndarray, c: FeatureTable, labels: LabelVector,
-                   theta: float, cfg: BaselineConfig) -> BaselineModel:
+                   theta: float, cfg: TrainingConfig) -> BaselineModel:
     """One-layer GCN + softmax head over a single graph built from all of c's
     columns at threshold theta.
 

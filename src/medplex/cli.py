@@ -10,6 +10,7 @@ Exit codes: 0 ok, 1 usage, 2 bad data, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import logging
@@ -124,6 +125,8 @@ def _resolve_config(args) -> TrainingConfig:
         overrides["thetas"] = tuple(_parse_floats(args.thetas, "--thetas"))
     if getattr(args, "epochs", None) is not None:
         overrides["epochs"] = args.epochs
+    if getattr(args, "labeled_frac", None) is not None:
+        overrides["labeled_frac"] = args.labeled_frac
     return dataclasses.replace(cfg, **overrides)
 
 
@@ -279,10 +282,7 @@ def _cmd_train(args) -> dict:
     cfg = _resolve_config(args)
     table, embeddings, labels, inputs = _load_cohort(args.data)
     partition = _read_partition(args.partition, table, inputs)
-    result = pipeline.run_experiment(
-        table, embeddings, labels, cfg,
-        partition=partition, labeled_frac=args.labeled_frac,
-    )
+    result = pipeline.run_experiment(table, embeddings, labels, cfg, partition=partition)
     os.makedirs(args.out, exist_ok=True)
     outputs = []
 
@@ -333,7 +333,7 @@ def _cmd_train(args) -> dict:
 def _cmd_eval(args) -> dict:
     trained, inputs = _load_run(args.run, args.data)
     cfg = trained.cfg
-    masked = pipeline.assign_masks(trained.labels, cfg, args.labeled_frac)
+    masked = pipeline.assign_masks(trained.labels, cfg)
     split_code = {"train": D.TRAIN, "val": D.VAL, "test": D.TEST}[args.split]
     idx = masked.rows_with(split_code)
     if idx.size == 0:
@@ -403,11 +403,11 @@ def _cmd_infer(args) -> dict:
     os.makedirs(args.out, exist_ok=True)
     pred_path = os.path.join(args.out, "predictions.csv")
     c = probs.shape[1]
-    with open(pred_path, "w") as fh:
-        fh.write("id,predicted_class," + ",".join("prob_%d" % k for k in range(c)) + "\n")
-        for i, rid in enumerate(new_table.row_ids):
-            cls = int(np.argmax(probs[i]))
-            fh.write("%s,%d,%s\n" % (rid, cls, ",".join("%.17g" % v for v in probs[i])))
+    with open(pred_path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["id", "predicted_class"] + ["prob_%d" % k for k in range(c)])
+        for rid, row in zip(new_table.row_ids, probs):
+            w.writerow([rid, int(np.argmax(row))] + ["%.17g" % v for v in row])
     log.info("scored %d new rows against %d training rows",
              new_table.n_rows, graph.n_nodes)
     return dict(path=os.path.join(args.out, "manifest.json"), inputs=inputs, outputs=[pred_path],
@@ -481,7 +481,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--partition", help="partition JSON (default: k-means)")
     p.add_argument("--labeled-frac", type=float, default=None,
-                   help="keep only this fraction of TRAIN rows labeled")
+                   help="override the config's share of TRAIN rows kept labeled")
     _add_config_flags(p)
     p.add_argument("--out", required=True, help="run output directory")
     p.set_defaults(func=_cmd_train)
@@ -490,7 +490,6 @@ def build_parser() -> _Parser:
     p.add_argument("--run", required=True, help="train output directory")
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=["train", "val", "test"], default="test")
-    p.add_argument("--labeled-frac", type=float, default=None)
     p.add_argument("--out", required=True, help="metrics JSON path")
     p.set_defaults(func=_cmd_eval)
 

@@ -219,7 +219,6 @@ def sweep(kind: str, values, table, embeddings, labels, base_cfg, seeds=(0, 1, 2
     for value in values:
         for seed in seeds:
             changes = {"seed": int(seed)}
-            labeled_frac = None
             run_table, run_partition = table, partition
             if kind == "cluster_count":
                 v = int(value)
@@ -228,7 +227,7 @@ def sweep(kind: str, values, table, embeddings, labels, base_cfg, seeds=(0, 1, 2
                 changes.update(n_relations=v, thetas=(min(base_cfg.thetas),) * v)
                 run_partition = None  # re-cluster at each |R|
             elif kind == "label_fraction":
-                labeled_frac = float(value)
+                changes.update(labeled_frac=float(value))
             else:  # feature_subset: keep the columns of the first v types
                 v = int(value)
                 if not 1 <= v <= base_partition.n_types:
@@ -246,9 +245,7 @@ def sweep(kind: str, values, table, embeddings, labels, base_cfg, seeds=(0, 1, 2
                 changes.update(n_relations=v, thetas=base_cfg.thetas[:v])
             cfg = replace(base_cfg, **changes)
             result = pipeline.run_experiment(
-                run_table, embeddings, labels, cfg,
-                partition=run_partition, labeled_frac=labeled_frac,
-            )
+                run_table, embeddings, labels, cfg, partition=run_partition)
             tm = result.report.test_metrics or {}
             rows.append(
                 {

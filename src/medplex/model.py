@@ -553,13 +553,12 @@ def model_forward(state: ModelState, ops: list, x: np.ndarray, perm: np.ndarray,
 
     ax, an (R, rows, in_dim) array (or a list of R (rows, in_dim) arrays,
     which is stacked), holds propagate(ops[r], x) in the first n rows of
-    relation r. With 2n rows the last n hold ops[r] @ x[perm], and the step
-    makes no graph product: the layers are one batched product
-    (op X) W. With n rows where X is wider than the embedding, the corrupted
-    rows apply W first, op @ (X[perm] W) per relation here and one more
-    product in the backward pass (see propagates_first); where the layer
-    propagates first, ops[r] @ x[perm] is made here and stacked below. The
-    embeddings and the pool are written into arrays.
+    relation r. fit builds one of two forms (see propagates_first). With 2n
+    rows the last n hold ops[r] @ x[perm], and the step makes no graph
+    product: the layers are one batched product (op X) W. With n rows, for
+    X wider than the embedding, the corrupted rows apply W first,
+    op @ (X[perm] W) per relation here and one more product in the backward
+    pass. The embeddings and the pool are written into arrays.
     """
     if len(ops) != state.dims.n_relations:
         raise DataError("operator count does not match n_relations")
@@ -572,8 +571,6 @@ def model_forward(state: ModelState, ops: list, x: np.ndarray, perm: np.ndarray,
         raise DataError("need one propagated input per relation, all of one shape")
     ax = np.asarray(ax)
     w, h, x_perm = state.relation_stack(state.flat, "enc_w"), arrays.h, None
-    if ax.shape[1] == n and propagates_first(x.shape[1], state.dims.hidden_dim):
-        ax = np.concatenate([ax, [propagate(op, x[perm]) for op in ops]], axis=1)
     if ax.shape[1] == 2 * n:
         np.matmul(ax, w, out=h)
     else:

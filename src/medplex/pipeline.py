@@ -24,7 +24,7 @@ from .clustering import ClusterPartition, kmeans_columns
 from .graph import MultiplexGraph, attach_new_nodes, build_multiplex
 from .model import ModelState, attentive_pool, classify, gcn_forward, relation_operator
 from .train import TrainingConfig, TrainReport, fit
-from .baselines import BaselineConfig, BaselineModel, fit_mlp, fit_single_gcn
+from .baselines import BaselineModel, fit_mlp, fit_single_gcn
 from .evaluate import subsample_train
 
 
@@ -37,11 +37,12 @@ class ExperimentResult:
     cfg: TrainingConfig
 
 
-def assign_masks(labels: LabelVector, cfg: TrainingConfig,
-                 labeled_frac: float | None = None) -> LabelVector:
+def assign_masks(labels: LabelVector, cfg: TrainingConfig) -> LabelVector:
+    """The run's split masks. With cfg.labeled_frac below 1 only that
+    stratified share of TRAIN rows keeps its labels (subsample_train)."""
     masked = labels.with_mask(split_masks(labels.labels, cfg.fractions(), cfg.seed))
-    if labeled_frac is not None:
-        masked = subsample_train(masked, labeled_frac, cfg.seed)
+    if cfg.labeled_frac < 1:
+        masked = subsample_train(masked, cfg.labeled_frac, cfg.seed)
     return masked
 
 
@@ -66,44 +67,32 @@ def build_graph_for(table: FeatureTable, embeddings: EmbeddingTable, cfg: Traini
 
 
 def run_experiment(table: FeatureTable, embeddings: EmbeddingTable, labels: LabelVector,
-                   cfg: TrainingConfig, partition: ClusterPartition | None = None,
-                   labeled_frac: float | None = None) -> ExperimentResult:
+                   cfg: TrainingConfig,
+                   partition: ClusterPartition | None = None) -> ExperimentResult:
     """The whole pipeline on in-memory tables. Deterministic in cfg.seed."""
     if labels.n_rows != table.n_rows:
         raise DataError("labels cover %d rows, table has %d" % (labels.n_rows, table.n_rows))
-    masked = assign_masks(labels, cfg, labeled_frac)
+    masked = assign_masks(labels, cfg)
     graph = build_graph_for(table, embeddings, cfg, partition)
     state, report = fit(graph, masked, cfg)
     return ExperimentResult(graph=graph, labels=masked, state=state, report=report, cfg=cfg)
 
 
-def baseline_config_from(cfg: TrainingConfig) -> BaselineConfig:
-    """Baselines get the same budget and width, and a plain 0.01 learning rate."""
-    return BaselineConfig(
-        hidden_dim=cfg.embed_dim,
-        learning_rate=0.01,
-        epochs=cfg.epochs,
-        patience=cfg.patience,
-        seed=cfg.seed,
-    )
-
-
 def run_mlp_baseline(table: FeatureTable, embeddings: EmbeddingTable, labels: LabelVector,
-                     cfg: TrainingConfig, labeled_frac: float | None = None) -> BaselineModel:
-    masked = assign_masks(labels, cfg, labeled_frac)
+                     cfg: TrainingConfig) -> BaselineModel:
+    masked = assign_masks(labels, cfg)
     c_norm, z_norm, _, _ = prepare_tables(table, embeddings)
     x = concat_attributes(z_norm, c_norm).x
-    return fit_mlp(x, masked, baseline_config_from(cfg))
+    return fit_mlp(x, masked, cfg)
 
 
 def run_single_gcn_baseline(table: FeatureTable, embeddings: EmbeddingTable,
-                            labels: LabelVector, cfg: TrainingConfig,
-                            labeled_frac: float | None = None) -> BaselineModel:
+                            labels: LabelVector, cfg: TrainingConfig) -> BaselineModel:
     """Collapsed baseline: one graph over all columns at the laxest threshold."""
-    masked = assign_masks(labels, cfg, labeled_frac)
+    masked = assign_masks(labels, cfg)
     c_norm, z_norm, _, _ = prepare_tables(table, embeddings)
     x = concat_attributes(z_norm, c_norm).x
-    return fit_single_gcn(x, c_norm, masked, min(cfg.thetas), baseline_config_from(cfg))
+    return fit_single_gcn(x, c_norm, masked, min(cfg.thetas), cfg)
 
 
 def transductive_probs(state: ModelState) -> np.ndarray:

@@ -74,6 +74,7 @@ class TrainingConfig:
     train_frac: float = 0.6
     val_frac: float = 0.1
     test_frac: float = 0.3
+    labeled_frac: float = 1.0  # share of TRAIN rows that keep their labels
     kmeans_restarts: int = 20
     kmeans_max_iters: int = 100
 
@@ -94,6 +95,8 @@ class TrainingConfig:
         fr = (self.train_frac, self.val_frac, self.test_frac)
         if any(f < 0 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
             raise DataError("split fractions must be non-negative and sum to 1")
+        if not 0 < self.labeled_frac <= 1:
+            raise DataError("labeled fraction must be in (0, 1]")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -104,7 +107,8 @@ class TrainingConfig:
 
         Also reads configs from before tau and weighted_full were dropped:
         tau never entered the objective, and only weighted_full false built
-        the graphs this version builds."""
+        the graphs this version builds. One written before labeled_frac was
+        a field reads as 1.0."""
         if isinstance(d, dict):
             d = dict(d)
             d.pop("tau", None)

@@ -91,13 +91,10 @@ def trend_micros(labeled_frac: float, seed: int):
     if key not in _trend_cache:
         scfg = SynthConfig(seed=seed, **COHORT5)
         table, embeddings, labels, _ = generate_synthetic_cohort(scfg)
-        cfg = preset_config("synth", seed=seed)
-        het = run_experiment(table, embeddings, labels, cfg,
-                             labeled_frac=labeled_frac)
-        gcn = run_single_gcn_baseline(table, embeddings, labels, cfg,
-                                      labeled_frac=labeled_frac)
-        mlp = run_mlp_baseline(table, embeddings, labels, cfg,
-                               labeled_frac=labeled_frac)
+        cfg = preset_config("synth", seed=seed, labeled_frac=labeled_frac)
+        het = run_experiment(table, embeddings, labels, cfg)
+        gcn = run_single_gcn_baseline(table, embeddings, labels, cfg)
+        mlp = run_mlp_baseline(table, embeddings, labels, cfg)
         _trend_cache[key] = (
             het.report.test_metrics["micro_f1"],
             gcn.report["test_metrics"]["micro_f1"],

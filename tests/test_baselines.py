@@ -5,7 +5,6 @@ from conftest import CountingOp, fd_grad, max_rel_err
 from medplex import baselines as B
 from medplex import data as D
 from medplex.baselines import (
-    BaselineConfig,
     fit_mlp,
     fit_single_gcn,
     forward,
@@ -26,7 +25,7 @@ from medplex.pipeline import (
     run_mlp_baseline,
     run_single_gcn_baseline,
 )
-from medplex.train import preset_config
+from medplex.train import TrainingConfig, preset_config
 
 
 def table_from(values, prefix="c"):
@@ -60,12 +59,11 @@ def two_blob_data(rng, n=40, d=5, gap=4.0):
 
 
 def test_baseline_config_validation():
+    # the baselines read the run's config, so its checks guard them
     with pytest.raises(DataError):
-        BaselineConfig(hidden_dim=0)
+        TrainingConfig(embed_dim=0)
     with pytest.raises(DataError):
-        BaselineConfig(learning_rate=0.0)
-    with pytest.raises(DataError):
-        BaselineConfig(epochs=-1)
+        TrainingConfig(epochs=-1)
 
 
 # ---------------------------------------------------------------- gradients
@@ -102,7 +100,7 @@ def test_single_gcn_gradients_match_fd():
     table = table_from(rng.normal(size=(n, 3)))
     lv = all_train(rng.integers(0, c, size=n))
     model = fit_single_gcn(x, table, lv, theta=0.3,
-                           cfg=BaselineConfig(hidden_dim=hdim, epochs=0))
+                           cfg=TrainingConfig(embed_dim=hdim, epochs=0, patience=100))
     params = {k: rng.normal(size=v.shape) for k, v in model.params.items()}
     _, grads, _ = loss_and_grads("single_gcn", params, x, lv, op=model.op)
     for name in params:
@@ -124,7 +122,7 @@ def test_mlp_fits_separable_blobs():
     rng = np.random.default_rng(32)
     x, labels = two_blob_data(rng)
     lv = all_train(labels)
-    model = fit_mlp(x, lv, BaselineConfig(hidden_dim=8, epochs=500, seed=0))
+    model = fit_mlp(x, lv, TrainingConfig(embed_dim=8, epochs=500, patience=100, seed=0))
     pred = np.argmax(model.predict_proba(x), axis=1)
     assert np.mean(pred == labels) == 1.0
 
@@ -135,7 +133,7 @@ def test_single_gcn_fits_separable_blobs():
     table = table_from(x)
     lv = all_train(labels)
     model = fit_single_gcn(x, table, lv, theta=0.5,
-                           cfg=BaselineConfig(hidden_dim=8, epochs=500, seed=0))
+                           cfg=TrainingConfig(embed_dim=8, epochs=500, patience=100, seed=0))
     pred = np.argmax(model.predict_proba(x, op=model.op), axis=1)
     # a few cross-class edges smooth the features, so allow one missed row
     assert np.mean(pred == labels) >= 0.95
@@ -149,7 +147,8 @@ def test_mlp_at_chance_on_pure_noise():
         labels = rng.integers(0, 2, size=120)
         labels[:2] = [0, 1]  # keep both classes present
         lv = masked_labels(labels, seed=seed)
-        model = fit_mlp(x, lv, BaselineConfig(hidden_dim=8, epochs=150, seed=seed))
+        model = fit_mlp(x, lv, TrainingConfig(embed_dim=8, epochs=150, patience=100,
+                                              seed=seed))
         micros.append(model.report["test_metrics"]["micro_f1"])
     assert abs(float(np.mean(micros)) - 0.5) < 0.15
 
@@ -160,7 +159,7 @@ def test_theta_one_gcn_degrades_to_relu_linear():
     table = table_from(x)
     lv = all_train(labels)
     model = fit_single_gcn(x, table, lv, theta=1.0,
-                           cfg=BaselineConfig(hidden_dim=6, epochs=300, seed=1))
+                           cfg=TrainingConfig(embed_dim=6, epochs=300, patience=100, seed=1))
     assert np.array_equal(model.op.toarray(), np.eye(30))
     probs = model.predict_proba(x, op=model.op)
     h = np.maximum(x @ model.params["w1"], 0.0)
@@ -184,7 +183,8 @@ def test_single_gcn_fit_propagates_once(monkeypatch):
 
         monkeypatch.setattr(B, "relation_operator", counting_operator)
         model = fit_single_gcn(x, table_from(x), lv, theta=0.5,
-                               cfg=BaselineConfig(hidden_dim=4, epochs=epochs, seed=2))
+                               cfg=TrainingConfig(embed_dim=4, epochs=epochs, patience=100,
+                                                  seed=2))
         assert len(model.report["rows"]) == epochs
         assert len(counting) == 1 and counting[0].widths == [x.shape[1]], epochs
 
@@ -197,7 +197,8 @@ def test_predict_proba_uses_the_operator_it_is_given():
     # a hidden layer wider than x propagates x first, a narrower one x @ w1
     for hidden, widths in ((6, [x.shape[1]]), (3, [3])):
         model = fit_single_gcn(x, table_from(x), masked_labels(labels), theta=0.5,
-                               cfg=BaselineConfig(hidden_dim=hidden, epochs=50, seed=3))
+                               cfg=TrainingConfig(embed_dim=hidden, epochs=50, patience=100,
+                                                  seed=3))
         p = model.params
 
         def reference(x_, op_):
@@ -219,7 +220,7 @@ def test_baselines_deterministic():
     rng = np.random.default_rng(35)
     x, labels = two_blob_data(rng)
     lv = masked_labels(labels)
-    cfg = BaselineConfig(hidden_dim=4, epochs=40, seed=7)
+    cfg = TrainingConfig(embed_dim=4, epochs=40, patience=100, seed=7)
     a = fit_mlp(x, lv, cfg)
     b = fit_mlp(x, lv, cfg)
     for name in a.params:
@@ -227,12 +228,12 @@ def test_baselines_deterministic():
     assert a.report["rows"] == b.report["rows"]
 
 
-def test_early_stopping_on_flat_validation():
+def test_early_stopping_on_flat_validation(monkeypatch):
     rng = np.random.default_rng(36)
     x, labels = two_blob_data(rng)
     lv = masked_labels(labels)
-    model = fit_mlp(x, lv, BaselineConfig(hidden_dim=4, epochs=200,
-                                          patience=5, learning_rate=1e-12))
+    monkeypatch.setattr(B, "LEARNING_RATE", 1e-12)
+    model = fit_mlp(x, lv, TrainingConfig(embed_dim=4, epochs=200, patience=5))
     assert len(model.report["rows"]) == 6
     assert model.report["best_epoch"] == 0
 
@@ -253,10 +254,10 @@ def test_single_gcn_forward_needs_operator():
 def test_baselines_reject_row_mismatch():
     lv = all_train([0, 1, 0, 1])
     with pytest.raises(DataError):
-        fit_mlp(np.zeros((3, 2)), lv, BaselineConfig(epochs=1))
+        fit_mlp(np.zeros((3, 2)), lv, TrainingConfig(epochs=1, patience=100))
     with pytest.raises(DataError):
         fit_single_gcn(np.zeros((4, 2)), table_from(np.zeros((3, 2))), lv, 0.5,
-                       BaselineConfig(epochs=1))
+                       TrainingConfig(epochs=1, patience=100))
 
 
 def test_loss_needs_train_rows():
@@ -275,10 +276,10 @@ def test_all_three_paths_see_identical_masks():
                        separations=(2.0, 2.0), noise_std=1.0,
                        embed_dim=4, embed_separation=1.0, embed_noise_std=1.0, seed=0)
     table, embeddings, labels, _ = generate_synthetic_cohort(scfg)
-    cfg = preset_config("synth", embed_dim=8, epochs=3, seed=0)
-    res = run_experiment(table, embeddings, labels, cfg, labeled_frac=0.5)
-    mlp = run_mlp_baseline(table, embeddings, labels, cfg, labeled_frac=0.5)
-    gcn = run_single_gcn_baseline(table, embeddings, labels, cfg, labeled_frac=0.5)
+    cfg = preset_config("synth", embed_dim=8, epochs=3, seed=0, labeled_frac=0.5)
+    res = run_experiment(table, embeddings, labels, cfg)
+    mlp = run_mlp_baseline(table, embeddings, labels, cfg)
+    gcn = run_single_gcn_baseline(table, embeddings, labels, cfg)
     assert res.report.mask_digest == mlp.report["mask_digest"]
     assert res.report.mask_digest == gcn.report["mask_digest"]
 

@@ -325,6 +325,31 @@ def test_eval_rejects_unknown_split(workdir, tmp_path):
     assert code == 1
 
 
+def test_eval_scores_the_labeled_train_rows_of_a_labeled_frac_run(tmp_path, capsys):
+    data = tmp_path / "cohort"
+    assert run(["--quiet", "synth", "--out", str(data), "--seed", "4"]) == 0
+    rundir = tmp_path / "run"
+    assert run(["--quiet", "train", "--data", str(data), "--preset", "synth",
+                "--epochs", "2", "--labeled-frac", "0.5", "--out", str(rundir)]) == 0
+    resolved = json.loads((rundir / "resolved_config.json").read_text())
+    assert resolved["labeled_frac"] == 0.5
+    cfg = preset_config("synth", epochs=2, labeled_frac=0.5)
+    assert TrainingConfig.from_json_dict(resolved) == cfg
+    metrics = json.loads((rundir / "metrics.json").read_text())
+    assert metrics["config_hash"] == cfg.config_hash() != preset_config(
+        "synth", epochs=2).config_hash()
+
+    # 180 TRAIN rows of 300, half of them labeled
+    out = tmp_path / "train.json"
+    assert run(["--quiet", "eval", "--run", str(rundir), "--data", str(data),
+                "--split", "train", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["metrics"]["n"] == 90
+    # the fraction is the run's; eval takes no flag for it
+    assert run(["--quiet", "eval", "--run", str(rundir), "--data", str(data),
+                "--labeled-frac", "1.0", "--out", str(tmp_path / "x.json")]) == 1
+    assert "--labeled-frac" in capsys.readouterr().err
+
+
 def test_eval_reads_runs_with_dropped_config_keys(workdir, tmp_path, capsys):
     def evaluate(run_dir, out):
         return run(["--quiet", "eval", "--run", str(run_dir), "--data", str(workdir["data"]),
@@ -339,6 +364,12 @@ def test_eval_reads_runs_with_dropped_config_keys(workdir, tmp_path, capsys):
     assert evaluate(old_run, tmp_path / "old.json") == 0
     now = json.loads((tmp_path / "now.json").read_text())
     assert json.loads((tmp_path / "old.json").read_text()) == now
+
+    # written before labeled_frac was a field: reads as 1.0
+    assert cfg.pop("labeled_frac") == 1.0
+    (old_run / "resolved_config.json").write_text(json.dumps(cfg))
+    assert evaluate(old_run, tmp_path / "no_frac.json") == 0
+    assert json.loads((tmp_path / "no_frac.json").read_text()) == now
 
     (old_run / "resolved_config.json").write_text(json.dumps(dict(cfg, weighted_full=True)))
     assert evaluate(old_run, tmp_path / "weighted.json") == 2
@@ -418,6 +449,25 @@ def test_infer_matches_library_path(workdir, tmp_path):
                                      load_feature_csv(new_feat),
                                      load_embedding_csv(new_emb))
     assert probs_cli == pytest.approx(ref_probs[0], abs=1e-12)
+
+
+def test_infer_quotes_ids_that_need_it(workdir, tmp_path):
+    odd_id = 'new,"1"'
+    new = {}
+    for name in ("features.csv", "embeddings.csv"):
+        with open(workdir["data"] / name, newline="") as fh:
+            header, first = list(csv.reader(fh))[:2]
+        new[name] = tmp_path / ("new_" + name)
+        with open(new[name], "w", newline="") as fh:
+            csv.writer(fh).writerows([header, [odd_id] + first[1:]])
+    out = tmp_path / "infer"
+    assert run(["--quiet", "infer", "--run", str(workdir["run"]), "--data", str(workdir["data"]),
+                "--new-features", str(new["features.csv"]),
+                "--new-embeddings", str(new["embeddings.csv"]), "--out", str(out)]) == 0
+    with open(out / "predictions.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(r) for r in rows] == [4, 4] and rows[1][0] == odd_id
+    assert int(rows[1][1]) == int(np.argmax([float(v) for v in rows[1][2:]]))
 
 
 def test_infer_needs_matching_embeddings(workdir, tmp_path, capsys):
@@ -695,6 +745,25 @@ def test_sweep_subcommand(workdir, tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["kind"] == "label_fraction"
     assert len(summary["summary"]) == 2
+
+
+def test_label_fraction_sweep_rows_are_labeled_frac_train_runs(workdir, tmp_path):
+    out = tmp_path / "sweep"
+    assert run(["--quiet", "sweep", "--data", str(workdir["data"]),
+                "--kind", "label_fraction", "--values", "0.5,1.0", "--seeds", "0,1",
+                "--preset", "synth", "--epochs", "3", "--out", str(out)]) == 0
+    expected = []
+    for frac in ("0.5", "1.0"):
+        for seed in ("0", "1"):
+            rundir = tmp_path / ("run_%s_%s" % (frac, seed))
+            assert run(["--quiet", "train", "--data", str(workdir["data"]),
+                        "--preset", "synth", "--epochs", "3", "--seed", seed,
+                        "--labeled-frac", frac, "--out", str(rundir)]) == 0
+            tm = json.loads((rundir / "metrics.json").read_text())["metrics"]
+            expected.append("%.17g,%s,%.17g,%.17g" % (float(frac), seed, tm["macro_f1"],
+                                                      tm["micro_f1"]))
+    written = (out / "sweep.csv").read_text().splitlines()
+    assert written == ["grid_value,seed,macro_f1,micro_f1"] + expected
 
 
 def _strict_json(path):

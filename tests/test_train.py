@@ -72,6 +72,9 @@ def test_config_validation():
         TrainingConfig(epochs=-1)
     with pytest.raises(DataError):
         TrainingConfig(train_frac=0.5, val_frac=0.5, test_frac=0.5)
+    for frac in (0.0, 1.5):
+        with pytest.raises(DataError, match="labeled fraction"):
+            TrainingConfig(labeled_frac=frac)
 
 
 def test_config_single_theta_broadcasts():
@@ -501,17 +504,18 @@ def test_loss_and_grads_propagates_only_the_corrupted_input():
     n, f, r_count, c = 12, 7, 3, 2
     ops = random_ops(rng, n, r_count)
     x = rng.normal(size=(n, f))
-    ax = [propagate(op, x) for op in ops]
     labels = labeled_vector(rng.integers(0, c, size=n), [D.TRAIN] * 8 + [D.VAL] * 4)
     perm = rng.permutation(n)
-    # op @ X[perm] at the input width; or, for inputs wider than the
-    # embedding, op @ (X[perm] W) and op @ dpre at the embedding width
-    for d, widths in ((7, [f]), (10, [f]), (4, [4, 4])):
+    ax = [propagate(op, x) for op in ops]
+    stacked = [np.concatenate([a, propagate(op, x[perm])]) for a, op in zip(ax, ops)]
+    # the 2n stack where the layer propagates first: no product; for inputs
+    # wider than the embedding, op @ (X[perm] W) and op @ dpre at its width
+    for d, given, widths in ((7, stacked, []), (10, stacked, []), (4, ax, [4, 4])):
         cfg = TrainingConfig(learning_rate=0.01, embed_dim=d, n_relations=r_count,
                              thetas=(0.5,), alpha=0.7, beta=0.9, gamma=0.02)
         state = ModelState(ModelDims(n, f, d, r_count, c), seed=3)
         counting = [CountingOp(op) for op in ops]
-        loss_and_grads(state, counting, x, labels, cfg, perm, ax, StepArrays(state))
+        loss_and_grads(state, counting, x, labels, cfg, perm, given, StepArrays(state))
         assert [op.widths for op in counting] == [widths] * r_count, d
 
 
