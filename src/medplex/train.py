@@ -486,10 +486,13 @@ def select_epochs(state: FlatParams, lr: float, epochs: int, patience: int,
     must be finite, class probabilities for every row, and the epoch's report
     entries, stored between "epoch" and "val_micro". Selection: highest
     validation micro-F1, earliest epoch on ties; training stops once
-    `patience` epochs pass without improvement (0 never stops). Without
-    validation rows the final epoch wins, early stopping is off, and each
-    val_micro and best_val_micro is None (JSON null). The selected
-    parameters are left in state.
+    `patience` epochs pass without improvement, or right after an epoch
+    that scores every validation row right (0 never stops). The second stop
+    is exact: no later epoch can score above 1.0, and a tie keeps the
+    earlier one, so the selected parameters are those of the full run and
+    only the report's rows end sooner. Without validation rows the final
+    epoch wins, early stopping is off, and each val_micro and best_val_micro
+    is None (JSON null). The selected parameters are left in state.
     """
     val_idx = labels.rows_with(D.VAL)
     val_truth = labels.labels[val_idx]
@@ -503,7 +506,8 @@ def select_epochs(state: FlatParams, lr: float, epochs: int, patience: int,
         if val_idx.size:
             # micro-F1 is accuracy; one count gives the same float as E.micro_f1
             pred = np.argmax(probs[val_idx], axis=1)
-            val_micro = int(np.count_nonzero(pred == val_truth)) / val_idx.size
+            correct = int(np.count_nonzero(pred == val_truth))
+            val_micro = correct / val_idx.size
         else:
             val_micro = None
         report.rows.append({"epoch": epoch, **row, "val_micro": val_micro})
@@ -511,7 +515,8 @@ def select_epochs(state: FlatParams, lr: float, epochs: int, patience: int,
             best_val, report.best_epoch, best_params = val_micro, epoch, state.copy_params()
         adam_step(state, adam, lr)
         report.epochs_run = epoch + 1
-        if val_idx.size and epoch - max(report.best_epoch, 0) >= patience > 0:
+        if val_idx.size and patience > 0 and (
+                correct == val_idx.size or epoch - max(report.best_epoch, 0) >= patience):
             report.stopped_early = True
             break
     if best_params is not None:
@@ -534,7 +539,10 @@ def held_out_metrics(probs: np.ndarray, labels: LabelVector) -> dict | None:
 def fit(graph: MultiplexGraph, labels: LabelVector, cfg: TrainingConfig):
     """Train on one multiplex graph; returns (best ModelState, TrainReport).
 
-    Epochs, selection and early stopping are select_epochs'. Deterministic in
+    Epochs, selection and early stopping are select_epochs': a run stops
+    right after its first perfect validation score, since no later epoch
+    could be selected, so that stop leaves the selected parameters and the
+    test metrics as they would be after every epoch. Deterministic in
     cfg.seed (corruption permutations derive from (seed, epoch)). With two or
     more usable CPUs one worker thread makes the next block of corrupted-view
     products during the steps (see _corrupted_inputs); it is joined before

@@ -511,11 +511,16 @@ def test_10_cli_determinism(tmp_path):
     data = tmp_path / "cohort"
     assert cli_run(["--quiet", "synth", "--out", str(data),
                     "--config", str(scfg_path)]) == 0
+    # the synth preset with patience 0: this cohort scores every validation
+    # row right at epoch 7, which would stop the run inside its first block
+    # of corrupted-view products; all 30 epochs take three
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps(preset_config("synth", patience=0).to_json_dict()))
 
     digests = []
     for attempt in ("one", "two"):
         rundir = tmp_path / ("run_" + attempt)
-        assert cli_run(["--quiet", "train", "--data", str(data), "--preset", "synth",
+        assert cli_run(["--quiet", "train", "--data", str(data), "--config", str(cfg_path),
                         "--epochs", "30", "--out", str(rundir)]) == 0
         eval_path = tmp_path / ("eval_%s.json" % attempt)
         assert cli_run(["--quiet", "eval", "--run", str(rundir), "--data", str(data),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,24 @@ def test_early_stopping_on_flat_validation(monkeypatch):
     model = fit_mlp(x, lv, TrainingConfig(embed_dim=4, epochs=200, patience=5))
     assert len(model.report["rows"]) == 6
     assert model.report["best_epoch"] == 0
+
+
+def test_perfect_score_stop_keeps_the_full_run_params():
+    scfg = SynthConfig(n=60, n_classes=2, n_types=2, cols_per_type=4,
+                       separations=(3.0, 3.0), noise_std=1.0, embed_dim=4,
+                       embed_separation=2.0, embed_noise_std=1.0, seed=0)
+    table, emb, labels, _ = generate_synthetic_cohort(scfg)
+    cfg = preset_config("synth", embed_dim=8, epochs=60)
+    for run_baseline in (run_mlp_baseline, run_single_gcn_baseline):
+        stopped = run_baseline(table, emb, labels, cfg)
+        full = run_baseline(table, emb, labels, dataclasses.replace(cfg, patience=0))
+        rows = stopped.report["rows"]
+        assert stopped.report["best_val_micro"] == 1.0
+        assert len(rows) == stopped.report["best_epoch"] + 1 < len(full.report["rows"])
+        assert full.report["rows"][:len(rows)] == rows
+        for name in full.params:
+            assert stopped.params[name].tobytes() == full.params[name].tobytes(), name
+        assert stopped.report["test_metrics"] == full.report["test_metrics"]
 
 
 # ---------------------------------------------------------------- errors

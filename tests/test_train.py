@@ -700,6 +700,28 @@ def test_select_epochs_patience_stop():
     assert report.stopped_early
     assert len(report.rows) == report.epochs_run == best + patience + 1
     assert report.best_epoch == best and np.array_equal(final, seen[best])
+    # short of a perfect score, a patience longer than the run never stops it
+    report, seen, final = scripted_run([1, 3, 2, 3, 3, 2], epochs=6, patience=10)
+    assert report.epochs_run == 6 and not report.stopped_early
+    assert report.best_epoch == 1 and np.array_equal(final, seen[1])
+
+
+def test_select_epochs_stops_after_a_perfect_score():
+    # no later epoch can score above 1.0, and a tie keeps the earlier epoch
+    script, perfect = [1, 3, 4, 2, 4, 3], 2
+    report, seen, final = scripted_run(script, epochs=6, patience=10)
+    assert report.stopped_early
+    assert len(report.rows) == report.epochs_run == perfect + 1
+    assert report.best_epoch == perfect and report.best_val_micro == 1.0
+    assert np.array_equal(final, seen[perfect])
+    # patience 0 never stops, and selects the same epoch
+    full, _, full_final = scripted_run(script, epochs=6, patience=0)
+    assert full.epochs_run == 6 and not full.stopped_early
+    assert full.best_epoch == perfect and np.array_equal(full_final, final)
+    assert full.rows[:perfect + 1] == report.rows
+    # without validation rows there is no score, and every epoch runs
+    blind, _, _ = scripted_run(script, epochs=6, patience=10, val=False)
+    assert blind.epochs_run == 6 and not blind.stopped_early and blind.best_epoch == 5
 
 
 def test_select_epochs_without_val_rows_takes_the_last_epoch():
@@ -816,6 +838,19 @@ def test_fit_early_stopping_with_flat_validation():
     assert report.best_epoch == 0
 
 
+def test_fit_perfect_score_stop_keeps_the_full_run_outputs():
+    graph, masked, cfg = synth_setup(seed=8, epochs=30, embed_dim=16)
+    stopped_state, stopped = fit(graph, masked, cfg)
+    full_state, full = fit(graph, masked, dataclasses.replace(cfg, patience=0))
+    assert stopped.stopped_early and stopped.best_val_micro == 1.0
+    assert stopped.epochs_run == stopped.best_epoch + 1 < full.epochs_run == cfg.epochs
+    assert stopped_state.flatten().tobytes() == full_state.flatten().tobytes()
+    assert stopped.test_metrics == full.test_metrics
+    assert stopped.att_weights == full.att_weights
+    assert stopped.best_epoch == full.best_epoch
+    assert full.rows[:stopped.epochs_run] == stopped.rows
+
+
 def test_fit_attention_weights_sum_to_one():
     graph, masked, cfg = synth_setup(seed=5, epochs=5)
     _, report = fit(graph, masked, cfg)
@@ -841,9 +876,10 @@ def test_fit_sparse_products_per_epoch(monkeypatch):
         return counting[-1]
 
     monkeypatch.setattr(T, "relation_operator", counting_operator)
-    # in_dim is 12: 4 embedding plus 8 clinical columns
+    # in_dim is 12: 4 embedding plus 8 clinical columns; patience 0 runs all
+    # 30 epochs past the perfect validation score that would stop the run
     for embed_dim in (16, 12, 8):
-        graph, masked, cfg = synth_setup(seed=8, epochs=30, embed_dim=embed_dim)
+        graph, masked, cfg = synth_setup(seed=8, epochs=30, embed_dim=embed_dim, patience=0)
         counting.clear()
         _, report = fit(graph, masked, cfg)
         in_dim = graph.attributes.x.shape[1]
@@ -992,7 +1028,7 @@ def test_fit_joins_its_block_worker(monkeypatch):
     threads = _propagate_threads(monkeypatch)
     main = threading.main_thread()
     # in_dim 12 gives blocks of k = 12 epochs
-    for over in (dict(epochs=40),  # a full run of 4 blocks
+    for over in (dict(epochs=40, patience=0),  # a full run of 4 blocks
                  dict(epochs=80, learning_rate=1e-12, patience=5),  # an early stop
                  dict(epochs=0)):
         graph, masked, cfg = synth_setup(seed=11, n=120, embed_dim=16, **over)
