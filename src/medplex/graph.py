@@ -70,15 +70,99 @@ def _map_threads(fn, items, most: int | None = None) -> list:
         return list(pool.map(fn, items))
 
 
-# Rows of similarities held at once. The similarity kernel's workers share
-# them, each holding a tile of _TILE // workers rows x n float64s, so graph
-# building needs O(_TILE * n + E) memory rather than the full n x n matrix.
+# Rows of the fixed chunks that model.rows_product and PackedOperator's
+# products work in, and the most rows of similarities that the similarity
+# kernel's workers hold together.
 _TILE = 256
-# Rows of the smallest tile, which caps the kernel's workers at _TILE // it.
-_MIN_TILE = 32
-# Kept of a tile's first _TILE columns when pairing a's rows with themselves:
+# Rows of one band. The similarity kernel compares each band of _BAND rows
+# with the columns from the band's first row on (every column of b) in one
+# product, so every product, and so every bit, is the same at any worker
+# count; and a band starts on a byte of a packed row.
+_BAND = 32
+# Kept of a band's first _BAND columns when pairing a's rows with themselves:
 # there column c is row lo + c, so only cells above the diagonal have i < j.
-_ABOVE_DIAGONAL = ~np.tri(_TILE, dtype=bool)
+_ABOVE_DIAGONAL = ~np.tri(_BAND, dtype=bool)
+
+
+def _tiles(rows: int):
+    """The first rows of the tiles that the kernel's passes map over
+    _map_threads, and the number of workers (at most _TILE // _BAND). A tile
+    has _TILE // workers rows rounded down to whole bands, so the workers
+    together hold at most _TILE rows, and graph building needs O(_TILE * n)
+    memory beside its n^2/8 bytes of bits."""
+    workers = min(_usable_cpus(), _TILE // _BAND)
+    return range(0, rows, _TILE // workers // _BAND * _BAND), workers
+
+
+def _mask_bits(a: np.ndarray, theta: float, b: np.ndarray | None = None):
+    """The similarity kernel's mask pass: the cells (i, j) whose clipped cosine
+    similarity is strictly above theta, as packed bits with their counts.
+
+    Without b, cells i < j of a's rows with themselves (the upper triangle);
+    with b, every cell of a row i of a and a row j of b. Returns (bits,
+    row_counts, col_counts): bits holds one np.packbits row per row of a over
+    every column (len(b) or len(a) of them), row_counts the set cells of each
+    row and col_counts, without b only (else None), those of each column.
+    The tiles of a's rows map over _map_threads; each compares its bands
+    once, packs each band's mask into the band's rows of bits and counts the
+    mask's rows and columns while it holds it.
+    """
+    ua = _unit_rows(np.asarray(a, dtype=np.float64))
+    ub = ua if b is None else _unit_rows(np.asarray(b, dtype=np.float64))
+    bits = np.zeros((ua.shape[0], (ub.shape[0] + 7) // 8), dtype=np.uint8)
+    row_counts = np.zeros(ua.shape[0], dtype=np.int64)
+    col_counts = np.zeros(ub.shape[0], dtype=np.int64) if b is None else None
+    starts, workers = _tiles(ua.shape[0])
+
+    def mask(tile):
+        cols = []  # each band's column counts, added up on the calling thread
+        for lo in range(tile, min(tile + starts.step, ua.shape[0]), _BAND):
+            first = lo if b is None else 0  # columns before lo lie below the diagonal
+            sims = ua[lo:lo + _BAND] @ ub[first:].T
+            np.clip(sims, -1.0, 1.0, out=sims)
+            keep = sims > theta
+            del sims  # before the mask's counts and bits are made
+            if b is None:
+                rows = keep.shape[0]
+                keep[:, :rows] &= _ABOVE_DIAGONAL[:rows, :rows]
+                cols.append((lo, np.count_nonzero(keep, axis=0)))
+            bits[lo:lo + _BAND, first // 8:] = np.packbits(keep, axis=1)
+            row_counts[lo:lo + _BAND] = np.count_nonzero(keep, axis=1)
+        return cols
+
+    for cols in _map_threads(mask, starts, workers):
+        for lo, counts in cols:
+            col_counts[lo:] += counts
+    return bits, row_counts, col_counts
+
+
+def _read_pairs(bits: np.ndarray, row_counts: np.ndarray, width: int, upper: bool) -> np.ndarray:
+    """The set cells of _mask_bits' bits (upper: made without b; width
+    columns) as an exact-size (E, 2) int32 array of (row, column) pairs,
+    row-major. Each tile of rows reads its pairs straight into its slice of
+    the result, found from the counts: row ids repeated by the counts, column
+    ids compressed out of an int32 column range. So no pair is held twice,
+    and no cell index is split into row and column by a divide and a
+    remainder. The tiles map over _map_threads.
+    """
+    ends = np.concatenate([[0], np.cumsum(row_counts)])
+    pairs = np.empty((int(ends[-1]), 2), dtype=np.int32)
+    starts, workers = _tiles(bits.shape[0])
+
+    def read_out(lo):
+        first = lo if upper else 0
+        counts = row_counts[lo:lo + starts.step]
+        at, end = ends[lo], ends[lo + counts.size]
+        keep = np.unpackbits(bits[lo:lo + starts.step, first // 8:], axis=1,
+                             count=width - first).view(bool)
+        pairs[at:end, 0] = np.repeat(np.arange(lo, lo + counts.size, dtype=np.int32), counts)
+        columns = np.arange(first, width, dtype=np.int32)
+        # np.compress (nonzero, then take) is several times faster here than
+        # indexing with keep, whose copy loop is slow on scattered masks
+        pairs[at:end, 1] = np.compress(keep.ravel(), np.tile(columns, counts.size))
+
+    _map_threads(read_out, starts, workers)
+    return pairs
 
 
 def _similar_pairs(a: np.ndarray, theta: float, b: np.ndarray | None = None) -> np.ndarray:
@@ -86,88 +170,66 @@ def _similar_pairs(a: np.ndarray, theta: float, b: np.ndarray | None = None) -> 
 
     Without b, pairs (i, j) of a's rows with i < j; with b, every pair of a row
     i of a and a row j of b. Returns the pairs row-major as an exact-size
-    (E, 2) int32 array. Each tile of a's rows is compared once and its mask
-    kept as packed bits (about n^2/16 bytes over all tiles) with its per-row
-    pair counts. The pairs are then read out of the bits tile by tile straight
-    into the tile's slice of the result, found from the counts: row ids
-    repeated by the counts, column ids compressed out of an int32 column
-    range. So no edge is held twice, and no cell index is split into row and
-    column by a divide and a remainder. Both passes map over the tiles on
-    _map_threads; a tile has _TILE // workers rows, so the workers together
-    hold at most _TILE rows of similarities or masks. Every cell is one row's
-    product with one column, whatever the tile height, so the pairs are the
-    same at any worker count.
+    (E, 2) int32 array: the kernel's mask pass (_mask_bits, about n^2/8 bytes
+    of bits), then its read-out (_read_pairs).
     """
-    ua = _unit_rows(np.asarray(a, dtype=np.float64))
-    ub = ua if b is None else _unit_rows(np.asarray(b, dtype=np.float64))
-    workers = min(_usable_cpus(), _TILE // _MIN_TILE)
-    height = _TILE // workers
-    starts = range(0, ua.shape[0], height)
-
-    def first_column(lo):
-        return lo if b is None else 0  # columns before lo lie below the diagonal
-
-    def mask(lo):
-        sims = ua[lo:lo + height] @ ub[first_column(lo):].T
-        np.clip(sims, -1.0, 1.0, out=sims)
-        keep = sims > theta
-        del sims  # before the mask's counts and bits are made
-        if b is None:
-            rows = keep.shape[0]
-            keep[:, :rows] &= _ABOVE_DIAGONAL[:rows, :rows]
-        return np.count_nonzero(keep, axis=1), np.packbits(keep, axis=1)
-
-    tiles = _map_threads(mask, starts, workers)
-    ends = np.cumsum([0] + [int(counts.sum()) for counts, _ in tiles])
-    pairs = np.empty((int(ends[-1]), 2), dtype=np.int32)
-
-    def read_out(t):
-        lo, (counts, bits) = starts[t], tiles[t]
-        first = first_column(lo)
-        width = ub.shape[0] - first
-        at, end = ends[t], ends[t + 1]
-        keep = np.unpackbits(bits, axis=1, count=width).view(bool)
-        pairs[at:end, 0] = np.repeat(np.arange(lo, lo + counts.size, dtype=np.int32), counts)
-        columns = np.arange(first, first + width, dtype=np.int32)
-        # np.compress (nonzero, then take) is several times faster here than
-        # indexing with keep, whose copy loop is slow on scattered masks
-        pairs[at:end, 1] = np.compress(keep.ravel(), np.tile(columns, counts.size))
-
-    _map_threads(read_out, range(len(tiles)), workers)
-    return pairs
+    bits, row_counts, _ = _mask_bits(a, theta, b)
+    width = bits.shape[0] if b is None else np.asarray(b).shape[0]
+    return _read_pairs(bits, row_counts, width, upper=b is None)
 
 
 # Node ids are stored as int32, so a graph has fewer than 2^31 nodes.
 _MAX_NODES = np.iinfo(np.int32).max
-_KEY_CHUNK = 1 << 16  # edges per temporary in the checks and degrees
+_KEY_CHUNK = 1 << 16  # edges per temporary in the checks, degrees and packing
 
 
-@dataclass
 class RelationGraph:
-    """Undirected simple graph over n nodes, edges stored once as i < j in an
-    (E, 2) int32 array."""
+    """Undirected simple graph over n nodes, each edge (i, j) stored once as
+    i < j.
 
-    n: int
-    edges: np.ndarray
-    relation_index: int = 0
+    A graph made from edges holds them as an (E, 2) int32 array. A built
+    graph (build_relation_graph) holds what the similarity kernel's mask pass
+    made instead: its upper triangle as packed bits, bit j of row i set for
+    an edge (i, j) (n^2/8 bytes), with each row's and each column's count.
+    n_edges and degrees() come from the counts, upper_bits() from the bits.
+    Its int32 `edges` are read out of the bits only when something asks for
+    them (the edge-list writer, attach_new_nodes, edge_set, a CSR relation's
+    operator) and pass the same checks as given edges. They then replace the
+    bits, which outweigh the edges of a sparse relation.
+    """
+
+    def __init__(self, n: int, edges=None, relation_index: int = 0, upper=None):
+        """Give the edges, or as `upper` the (bits, row_counts, col_counts)
+        of _mask_bits over the n nodes."""
+        if (edges is None) == (upper is None):
+            raise TypeError("a relation graph takes edges or upper bits, not both")
+        self.n = n
+        self.relation_index = relation_index
+        self._edges = edges
+        self._bits, self._row_counts, self._col_counts = upper or (None, None, None)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Checks n and the edges held. Kept under the dataclass hook's name,
+        which profilers wrap as the graph's validation step."""
         if self.n < 1:
             raise DataError("graph needs at least one node")
         if self.n > _MAX_NODES:
             raise DataError("graph has %d nodes, at most %d are supported" % (self.n, _MAX_NODES))
-        edges = np.asarray(self.edges).reshape(-1, 2)
+        if self._edges is None:
+            return
+        edges = np.asarray(self._edges).reshape(-1, 2)
         # range-checked before the cast, which would wrap an out-of-range id
         if edges.size and (edges.min() < 0 or edges.max() >= self.n):
             raise DataError("edge endpoint outside [0, n)")
-        self.edges = np.ascontiguousarray(edges, dtype=np.int32)
+        edges = self._edges = np.ascontiguousarray(edges, dtype=np.int32)
         # row-major order checked on the int32 columns, one chunk at a time;
         # each chunk reaches one row into the next, so the order check spans
         # chunk borders. Builds emit strictly increasing (i, j), and only other
         # inputs pay for a sort of all the edges.
         increasing = True
-        for lo in range(0, self.n_edges, _KEY_CHUNK):
-            i, j = self.edges[lo:lo + _KEY_CHUNK + 1].T
+        for lo in range(0, edges.shape[0], _KEY_CHUNK):
+            i, j = edges[lo:lo + _KEY_CHUNK + 1].T
             if np.any(i >= j):
                 raise DataError("edges must satisfy i < j (no self loops)")
             if increasing and i.size > 1:
@@ -176,19 +238,44 @@ class RelationGraph:
                 increasing = di.min() >= 0 and np.maximum(di, dj).min() > 0
         if not increasing:
             # each (i, j) row read as one int64: equal rows give equal values
-            keys = np.sort(self.edges.view(np.int64).ravel())
+            keys = np.sort(edges.view(np.int64).ravel())
             if np.any(keys[1:] == keys[:-1]):
                 raise DataError("duplicate edges")
 
     @property
+    def edges(self) -> np.ndarray:
+        if self._edges is None:
+            self._edges = _read_pairs(self._bits, self._row_counts, self.n, upper=True)
+            self._bits = None
+            self.__post_init__()
+        return self._edges
+
+    @property
     def n_edges(self) -> int:
-        return self.edges.shape[0]
+        if self._row_counts is not None:
+            return int(self._row_counts.sum())
+        return self._edges.shape[0]
 
     def degrees(self) -> np.ndarray:
+        if self._row_counts is not None:
+            return self._row_counts + self._col_counts
         deg = np.zeros(self.n, dtype=np.int64)
         for lo in range(0, self.n_edges, _KEY_CHUNK):
-            deg += np.bincount(self.edges[lo:lo + _KEY_CHUNK].ravel(), minlength=self.n)
+            deg += np.bincount(self._edges[lo:lo + _KEY_CHUNK].ravel(), minlength=self.n)
         return deg
+
+    def upper_bits(self) -> np.ndarray:
+        """The upper triangle as n x ceil(n/8) uint8 np.packbits rows, bit j
+        of row i set for an edge (i, j): a built graph's own bits until its
+        edges are read out, else packed from the edges, one bit per edge."""
+        if self._bits is not None:
+            return self._bits
+        width = (self.n + 7) // 8
+        flat = np.zeros(self.n * width, dtype=np.uint8)
+        for lo in range(0, self.n_edges, _KEY_CHUNK):
+            i, j = self._edges[lo:lo + _KEY_CHUNK].astype(np.int64).T
+            np.bitwise_or.at(flat, i * width + (j >> 3), (128 >> (j & 7)).astype(np.uint8))
+        return flat.reshape(self.n, width)
 
     def edge_set(self) -> set:
         return {(int(i), int(j)) for i, j in self.edges}
@@ -198,13 +285,15 @@ def build_relation_graph(block: np.ndarray, theta: float, relation_index: int = 
     """Threshold the all-pairs cosine similarity of block's rows at theta.
 
     Strict inequality: an edge appears only when similarity > theta, so
-    theta = 1.0 yields an edgeless graph even for duplicate rows.
+    theta = 1.0 yields an edgeless graph even for duplicate rows. The graph
+    keeps the kernel's upper-triangle bits and counts; it holds no edge array
+    until one is asked for.
     """
     block = np.asarray(block, dtype=np.float64)
     if block.ndim != 2 or block.shape[1] < 1:
         raise DataError("relation block must be 2-d with at least one column")
-    edges = _similar_pairs(block, float(theta))
-    return RelationGraph(n=block.shape[0], edges=edges, relation_index=relation_index)
+    upper = _mask_bits(block, float(theta))
+    return RelationGraph(n=block.shape[0], relation_index=relation_index, upper=upper)
 
 
 @dataclass
@@ -410,19 +499,23 @@ def write_edge_list(path, graph: RelationGraph, table: np.ndarray | None = None)
 def write_multiplex(out_dir, g: MultiplexGraph) -> dict:
     """Write per-relation edge lists plus a JSON manifest; returns the manifest.
 
-    The edge lists are written, and their degrees counted, on _map_threads."""
+    Each relation's edges are read out (a built graph's, from its bits) on
+    this thread, so their checks run here and no pool starts inside the
+    writers'; the edge lists are then written on _map_threads. Degrees come
+    from each graph's degrees(), a built graph's kernel counts."""
     os.makedirs(out_dir, exist_ok=True)
     table = _id_table(g.n_nodes)
     files = ["edges_r%d.txt" % r for r in range(g.n_relations)]
+    for graph in g.relations:
+        graph.edges  # read out before the writers start
 
     def write(r):
-        graph = g.relations[r]
-        write_edge_list(os.path.join(out_dir, files[r]), graph, table)
-        return graph.degrees()
+        write_edge_list(os.path.join(out_dir, files[r]), g.relations[r], table)
 
-    degrees = _map_threads(write, range(g.n_relations))
+    _map_threads(write, range(g.n_relations))
     rel_meta = []
-    for r, (graph, deg) in enumerate(zip(g.relations, degrees)):
+    for r, graph in enumerate(g.relations):
+        deg = graph.degrees()
         rel_meta.append(
             {
                 "relation": r,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import open_input
 from .errors import DataError, NumericError
-from .graph import _TILE, RelationGraph
+from .graph import _BAND, _TILE, RelationGraph
 
 CHECKPOINT_VERSION = 1
 
@@ -184,14 +184,18 @@ def normalize_adjacency(graph: RelationGraph):
 # (README, "Training cost and memory").
 _DENSE_FROM = 0.14
 
-_PACK_CHUNK = 1 << 16  # edges set per pass while packing
-
 
 class PackedOperator:
     """D^-1/2 (A + I) D^-1/2 of a dense relation, held as the bits of A + I.
 
     `bits` holds one np.packbits row per node (n^2/8 bytes in all) and `dinv`
     the diagonal of D^-1/2, so op @ Y = dinv * ((A + I) @ (dinv * Y)). The
+    bits are made from the graph's upper-triangle bits (upper_bits: a built
+    graph's own, so no edge array is read) one band of _BAND rows at a time:
+    a band takes its own upper bits and ORs in its columns' upper bits
+    transposed (unpacked, transposed and packed again); then the diagonal is
+    set. The band loop runs inline: np.packbits and np.unpackbits hold the
+    interpreter lock, and on two threads it took longer than on one. The
     product works through _TILE x _TILE blocks of A + I, each unpacked into
     one reused float tile, and adds a row block's products left to right; the
     fixed inner dimension keeps the bytes equal at 1 and 2 BLAS threads, where
@@ -203,17 +207,18 @@ class PackedOperator:
 
     def __init__(self, graph: RelationGraph):
         n = graph.n
-        width = (n + 7) // 8
-        flat = np.zeros(n * width, dtype=np.uint8)
-        # each edge sets bit j of row i and bit i of row j; the int64 byte
-        # offsets are built one chunk of edges at a time
-        for lo in range(0, graph.n_edges, _PACK_CHUNK):
-            chunk = graph.edges[lo:lo + _PACK_CHUNK].astype(np.int64)
-            for i, j in ((chunk[:, 0], chunk[:, 1]), (chunk[:, 1], chunk[:, 0])):
-                np.bitwise_or.at(flat, i * width + (j >> 3), (128 >> (j & 7)).astype(np.uint8))
-        diag = np.arange(n, dtype=np.int64)
-        flat[diag * width + (diag >> 3)] |= (128 >> (diag & 7)).astype(np.uint8)
-        self.bits = flat.reshape(n, width)
+        upper = graph.upper_bits()
+        bits = np.empty_like(upper)
+        for lo in range(0, n, _BAND):
+            hi = min(lo + _BAND, n)
+            # columns lo..hi-1 have upper bits in rows < hi only; lo is a
+            # byte boundary of a packed row
+            columns = np.unpackbits(upper[:hi, lo // 8:(hi + 7) // 8], axis=1, count=hi - lo)
+            bits[lo:hi] = upper[lo:hi]
+            bits[lo:hi, :(hi + 7) // 8] |= np.packbits(np.ascontiguousarray(columns.T), axis=1)
+        diag = np.arange(n)
+        bits[diag, diag >> 3] |= (128 >> (diag & 7)).astype(np.uint8)
+        self.bits = bits
         self.dinv = 1.0 / np.sqrt(graph.degrees() + 1.0)
         self.shape = (n, n)
         self.nnz = 2 * graph.n_edges + n

@@ -19,6 +19,7 @@ from medplex.data import (
     normalize_embeddings,
 )
 from medplex.errors import DataError
+from medplex.model import PackedOperator
 from medplex.graph import (
     MultiplexGraph,
     RelationGraph,
@@ -69,6 +70,37 @@ def full_matrix_edges(block, theta):
     iu, ju = np.triu_indices(block.shape[0], k=1)
     keep = sims[iu, ju] > theta
     return np.stack([iu[keep], ju[keep]], axis=1)
+
+
+def scattered_bits(n, edges):
+    """A + I packed by scattering both ends of every edge, and the diagonal,
+    into the bits one at a time."""
+    width = (n + 7) // 8
+    flat = np.zeros(n * width, dtype=np.uint8)
+    i, j = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    diag = np.arange(n)
+    for row, col in ((i, j), (j, i), (diag, diag)):
+        np.bitwise_or.at(flat, row * width + (col >> 3), (128 >> (col & 7)).astype(np.uint8))
+    return flat.reshape(n, width)
+
+
+def check_built_graph(block, theta):
+    """A built graph's bits, counts and operator against the full-matrix
+    oracle and the edge path; its edges are read out of the bits last."""
+    n = block.shape[0]
+    above = full_matrix_sims(block) > theta
+    above[np.tri(n, dtype=bool)] = False  # pairs i < j only
+    g = build_relation_graph(block, theta)
+    bits, degrees, n_edges = PackedOperator(g).bits, g.degrees(), g.n_edges
+    assert g._edges is None  # nothing above read the edges out
+    assert np.array_equal(g.upper_bits(), np.packbits(above, axis=1))
+    assert np.array_equal(g.edges, np.argwhere(above))
+    assert np.array_equal(bits, scattered_bits(n, g.edges))
+    assert np.array_equal(degrees, np.bincount(g.edges.ravel(), minlength=n))
+    assert n_edges == len(g.edges)
+    # the edges replace the bits, which are then packed from them
+    assert g._bits is None and np.array_equal(g.upper_bits(), np.packbits(above, axis=1))
+    return g
 
 
 # ---------------------------------------------------------------- cosine
@@ -183,17 +215,18 @@ def test_tiled_build_equals_full_matrix_reference(n):
         assert np.array_equal(g.edges, full_matrix_edges(block, theta))
 
 
-@pytest.mark.parametrize("n", [TILE + 1, 2 * TILE + 3])
+@pytest.mark.parametrize("n", [TILE // 2 + 5, TILE + 1, 2 * TILE, 2 * TILE + 3, 1001])
 def test_tiled_build_with_duplicate_rows_at_theta(n):
     # rows repeat four prototypes with exact similarities 1, 0 and -1, so whole
     # blocks of pairs sit exactly at each theta in every summation order
     protos = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.5], [-4.0, 0.0, 0.0]])
     block = protos[np.random.default_rng(n).integers(0, 4, size=n)]
     for theta in (-1.0, 0.0, 1.0):
-        g = build_relation_graph(block, theta)
+        g = check_built_graph(block, theta)
         assert np.array_equal(g.edges, full_matrix_edges(block, theta))
     assert build_relation_graph(block, 1.0).n_edges == 0
-    assert build_relation_graph(block, 0.0).edge_set() == brute_force_edges(block, 0.0)
+    if n < 1000:  # the brute-force oracle makes n^2 / 2 Python calls
+        assert build_relation_graph(block, 0.0).edge_set() == brute_force_edges(block, 0.0)
 
 
 def test_tiled_weighted_and_rectangular_pairs_equal_full_matrix():
@@ -205,7 +238,8 @@ def test_tiled_weighted_and_rectangular_pairs_equal_full_matrix():
 
 
 @pytest.mark.parametrize("m", [None, 300])
-@pytest.mark.parametrize("n", [1, TILE - 1, TILE, TILE + 1, 2 * TILE + 1])
+@pytest.mark.parametrize("n", [1, TILE // 2 + 5, TILE - 1, TILE, TILE + 1, 2 * TILE,
+                               2 * TILE + 1, 1001])
 def test_similar_pairs_equal_argwhere_over_full_matrix(n, m):
     rng = np.random.default_rng(n)
     a = rng.normal(size=(n, 3))
@@ -219,6 +253,8 @@ def test_similar_pairs_equal_argwhere_over_full_matrix(n, m):
         assert pairs.dtype == np.int32
         assert np.array_equal(pairs, np.argwhere(sims > theta))
         assert count is None or pairs.shape == (count, 2)
+        if b is None:  # the built graph holds the same cells as bits
+            assert np.array_equal(check_built_graph(a, theta).edges, pairs)
 
 
 def test_build_memory_stays_below_full_matrix():
@@ -241,6 +277,7 @@ def test_dense_build_memory_stays_near_its_edges():
     tracemalloc.start()
     try:
         g = build_relation_graph(block, 0.5)
+        g.edges  # the first read-out, out of the bits
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -624,16 +661,22 @@ def at_cpus(monkeypatch, cpus):
     monkeypatch.setattr(graph_module, "_usable_cpus", lambda: cpus)
 
 
-@pytest.mark.parametrize("n", [TILE // 2 + 5, 2 * TILE, 1000])  # 1000: a partial last tile
+@pytest.mark.parametrize("n", [TILE // 2 + 5, 2 * TILE, 1000])  # 1000: a partial last band
 def test_similar_pairs_equal_bytes_at_one_and_two_cpus(n, monkeypatch):
+    # and at 3 and 8 CPUs: every band of rows is one product at any worker
+    # count, so the pairs, a built graph's bits and degrees and its operator's
+    # bits are the same bytes
     rng = np.random.default_rng(n)
     a = rng.normal(size=(n, 4))
     b = rng.normal(size=(37, 4))
     made = {}
-    for cpus in (1, 2):
+    for cpus in (1, 2, 3, 8):
         at_cpus(monkeypatch, cpus)
+        g = build_relation_graph(a, 0.3)
         made[cpus] = [graph_module._similar_pairs(a, 0.3, other).tobytes() for other in (None, b)]
-    assert made[1] == made[2]
+        made[cpus] += [g.upper_bits().tobytes(), g.degrees().tobytes(),
+                       PackedOperator(g).bits.tobytes()]
+    assert made[1] == made[2] == made[3] == made[8]
 
 
 def test_kernel_workers_hold_one_tile_in_all(monkeypatch):
@@ -647,11 +690,13 @@ def test_kernel_workers_hold_one_tile_in_all(monkeypatch):
 
     monkeypatch.setattr(graph_module, "_map_threads", recording)
     a = np.random.default_rng(3).normal(size=(600, 3))
-    for cpus, workers in ((1, 1), (2, 2), (3, 3), (64, TILE // graph_module._MIN_TILE)):
+    band = graph_module._BAND
+    for cpus, workers in ((1, 1), (2, 2), (3, 3), (64, TILE // band)):
         at_cpus(monkeypatch, cpus)
         tiles.clear()
         graph_module._similar_pairs(a, 0.5)
-        assert tiles == [(TILE // workers, workers)], cpus
+        # whole bands of 32 rows: 85 rows at 3 workers round down to 64
+        assert tiles == [(TILE // workers // band * band, workers)], cpus
 
 
 def graph_run_bytes(tmp_path, name):

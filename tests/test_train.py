@@ -31,7 +31,13 @@ from medplex.model import (
     relation_operator,
 )
 from medplex.graph import RelationGraph
-from medplex.pipeline import assign_masks, build_graph_for, pooled_probs
+from medplex.pipeline import (
+    assign_masks,
+    build_graph_for,
+    pooled_probs,
+    run_experiment,
+    run_single_gcn_baseline,
+)
 from medplex.train import (
     AdamState,
     TrainingConfig,
@@ -1080,6 +1086,68 @@ def test_fit_starts_no_thread_on_one_cpu(monkeypatch):
         fit(graph, masked, cfg)
         assert len(pools) == started
         assert (set(threads) == {threading.main_thread()}) == (cpus == 1)
+
+
+def test_training_reads_no_edges_out_of_dense_relations(monkeypatch):
+    # a dense relation's operator is made from the built graph's bits, so
+    # neither fit nor the single-GCN baseline reads its edges out; a CSR
+    # relation's operator and an attachment still do
+    table, emb, labels, _ = generate_synthetic_cohort(SynthConfig(n=300, seed=4))
+    cfg = preset_config("synth", seed=4, epochs=20)
+    read_outs = []
+    real = G._read_pairs
+
+    def refusing(*args, **kwargs):
+        raise AssertionError("edges read out of a built graph")
+
+    def recording(bits, row_counts, width, upper):
+        read_outs.append(upper)
+        return real(bits, row_counts, width, upper)
+
+    monkeypatch.setattr(G, "_read_pairs", refusing)
+    result = run_experiment(table, emb, labels, cfg)
+    graphs = result.graph.relations
+    assert all(isinstance(relation_operator(g), M.PackedOperator) for g in graphs)
+    # what the run's notes and the graph command's log line read
+    assert [g.n_edges for g in graphs] == [int(g.degrees().sum()) // 2 for g in graphs]
+    run_single_gcn_baseline(table, emb, labels, cfg)
+
+    monkeypatch.setattr(G, "_read_pairs", recording)
+    csr = run_experiment(table, emb, labels, dataclasses.replace(cfg, thetas=(0.9, 0.9)))
+    assert read_outs == [True, True]  # one read-out per CSR relation
+    assert not any(isinstance(relation_operator(g), M.PackedOperator)
+                   for g in csr.graph.relations)
+    old, new = ([D.FeatureTable(table.values[rows], table.column_names, table.column_kinds,
+                                table.row_ids[rows]),
+                 D.EmbeddingTable(emb.values[rows], emb.row_ids[rows])]
+                for rows in (slice(0, 250), slice(250, 300)))
+    graph = build_graph_for(*old, cfg)
+    read_outs.clear()
+    G.attach_new_nodes(graph, *new)
+    # each relation's pairs with the new rows, then its own edges
+    assert read_outs == [False, True, False, True]
+
+
+def test_dense_operators_need_no_edge_arrays(monkeypatch):
+    # build_graph_for plus both relation_operators on the synth preset at
+    # n = 3000 (seed 21: relations 20 % and 28 % dense) at 2 usable CPUs.
+    # Building the graphs as edge arrays (17,164,880 bytes) and packing their
+    # operators from those edges peaked at 24,331,534 traced bytes; built as
+    # bits, the same graphs and operators must peak below that minus the edges.
+    monkeypatch.setattr(G, "_usable_cpus", lambda: 2)  # two bands of similarities at once
+    table, emb, _, _ = generate_synthetic_cohort(SynthConfig(n=3000, seed=21))
+    cfg = preset_config("synth", seed=21)
+    tracemalloc.start()
+    try:
+        graph = build_graph_for(table, emb, cfg)
+        ops = [relation_operator(g) for g in graph.relations]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(op, M.PackedOperator) for op in ops)
+    edge_bytes = sum(8 * g.n_edges for g in graph.relations)
+    assert edge_bytes == 17_164_880  # the graphs measured above
+    assert peak < 24_331_534 - edge_bytes, peak
 
 
 def test_traced_functions_run_on_the_main_thread(monkeypatch, tmp_path):
