@@ -16,8 +16,7 @@ from .model import (
     _xavier,
     classify,
     classify_backward_from_logits,
-    gcn_layer,
-    gcn_layer_backward,
+    encode,
     propagate,
     relation_operator,
 )
@@ -41,34 +40,32 @@ class BaselineModel:
 
 
 def forward(kind: str, params: dict, x: np.ndarray, op=None, ax=None):
-    """Class probabilities plus the caches of the first layer and the head;
-    ax = op @ x if at hand."""
+    """Class probabilities plus the first layer's output and the head's
+    cache; ax = op @ x if at hand."""
     if kind == "mlp":
-        cache = x @ params["w1"] + params["b1"]
-        h = np.maximum(cache, 0.0)
+        h = np.maximum(x @ params["w1"] + params["b1"], 0.0)
     elif kind == "single_gcn":
         if op is None:
             raise DataError("single_gcn forward needs the graph operator")
-        h, cache = gcn_layer(op, x, params["w1"], ax)
+        h = encode([op], x, params["w1"][None], None if ax is None else ax[None])[0]
     else:
         raise DataError("unknown baseline kind %r" % kind)
     probs, head = classify(h, params["w2"], params["b2"])
-    return probs, (cache, head)
+    return probs, (h, head)
 
 
 def loss_and_grads(kind: str, params: dict, x: np.ndarray, labels: LabelVector,
                    op=None, ax=None):
     """Cross-entropy over TRAIN rows; returns (loss, grads dict, probs)."""
-    probs, (cache, head) = forward(kind, params, x, op, ax)
+    probs, (h, head) = forward(kind, params, x, op, ax)
     loss, dlogits = supervised_loss(probs, labels)
     dh, dw2, db2 = classify_backward_from_logits(head, dlogits)
-    grads = {"w2": dw2, "b2": db2}
+    dpre = dh * (h > 0.0)
+    # dW = (the layer's input)^T dpre: X for the MLP, op X for the GCN
+    layer_in = x if kind == "mlp" else ax if ax is not None else propagate(op, x)
+    grads = {"w1": layer_in.T @ dpre, "w2": dw2, "b2": db2}
     if kind == "mlp":
-        dpre = dh * (cache > 0.0)
-        grads["w1"] = x.T @ dpre
         grads["b1"] = dpre.sum(axis=0)
-    else:
-        grads["w1"], _ = gcn_layer_backward(cache, dh)
     return loss, grads, probs
 
 

@@ -179,7 +179,7 @@ def _load_run(run_dir: str, data_dir: str):
     """Read a train run back with its cohort, normalized by the stored transforms.
 
     The cohort must have the checkpoint's row count and attribute width, the
-    partition must cover its columns, stored transforms must cover its
+    partition its relation count and the cohort's columns, stored transforms its
     embeddings, and its files must be those the run's manifest records (see
     _check_trained_cohort). Builds no relation graph. Returns (_Run,
     list_of_input_paths); the _Run's cohort_digests are for the manifest.
@@ -198,6 +198,9 @@ def _load_run(run_dir: str, data_dir: str):
     partition = _read_partition(part_path, table, inputs)
     if partition.n_types != len(cfg.thetas):
         raise DataError("%d thresholds for %d types" % (len(cfg.thetas), partition.n_types))
+    if state.dims.n_relations != partition.n_types:
+        raise DataError("%s holds %d relations, the partition has %d types"
+                        % (ckpt_path, state.dims.n_relations, partition.n_types))
     if table.n_rows != state.dims.n_nodes:
         raise DataError(
             "data dir has %d rows, checkpoint was trained on %d"

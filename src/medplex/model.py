@@ -293,6 +293,33 @@ def rows_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) ->
     return out
 
 
+def encode(ops: list, x: np.ndarray, w: np.ndarray, ax=None, out: np.ndarray | None = None):
+    """H = relu(ops[r] @ X @ w[r]) of every relation, stacked (R, rows, d)
+    for w of shape (R, in_dim, d), in the inputs' dtype; out takes it.
+
+    ax, the rows ops[r] @ X of a caller whose X stays fixed, makes the layers
+    one batched product (op X) W. Without ax the association follows
+    propagates_first: each op applied to X, then one batched product; or X W
+    for every relation in one broadcast product, then each op applied in
+    place. H is rectified in place: H > 0 exactly where its pre-activations are.
+    """
+    if len(ops) != w.shape[0] or (ax is not None and len(ax) != w.shape[0]):
+        raise DataError("relation count differs: %d operators, %d weights"
+                        % (len(ops), w.shape[0]))
+    width = (x if ax is None else ax).shape[-1]
+    if width != w.shape[1]:
+        raise DataError("input width %d does not match weight rows %d" % (width, w.shape[1]))
+    if ax is None and propagates_first(width, w.shape[2]):
+        ax = [propagate(op, x) for op in ops]
+    if ax is not None:
+        h = np.matmul(ax, w, out=out)
+    else:
+        h = np.matmul(x, w, out=out)
+        for op, hr in zip(ops, h):
+            hr[...] = propagate(op, hr)
+    return np.maximum(h, 0.0, out=h)
+
+
 @dataclass
 class GcnCache:
     op: object  # CSR or PackedOperator
@@ -302,20 +329,12 @@ class GcnCache:
     h: np.ndarray  # the layer's output: positive exactly where its pre-activations are
 
 
-def gcn_layer(op, x: np.ndarray, w: np.ndarray, ax: np.ndarray | None = None):
-    """H = relu(op @ X @ W); returns (H, cache).
-
-    ax = op @ x, from a caller whose X stays fixed across calls, makes the
-    layer (op X) W with no sparse product. Without ax the association
-    follows propagates_first. H is rectified in place, since H > 0 exactly
-    where the pre-activations are.
-    """
-    if x.shape[1] != w.shape[0]:
-        raise DataError("input width %d does not match weight rows %d" % (x.shape[1], w.shape[0]))
+def gcn_forward(op, x: np.ndarray, w: np.ndarray, ax: np.ndarray | None = None):
+    """encode for one relation; returns (H, cache). Where the layer
+    propagates first, X is propagated here unless ax = op @ x is given."""
     if ax is None and propagates_first(x.shape[1], w.shape[1]):
         ax = propagate(op, x)
-    h = ax @ w if ax is not None else propagate(op, x @ w)
-    np.maximum(h, 0.0, out=h)
+    h = encode([op], x, w[None], None if ax is None else ax[None])[0]
     return h, GcnCache(op, x, ax, w, h)
 
 
@@ -325,11 +344,6 @@ def gcn_layer_backward(cache: GcnCache, dh: np.ndarray):
     if cache.ax is not None:
         return cache.ax.T @ dpre, dpre
     return cache.x.T @ propagate(cache.op, dpre), dpre
-
-
-def gcn_forward(op, x: np.ndarray, w: np.ndarray):
-    """H = relu(op @ X @ W); returns (H, cache). See propagates_first."""
-    return gcn_layer(op, x, w)
 
 
 def gcn_backward(cache: GcnCache, dh: np.ndarray):
@@ -559,33 +573,25 @@ def model_forward(state: ModelState, ops: list, x: np.ndarray, perm: np.ndarray,
     ax, an (R, rows, in_dim) array (or a list of R (rows, in_dim) arrays,
     which is stacked), holds propagate(ops[r], x) in the first n rows of
     relation r. fit builds one of two forms (see propagates_first). With 2n
-    rows the last n hold ops[r] @ x[perm], and the step makes no graph
-    product: the layers are one batched product (op X) W. With n rows, for
-    X wider than the embedding, the corrupted rows apply W first,
-    op @ (X[perm] W) per relation here and one more product in the backward
-    pass. The embeddings and the pool are written into arrays.
+    rows the last n hold ops[r] @ x[perm] and the step makes no graph
+    product; with n rows encode makes the corrupted rows from X[perm] here,
+    and the backward pass makes one more product. The embeddings and the
+    pool are written into arrays.
     """
-    if len(ops) != state.dims.n_relations:
-        raise DataError("operator count does not match n_relations")
     n = x.shape[0]
     for a in ax:
         if a.shape[0] not in (n, 2 * n):
             raise DataError("propagated input has %d rows, expected %d or %d"
                             % (a.shape[0], n, 2 * n))
-    if len({a.shape for a in ax}) != 1 or len(ax) != len(ops):
+    if len({a.shape for a in ax}) != 1:
         raise DataError("need one propagated input per relation, all of one shape")
     ax = np.asarray(ax)
     w, h, x_perm = state.relation_stack(state.flat, "enc_w"), arrays.h, None
-    if ax.shape[1] == 2 * n:
-        np.matmul(ax, w, out=h)
-    else:
-        np.matmul(ax, w, out=h[:, :n])
+    encode(ops, x, w, ax, out=h[:, :ax.shape[1]])
+    if ax.shape[1] == n:
         # mode "clip" writes straight into out; the default buffers it in a copy
         x_perm = np.take(x, perm, axis=0, out=arrays.x_perm, mode="clip")
-        np.matmul(x_perm, w, out=h[:, n:])
-        for op, hr in zip(ops, h):
-            hr[n:] = propagate(op, hr[n:])
-    np.maximum(h, 0.0, out=h)  # H > 0 exactly where the pre-activations are
+        encode(ops, x_perm, w, out=h[:, n:])
     summaries, summary_cache = readout_summary(h[:, :n])
     pool, _, pool_cache = attentive_pool(h, state.params["att_logits"], out=arrays.pool)
     return ForwardCache(ax, x_perm, h, summaries, summary_cache, pool, pool_cache)

@@ -22,7 +22,7 @@ from .data import (
 )
 from .clustering import ClusterPartition, kmeans_columns
 from .graph import MultiplexGraph, attach_new_nodes, build_multiplex
-from .model import ModelState, attentive_pool, classify, gcn_forward, relation_operator
+from .model import ModelState, attentive_pool, classify, encode, relation_operator
 from .train import TrainingConfig, TrainReport, fit
 from .baselines import BaselineModel, fit_mlp, fit_single_gcn
 from .evaluate import subsample_train
@@ -108,11 +108,7 @@ def pooled_probs(state: ModelState, graph: MultiplexGraph) -> np.ndarray:
     the consensus matrix does not.
     """
     ops = [relation_operator(g) for g in graph.relations]
-    x = graph.attributes.x
-    hs = []
-    for r in range(len(graph.relations)):
-        h, _ = gcn_forward(ops[r], x, state.params["enc_w_%d" % r])
-        hs.append(h)
+    hs = encode(ops, graph.attributes.x, state.relation_stack(state.flat, "enc_w"))
     pooled, _, _ = attentive_pool(hs, state.params["att_logits"])
     probs, _ = classify(pooled, state.params["cls_w"], state.params["cls_b"])
     return probs
@@ -122,7 +118,9 @@ def inductive_predict(state: ModelState, graph: MultiplexGraph,
                       new_features: FeatureTable, new_embeddings: EmbeddingTable):
     """Attach unseen patients and score them; returns (probs, extended graph).
 
-    probs covers only the new rows, in their input order.
+    probs covers only the new rows, in their input order. They share one
+    extended graph, where each adds to its training neighbours' degrees, so
+    an arrival's probabilities depend on the others in the call.
     """
     extended = attach_new_nodes(graph, new_features, new_embeddings)
     all_probs = pooled_probs(state, extended)

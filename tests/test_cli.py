@@ -609,6 +609,18 @@ def normalizer_without_std(rundir, data):
             "number per column, and a number n_rows" % path)
 
 
+def checkpoint_of_two_relations_in_a_one_relation_run(rundir, data):
+    """The config and partition of a 1-relation run of the same cohort."""
+    config = rundir / "resolved_config.json"
+    config.write_text(json.dumps(dict(json.loads(config.read_text()), n_relations=1,
+                                      thetas=[0.5])))
+    part = json.loads((rundir / "partition.json").read_text())
+    (rundir / "partition.json").write_text(json.dumps(
+        {k: v if k == "source" else 0 for k, v in part.items()}))
+    return ("data error: %s holds 2 relations, the partition has 1 types"
+            % (rundir / "checkpoint.bin"))
+
+
 @pytest.mark.parametrize("command, fault", [
     ("eval", drop_checkpoint),
     ("explain", drop_checkpoint),
@@ -621,6 +633,9 @@ def normalizer_without_std(rundir, data):
     ("eval", foreign_cohort),
     ("explain", foreign_cohort),
     ("infer", foreign_cohort),
+    ("eval", checkpoint_of_two_relations_in_a_one_relation_run),
+    ("explain", checkpoint_of_two_relations_in_a_one_relation_run),
+    ("infer", checkpoint_of_two_relations_in_a_one_relation_run),
 ] + [(command, fault) for fault in (nan_in_checkpoint, checkpoint_without_dims,
                                     checkpoint_seed_a_word, checkpoint_header_a_list,
                                     config_a_list,

@@ -26,7 +26,6 @@ from medplex.model import (
     discriminate_backward,
     gcn_backward,
     gcn_forward,
-    gcn_layer,
     gcn_layer_backward,
     load_checkpoint,
     normalize_adjacency,
@@ -382,13 +381,13 @@ def test_gcn_layer_matches_propagate_last():
                 old_dxw = op @ old_dpre
 
                 # propagated once by the caller, and chosen from the widths
-                for h, cache in (gcn_layer(op, x, w, propagate(op, x)), gcn_layer(op, x, w)):
+                for h, cache in (gcn_forward(op, x, w, propagate(op, x)), gcn_forward(op, x, w)):
                     dw, dpre = gcn_layer_backward(cache, dh)
                     assert np.max(np.abs(h - np.maximum(old_pre, 0.0))) <= 1e-12, kind
                     assert np.array_equal(dpre, old_dpre), kind
                     assert np.max(np.abs(dw - x.T @ old_dxw)) <= 1e-12, kind
 
-                # the finite-difference-pinned public layer is the same kernel
+                # the layer chosen from the widths again, and its dX
                 h2, cache2 = gcn_forward(op, x, w)
                 dw2, dx2 = gcn_backward(cache2, dh)
                 assert np.array_equal(h2, h) and np.array_equal(dw2, dw), kind
@@ -402,7 +401,7 @@ def test_gcn_layer_propagates_the_narrower_side():
     op = normalize_adjacency(RelationGraph(n=n, edges=np.stack([iu, ju], axis=1)))
     for f, d, widths in ((3, 5, [3]), (5, 5, [5]), (7, 5, [5, 5])):
         counting = CountingOp(op)
-        h, cache = gcn_layer(counting, rng.normal(size=(n, f)), rng.normal(size=(f, d)))
+        h, cache = gcn_forward(counting, rng.normal(size=(n, f)), rng.normal(size=(f, d)))
         gcn_layer_backward(cache, np.ones_like(h))
         assert counting.widths == widths, (f, d)
         assert propagates_first(f, d) == (len(widths) == 1)
@@ -412,7 +411,7 @@ def test_propagate_rejects_size_mismatch():
     with pytest.raises(DataError):
         propagate(identity_op(3), np.zeros((4, 2)))
     with pytest.raises(DataError):
-        gcn_layer(identity_op(3), np.zeros((3, 2)), np.zeros((3, 1)))
+        gcn_forward(identity_op(3), np.zeros((3, 2)), np.zeros((3, 1)))
     with pytest.raises(DataError):  # applies W first
         gcn_forward(identity_op(3), np.zeros((4, 5)), np.zeros((5, 2)))
 

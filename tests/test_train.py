@@ -534,8 +534,8 @@ def two_pass_loss_and_grads(state, ops, x, labels, cfg, perm, ax, ax_tilde=None)
     h, ht, summaries, caches, caches_t, scaches = [], [], [], [], [], []
     for r in range(r_count):
         w = params["enc_w_%d" % r]
-        hr, c1 = M.gcn_layer(ops[r], x, w, ax[r])
-        hrt, c2 = M.gcn_layer(ops[r], x[perm], w, None if ax_tilde is None else ax_tilde[r])
+        hr, c1 = M.gcn_forward(ops[r], x, w, ax[r])
+        hrt, c2 = M.gcn_forward(ops[r], x[perm], w, None if ax_tilde is None else ax_tilde[r])
         sr, c3 = M.readout_summary(hr)
         h.append(hr), ht.append(hrt), summaries.append(sr)
         caches.append(c1), caches_t.append(c2), scaches.append(c3)
@@ -1214,20 +1214,24 @@ def test_traced_functions_run_on_the_main_thread(monkeypatch, tmp_path):
 _FIT_DIGEST = """
 import hashlib, json
 from medplex.data import SynthConfig, generate_synthetic_cohort
-from medplex.pipeline import assign_masks, build_graph_for
+from medplex.pipeline import assign_masks, build_graph_for, pooled_probs, run_single_gcn_baseline
 from medplex.train import fit, preset_config
 table, emb, labels, _ = generate_synthetic_cohort(SynthConfig(n=%d, seed=12))
 cfg = preset_config("synth", epochs=20, seed=12)
-state, report = fit(build_graph_for(table, emb, cfg), assign_masks(labels, cfg), cfg)
+graph = build_graph_for(table, emb, cfg)
+state, report = fit(graph, assign_masks(labels, cfg), cfg)
+gcn = run_single_gcn_baseline(table, emb, labels, cfg)
 blob = state.flatten().tobytes() + json.dumps(report.to_json_dict(), sort_keys=True).encode()
+blob += pooled_probs(state, graph).tobytes()
+blob += b"".join(gcn.params[k].tobytes() for k in sorted(gcn.params))
 print(hashlib.sha256(blob).hexdigest())
 """
 
 
 def test_fit_bytes_equal_across_blas_threads():
-    # n = 600 spans three tiles of a dense operator; at n = 1000 a dW GEMM
-    # over all 2n rows at once splits differently at 2 threads (see
-    # model.rows_product)
+    # the fit, the pooled probabilities and the single-GCN baseline; n = 600
+    # spans three tiles of a dense operator; at n = 1000 a dW GEMM over all
+    # 2n rows at once splits differently at 2 threads (see model.rows_product)
     for n in (600, 1000):
         digests = stdout_at_blas_threads(_FIT_DIGEST % n)
         assert len(digests[0]) == 64 and digests[0] == digests[1], n
@@ -1322,11 +1326,16 @@ def test_warm_training_step_allocates_no_n_row_array():
 
 def test_pooled_probs_match_training_forward():
     # exactly while the input is no wider than the embedding, where inference
-    # propagates first like the training's clean path; to rounding otherwise
-    for embed_dim in (16, 8):
-        graph, masked, cfg = synth_setup(seed=9, epochs=5, embed_dim=embed_dim)
+    # propagates first like the training's clean path; to rounding otherwise.
+    # Against the per-relation layers written out, bytes in every case.
+    for embed_dim, thetas in ((16, (0.5, 0.5)), (8, (0.5, 0.5)), (16, (0.9, 0.9)),
+                              (8, (0.9, 0.9))):
+        graph, masked, cfg = synth_setup(seed=9, epochs=5, embed_dim=embed_dim,
+                                         thetas=thetas)
         state, _ = fit(graph, masked, cfg)
         ops = [relation_operator(g) for g in graph.relations]
+        # at 0.9 one relation is sparse enough for CSR
+        assert sum(not isinstance(op, M.PackedOperator) for op in ops) == (thetas[0] == 0.9)
         x = graph.attributes.x
         fc = model_forward(state, ops, x, np.arange(graph.n_nodes),
                            [propagate(op, x) for op in ops], StepArrays(state))
@@ -1337,3 +1346,21 @@ def test_pooled_probs_match_training_forward():
             assert np.array_equal(got, expected)
         else:
             assert np.max(np.abs(got - expected)) <= 1e-12
+
+        hs = []
+        for r, op in enumerate(ops):
+            w = state.params["enc_w_%d" % r]
+            pre = (op @ x) @ w if x.shape[1] <= embed_dim else op @ (x @ w)
+            hs.append(np.maximum(pre, 0.0))
+        weights = M.attention_weights(state.params["att_logits"])
+        pooled = (weights @ np.stack(hs).reshape(len(hs), -1)).reshape(hs[0].shape)
+        reference, _ = classify(pooled, state.params["cls_w"], state.params["cls_b"])
+        assert np.array_equal(got, reference), (embed_dim, thetas)
+
+
+def test_pooled_probs_refuse_another_relation_count():
+    graph, masked, cfg = synth_setup(seed=9, epochs=2)
+    state, _ = fit(graph, masked, cfg)
+    one = dataclasses.replace(graph, relations=graph.relations[:1], thetas=graph.thetas[:1])
+    with pytest.raises(DataError, match="1 operators, 2 weights"):
+        pooled_probs(state, one)
