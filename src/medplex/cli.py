@@ -28,7 +28,8 @@ from . import evaluate as E
 from . import pipeline
 from .clustering import kmeans_columns, load_manual_split, save_partition
 from .data import Normalizer, SynthConfig
-from .graph import _map_threads, build_multiplex, pairwise_class_similarity, write_multiplex
+from .graph import (_map_threads, arrival_embeddings, arrival_features, build_multiplex,
+                    pairwise_class_similarity, write_multiplex)
 from .model import load_checkpoint, save_checkpoint
 from .train import PRESETS, TrainingConfig, preset_config
 
@@ -80,18 +81,17 @@ def _cohort_paths(data_dir: str) -> dict:
     return {key: os.path.join(data_dir, name) for key, name in _COHORT_FILES.items()}
 
 
-def _load_cohort(data_dir: str, need_labels: bool = True):
-    """Read features.csv (+ optional embeddings.csv, labels.csv) from a dir.
+def _load_cohort(data_dir: str, need_labels: bool = True, need_embeddings: bool = False):
+    """Read features.csv (+ embeddings.csv, labels.csv) from a dir.
 
-    Row ids must agree across files, same order. Returns
+    embeddings.csv is read when it exists or need_embeddings is set. Row ids
+    must agree across files, same order. Returns
     (table, embeddings, labels_or_None, list_of_input_paths).
     """
     paths = _cohort_paths(data_dir)
-    if not os.path.exists(paths["features"]):
-        raise DataError("no features.csv under %s" % data_dir)
     inputs = [paths["features"]]
     table = D.load_feature_csv(paths["features"])
-    if os.path.exists(paths["embeddings"]):
+    if need_embeddings or os.path.exists(paths["embeddings"]):
         embeddings = D.load_embedding_csv(paths["embeddings"])
         if embeddings.row_ids != table.row_ids:
             raise DataError("embeddings.csv row ids do not match features.csv")
@@ -100,8 +100,6 @@ def _load_cohort(data_dir: str, need_labels: bool = True):
         embeddings = D.empty_embeddings(table.row_ids)
     labels = None
     if need_labels:
-        if not os.path.exists(paths["labels"]):
-            raise DataError("no labels.csv under %s" % data_dir)
         labels, label_ids = D.load_label_csv(paths["labels"])
         if label_ids != table.row_ids:
             raise DataError("labels.csv row ids do not match features.csv")
@@ -115,7 +113,8 @@ def _resolve_config(args) -> TrainingConfig:
     if getattr(args, "preset", None):
         cfg = preset_config(args.preset)
     elif getattr(args, "config", None):
-        cfg = TrainingConfig.from_json_dict(D.read_json(args.config), args.config)
+        with D.reading(args.config):
+            cfg = TrainingConfig.from_json_dict(D.read_json(args.config))
     else:
         cfg = TrainingConfig()
     overrides = {}
@@ -144,35 +143,42 @@ def _parse_ints(text: str, flag: str) -> list:
         raise UsageError("%s expects comma-separated integers, got %r" % (flag, text)) from None
 
 
-def _read_partition(path, table, inputs: list):
-    """A column->type JSON file as a partition, or None (k-means) without one."""
+def _read_partition(path, table, inputs: list, n_relations: int | None = None):
+    """A column->type JSON file as a partition, or None (k-means) without one.
+    Given n_relations, the config's, the partition must have that many types."""
     if not path:
         return None
     inputs.append(path)
-    return load_manual_split(path, table)
+    with D.reading(path):
+        partition = load_manual_split(path, table)
+        if n_relations is not None and partition.n_types != n_relations:
+            raise DataError("partition has %d types, config says %d relations"
+                            % (partition.n_types, n_relations))
+    return partition
 
 
 _Run = namedtuple("_Run", "cfg state table embeddings partition labels feat_norm emb_norm "
                          "cohort_digests")
 
 
-def _check_trained_cohort(run_dir: str, cohort_digests: dict) -> None:
+def _check_trained_cohort(run_dir: str, data_dir: str, cohort_digests: dict) -> None:
     """Refuses the cohort files read, {path: sha256}, unless each file has
     the digest that the run's manifest.json records for the file of its
     name. A run without a manifest is not checked."""
     path = os.path.join(run_dir, "manifest.json")
     if not os.path.exists(path):
         return
-    recorded = D.read_json(path)
-    inputs = recorded.get("inputs") if isinstance(recorded, dict) else None
-    if not isinstance(inputs, dict):
-        raise DataError("%s: no input digests" % path)
+    with D.reading(path):
+        recorded = D.read_json(path)
+        inputs = recorded.get("inputs") if isinstance(recorded, dict) else None
+        if not isinstance(inputs, dict):
+            raise DataError("no input digests")
     trained = {os.path.basename(p): d for p, d in inputs.items()}
     given = {os.path.basename(p): d for p, d in cohort_digests.items()}
     for name in _COHORT_FILES.values():
         if trained.get(name) != given.get(name):
-            raise DataError("%s of the data dir is not the one %s was trained on (see %s)"
-                            % (name, run_dir, path))
+            with D.reading(os.path.join(data_dir, name)):
+                raise DataError("not the file %s was trained on (see %s)" % (run_dir, path))
 
 
 def _load_run(run_dir: str, data_dir: str):
@@ -181,48 +187,52 @@ def _load_run(run_dir: str, data_dir: str):
     The cohort must have the checkpoint's row count and attribute width, the
     partition its relation count and the cohort's columns, stored transforms its
     embeddings, and its files must be those the run's manifest records (see
-    _check_trained_cohort). Builds no relation graph. Returns (_Run,
+    _check_trained_cohort). Those files are checked before the stored
+    transforms are applied, so a cohort that fails under them faults the run's
+    normalizers.json. Builds no relation graph. Returns (_Run,
     list_of_input_paths); the _Run's cohort_digests are for the manifest.
     """
     cfg_path, ckpt_path, norm_path, part_path = (
         os.path.join(run_dir, name) for name in
         ("resolved_config.json", "checkpoint.bin", "normalizers.json", "partition.json"))
-    cfg = TrainingConfig.from_json_dict(D.read_json(cfg_path), cfg_path)
+    with D.reading(cfg_path):
+        cfg = TrainingConfig.from_json_dict(D.read_json(cfg_path))
     state, _ = load_checkpoint(ckpt_path)
-    norms = D.read_json(norm_path)
-    if not isinstance(norms, dict) or "features" not in norms:
-        raise DataError("%s: no feature transform" % norm_path)
-    table, embeddings, labels, inputs = _load_cohort(data_dir)
+    with D.reading(norm_path):
+        norms = D.read_json(norm_path)
+        if not isinstance(norms, dict) or "features" not in norms:
+            raise DataError("no feature transform")
+        feat_norm = Normalizer.from_dict(norms["features"])
+        emb_norm = Normalizer.from_dict(norms["embeddings"]) if norms.get("embeddings") else None
+    table, embeddings, labels, inputs = _load_cohort(data_dir,
+                                                     need_embeddings=emb_norm is not None)
     cohort = list(inputs)
     inputs += [cfg_path, ckpt_path, norm_path]
-    partition = _read_partition(part_path, table, inputs)
-    if partition.n_types != len(cfg.thetas):
-        raise DataError("%d thresholds for %d types" % (len(cfg.thetas), partition.n_types))
+    partition = _read_partition(part_path, table, inputs, cfg.n_relations)
     if state.dims.n_relations != partition.n_types:
         raise DataError("%s holds %d relations, the partition has %d types"
                         % (ckpt_path, state.dims.n_relations, partition.n_types))
     if table.n_rows != state.dims.n_nodes:
-        raise DataError(
-            "data dir has %d rows, checkpoint was trained on %d"
-            % (table.n_rows, state.dims.n_nodes)
-        )
-    c_norm, z_norm, feat_norm, emb_norm = D.prepare_tables(
-        table, embeddings, Normalizer.from_dict(norms["features"], norm_path),
-        Normalizer.from_dict(norms["embeddings"], norm_path) if norms.get("embeddings") else None,
-    )
+        with D.reading(cohort[0]):  # features.csv
+            raise DataError("data dir has %d rows, checkpoint was trained on %d"
+                            % (table.n_rows, state.dims.n_nodes))
+    digests = _digests(cohort)
+    _check_trained_cohort(run_dir, data_dir, digests)
+    with D.reading(norm_path):
+        c_norm, z_norm, _, _ = D.prepare_tables(table, embeddings, feat_norm, emb_norm)
     width = z_norm.n_cols + c_norm.n_cols
     if width != state.dims.in_dim:
-        raise DataError("data dir has %d attribute columns, checkpoint was trained on %d"
-                        % (width, state.dims.in_dim))
-    digests = _digests(cohort)
-    _check_trained_cohort(run_dir, digests)
+        with D.reading(ckpt_path):
+            raise DataError("data dir has %d attribute columns, checkpoint was trained on %d"
+                            % (width, state.dims.in_dim))
     return _Run(cfg, state, c_norm, z_norm, partition, labels, feat_norm, emb_norm,
                 digests), inputs
 
 
 def _cmd_synth(args) -> dict:
     if args.config:
-        scfg = SynthConfig.from_dict(D.read_json(args.config), args.config)
+        with D.reading(args.config):
+            scfg = SynthConfig.from_dict(D.read_json(args.config))
         inputs = [args.config]
     else:
         scfg = SynthConfig()
@@ -268,7 +278,7 @@ def _cmd_cluster(args) -> dict:
 def _cmd_graph(args) -> dict:
     cfg = _resolve_config(args)
     table, embeddings, _, inputs = _load_cohort(args.data, need_labels=False)
-    partition = _read_partition(args.partition, table, inputs)
+    partition = _read_partition(args.partition, table, inputs, cfg.n_relations)
     graph = pipeline.build_graph_for(table, embeddings, cfg, partition)
     os.makedirs(args.out, exist_ok=True)
     manifest = write_multiplex(args.out, graph)
@@ -284,7 +294,7 @@ def _cmd_graph(args) -> dict:
 def _cmd_train(args) -> dict:
     cfg = _resolve_config(args)
     table, embeddings, labels, inputs = _load_cohort(args.data)
-    partition = _read_partition(args.partition, table, inputs)
+    partition = _read_partition(args.partition, table, inputs, cfg.n_relations)
     result = pipeline.run_experiment(table, embeddings, labels, cfg, partition=partition)
     os.makedirs(args.out, exist_ok=True)
     outputs = []
@@ -395,10 +405,16 @@ def _cmd_infer(args) -> dict:
         trained.table, trained.partition, trained.cfg.thetas, trained.embeddings,
         feat_normalizer=trained.feat_norm, embed_normalizer=trained.emb_norm,
     )
-    new_table = D.load_feature_csv(args.new_features)
+    # each file's checks against the run, made here to name the file
+    with D.reading(args.new_features):
+        new_table = D.load_feature_csv(
+            args.new_features, dict(zip(trained.feat_norm.column_names, trained.feat_norm.mean)))
+        arrival_features(graph, new_table)
     inputs.append(args.new_features)
     if args.new_embeddings:
-        new_emb = D.load_embedding_csv(args.new_embeddings)
+        with D.reading(args.new_embeddings):
+            new_emb = D.load_embedding_csv(args.new_embeddings)
+            arrival_embeddings(graph, new_emb, new_table.row_ids)
         inputs.append(args.new_embeddings)
     else:
         new_emb = D.empty_embeddings(new_table.row_ids)
@@ -447,7 +463,6 @@ def _add_config_flags(p):
     p.add_argument("--config", help="training config JSON")
     p.add_argument("--preset", help="named preset: %s" % ", ".join(sorted(PRESETS)))
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--epochs", type=int, default=None, help="override the epoch budget")
     p.add_argument("--thetas", help="comma-separated per-relation thresholds")
 
 
@@ -485,6 +500,7 @@ def build_parser() -> _Parser:
     p.add_argument("--partition", help="partition JSON (default: k-means)")
     p.add_argument("--labeled-frac", type=float, default=None,
                    help="override the config's share of TRAIN rows kept labeled")
+    p.add_argument("--epochs", type=int, default=None, help="override the epoch budget")
     _add_config_flags(p)
     p.add_argument("--out", required=True, help="run output directory")
     p.set_defaults(func=_cmd_train)
@@ -516,6 +532,7 @@ def build_parser() -> _Parser:
     p.add_argument("--values", required=True, help="comma-separated grid values")
     p.add_argument("--seeds", default="0,1,2,3,4")
     p.add_argument("--partition", help="partition JSON (default: k-means)")
+    p.add_argument("--epochs", type=int, default=None, help="override the epoch budget")
     _add_config_flags(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_sweep)

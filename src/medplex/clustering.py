@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError
-from .data import FeatureTable, read_json, write_json
+from .data import FeatureTable, read_json, reading, write_json
 
 
 @dataclass
@@ -148,28 +148,29 @@ def load_manual_split(path, table: FeatureTable) -> ClusterPartition:
     Every table column must appear exactly once; type indices must be dense
     from zero. A "source" key, if present, is ignored (written by exports).
     """
-    raw = read_json(path)
-    if not isinstance(raw, dict):
-        raise DataError("%s: expected a JSON object" % path)
-    raw = {k: v for k, v in raw.items() if k != "source"}
-    unknown = sorted(set(raw) - set(table.column_names))
-    if unknown:
-        raise DataError("%s: unknown columns %s" % (path, unknown))
-    missing = sorted(set(table.column_names) - set(raw))
-    if missing:
-        raise DataError("%s: columns %s have no type" % (path, missing))
-    assign = np.empty(table.n_cols, dtype=np.int64)
-    for j, name in enumerate(table.column_names):
-        v = raw[name]
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise DataError("%s: type for column %s must be a non-negative integer" % (path, name))
-        assign[j] = v
-    n_types = int(assign.max()) + 1
-    present = set(np.unique(assign).tolist())
-    holes = sorted(set(range(n_types)) - present)
-    if holes:
-        raise DataError("%s: type indices %s are unused (must be dense)" % (path, holes))
-    return ClusterPartition(assign, n_types, "manual", list(table.column_names))
+    with reading(path):
+        raw = read_json(path)
+        if not isinstance(raw, dict):
+            raise DataError("expected a JSON object")
+        raw = {k: v for k, v in raw.items() if k != "source"}
+        unknown = sorted(set(raw) - set(table.column_names))
+        if unknown:
+            raise DataError("unknown columns %s" % unknown)
+        missing = sorted(set(table.column_names) - set(raw))
+        if missing:
+            raise DataError("columns %s have no type" % missing)
+        assign = np.empty(table.n_cols, dtype=np.int64)
+        for j, name in enumerate(table.column_names):
+            v = raw[name]
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                raise DataError("type for column %s must be a non-negative integer" % name)
+            assign[j] = v
+        n_types = int(assign.max()) + 1
+        present = set(np.unique(assign).tolist())
+        holes = sorted(set(range(n_types)) - present)
+        if holes:
+            raise DataError("type indices %s are unused (must be dense)" % holes)
+        return ClusterPartition(assign, n_types, "manual", list(table.column_names))
 
 
 def save_partition(path, partition: ClusterPartition) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -109,8 +110,10 @@ class EmbeddingTable:
 
 
 def is_number(value) -> bool:
-    """Whether a value read from JSON is a number (int or float, not bool)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether a value read from JSON is a finite number (int or float, not
+    bool). Python's JSON reader takes Infinity and NaN, so this refuses them."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -math.inf < value < math.inf)
 
 
 def write_json(path, obj) -> None:
@@ -124,21 +127,37 @@ def write_json(path, obj) -> None:
 
 
 @contextlib.contextmanager
-def open_input(path, mode: str = "r", **kwargs):
-    """open(path, mode) for reading an input file. A missing file, one that
-    cannot be read (a directory, say) and, in text mode, one that is not
-    UTF-8 are each a one-line DataError naming the file."""
+def reading(path):
+    """The one place that names an input file in an error: a DataError
+    raised inside that names no file yet gets "<path>: " in front, once, so
+    the innermost reading names the file."""
     try:
-        fh = open(path, mode, **kwargs)
-    except FileNotFoundError:
-        raise DataError("missing file: %s" % path) from None
-    except OSError as exc:
-        raise DataError("%s: cannot read (%s)" % (path, exc.strerror or exc)) from None
-    with fh:
+        yield
+    except DataError as exc:
+        if exc.path is None:
+            exc.path = path
+            exc.args = ("%s: %s" % (path, exc),)
+        raise
+
+
+@contextlib.contextmanager
+def open_input(path, mode: str = "r", **kwargs):
+    """open(path, mode) for reading an input file, its body run inside
+    reading(path). A missing file, one that cannot be read (a directory, say)
+    and, in text mode, one that is not UTF-8 are each a one-line DataError
+    naming the file."""
+    with reading(path):
         try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            raise DataError("%s: not UTF-8 text (%s)" % (path, exc)) from None
+            fh = open(path, mode, **kwargs)
+        except FileNotFoundError:
+            raise DataError("missing file: %s" % path, path) from None
+        except OSError as exc:
+            raise DataError("cannot read (%s)" % (exc.strerror or exc)) from None
+        with fh:
+            try:
+                yield fh
+            except UnicodeDecodeError as exc:
+                raise DataError("not UTF-8 text (%s)" % exc) from None
 
 
 def read_json(path):
@@ -148,23 +167,22 @@ def read_json(path):
         try:
             return json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DataError("%s: not valid JSON (%s)" % (path, exc)) from None
+            raise DataError("not valid JSON (%s)" % exc) from None
 
 
-def config_from_json(cls, d, source: str):
-    """An instance of the config dataclass cls from its JSON object; source
-    names the file in errors.
+def config_from_json(cls, d):
+    """An instance of the config dataclass cls from its JSON object.
 
     Each key must be a field. A tuple field takes a list of numbers, a float
-    field any number and an int field only ints; a field defaulting to None
-    is left to the class's own checks.
+    field any number and an int field only ints, each finite; a field
+    defaulting to None is left to the class's own checks.
     """
     if not isinstance(d, dict):
-        raise DataError("%s: a config must be a JSON object" % source)
+        raise DataError("a config must be a JSON object")
     fields = cls.__dataclass_fields__
     bad = set(d) - set(fields)
     if bad:
-        raise DataError("%s: unknown config keys: %s" % (source, sorted(bad)))
+        raise DataError("unknown config keys: %s" % sorted(bad))
     for key, value in d.items():
         default = fields[key].default
         if default is None:
@@ -174,7 +192,7 @@ def config_from_json(cls, d, source: str):
         else:
             ok = is_number(value) and (isinstance(default, float) or isinstance(value, int))
         if not ok:
-            raise DataError("%s: %s has the wrong type: %r" % (source, key, value))
+            raise DataError("%s has the wrong type: %r" % (key, value))
     return cls(**d)
 
 
@@ -282,15 +300,15 @@ class Normalizer:
         }
 
     @classmethod
-    def from_dict(cls, d: dict, source: str = "transform") -> "Normalizer":
-        """Read back to_dict's output; source names the file in errors."""
+    def from_dict(cls, d: dict) -> "Normalizer":
+        """Read back to_dict's output."""
         mean, std, names = (d.get(k) if isinstance(d, dict) else None
                             for k in ("mean", "std", "column_names"))
         if not (isinstance(mean, list) and isinstance(std, list) and isinstance(names, list)
-                and len(mean) == len(std)
+                and len(mean) == len(std) == len(names)
                 and all(map(is_number, mean + std + [d.get("n_rows", 0)]))):
-            raise DataError("%s: a transform needs lists mean, std and column_names, with one "
-                            "number per column, and a number n_rows" % source)
+            raise DataError("a transform needs lists mean, std and column_names, with one "
+                            "number per column, and a number n_rows")
         return cls(
             mean=np.asarray(mean, dtype=np.float64),
             std=np.asarray(std, dtype=np.float64),
@@ -319,7 +337,7 @@ class NodeAttributes:
             raise DataError("non-finite values in attribute matrix")
 
 
-def _parse_cell(text: str, path, row_num: int, col_name: str) -> float:
+def _parse_cell(text: str, row_num: int, col_name: str) -> float:
     token = text.strip()
     if token.lower() in _MISSING_TOKENS:
         return np.nan
@@ -327,7 +345,7 @@ def _parse_cell(text: str, path, row_num: int, col_name: str) -> float:
         return float(token)
     except ValueError:
         raise DataError(
-            "%s: unparseable value %r at row %d, column %s" % (path, token, row_num, col_name)
+            "unparseable value %r at row %d, column %s" % (token, row_num, col_name)
         ) from None
 
 
@@ -337,9 +355,9 @@ def _read_numeric_csv(path):
         try:
             header = next(reader)
         except StopIteration:
-            raise DataError("%s: empty file" % path) from None
+            raise DataError("empty file") from None
         if len(header) < 1:
-            raise DataError("%s: header has no columns" % path)
+            raise DataError("header has no columns")
         col_names = [h.strip() for h in header[1:]]
         row_ids, rows = [], []
         for row_num, row in enumerate(reader, start=2):
@@ -347,58 +365,63 @@ def _read_numeric_csv(path):
                 continue
             if len(row) != len(header):
                 raise DataError(
-                    "%s: row %d has %d cells, expected %d" % (path, row_num, len(row), len(header))
+                    "row %d has %d cells, expected %d" % (row_num, len(row), len(header))
                 )
             row_ids.append(row[0].strip())
             try:
                 # float() strips and parses each cell as _parse_cell does
                 rows.append(tuple(map(float, row[1:])))
             except ValueError:  # a missing token or a bad cell: the per-cell rule decides
-                rows.append([_parse_cell(cell, path, row_num, col_names[j])
+                rows.append([_parse_cell(cell, row_num, col_names[j])
                              for j, cell in enumerate(row[1:])])
-    if not rows:
-        raise DataError("%s: no data rows" % path)
-    seen = set()
-    for rid in row_ids:
-        if rid in seen:
-            raise DataError("%s: duplicate row id %r" % (path, rid))
-        seen.add(rid)
+        if not rows:
+            raise DataError("no data rows")
+        seen = set()
+        for rid in row_ids:
+            if rid in seen:
+                raise DataError("duplicate row id %r" % rid)
+            seen.add(rid)
     return np.asarray(rows, dtype=np.float64), col_names, row_ids
 
 
-def load_feature_csv(path) -> FeatureTable:
+def load_feature_csv(path, fill: dict | None = None) -> FeatureTable:
     """Read a clinical feature CSV (id column first), imputing missing cells.
 
-    Missing cells (empty, na, nan, null, none) take their column mean; a
-    column with no observed values at all is an error. Columns whose observed
-    values are all integral are tagged ordinal, the rest numeric. Both kinds
-    are treated as continuous downstream.
+    Missing cells (empty, na, nan, null, none) take the value fill gives
+    their column ({column name: value}; `medplex infer` passes the training
+    means), else their column's mean; a column with no observed values and no
+    fill is an error. Columns whose observed values are all integral are
+    tagged ordinal, the rest numeric. Both kinds are treated as continuous
+    downstream.
     """
-    values, col_names, row_ids = _read_numeric_csv(path)
-    if values.shape[1] == 0:
-        raise DataError("%s: no feature columns" % path)
-    imputed = 0
-    kinds = []
-    for j, name in enumerate(col_names):
-        col = values[:, j]
-        missing = np.isnan(col)
-        observed = col[~missing]
-        if observed.size == 0:
-            raise DataError("%s: column %s has no observed values" % (path, name))
-        if missing.any():
-            col[missing] = observed.mean()
-            imputed += int(missing.sum())
-        kinds.append("ordinal" if np.all(observed == np.round(observed)) else "numeric")
-    return FeatureTable(values, col_names, kinds, row_ids, imputed_cells=imputed)
+    fill = fill or {}
+    with reading(path):
+        values, col_names, row_ids = _read_numeric_csv(path)
+        if values.shape[1] == 0:
+            raise DataError("no feature columns")
+        imputed = 0
+        kinds = []
+        for j, name in enumerate(col_names):
+            col = values[:, j]
+            missing = np.isnan(col)
+            observed = col[~missing]
+            if observed.size == 0 and name not in fill:
+                raise DataError("column %s has no observed values" % name)
+            if missing.any():
+                col[missing] = fill[name] if name in fill else observed.mean()
+                imputed += int(missing.sum())
+            kinds.append("ordinal" if np.all(observed == np.round(observed)) else "numeric")
+        return FeatureTable(values, col_names, kinds, row_ids, imputed_cells=imputed)
 
 
 def load_embedding_csv(path) -> EmbeddingTable:
     """Read an image-embedding CSV. Missing cells are an error here."""
-    values, _, row_ids = _read_numeric_csv(path)
-    if np.isnan(values).any():
-        r, c = np.argwhere(np.isnan(values))[0]
-        raise DataError("%s: missing embedding value at row %d, column %d" % (path, r + 1, c + 1))
-    return EmbeddingTable(values, row_ids)
+    with reading(path):
+        values, _, row_ids = _read_numeric_csv(path)
+        if np.isnan(values).any():
+            r, c = np.argwhere(np.isnan(values))[0]
+            raise DataError("missing embedding value at row %d, column %d" % (r + 1, c + 1))
+        return EmbeddingTable(values, row_ids)
 
 
 def load_label_csv(path) -> tuple[LabelVector, list[str]]:
@@ -408,27 +431,40 @@ def load_label_csv(path) -> tuple[LabelVector, list[str]]:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise DataError("%s: empty file" % path)
+            raise DataError("empty file")
         row_ids, labels = [], []
         for row_num, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 2:
-                raise DataError("%s: row %d needs exactly id,label" % (path, row_num))
+                raise DataError("row %d needs exactly id,label" % row_num)
             row_ids.append(row[0].strip())
             try:
                 labels.append(int(row[1]))
             except ValueError:
-                raise DataError(
-                    "%s: unparseable label %r at row %d" % (path, row[1], row_num)
-                ) from None
-    if not labels:
-        raise DataError("%s: no label rows" % path)
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.min() < 0:
-        raise DataError("%s: negative class label" % path)
-    lv = LabelVector(labels, np.full(labels.shape, TRAIN, dtype=np.int8), int(labels.max()) + 1)
+                raise DataError("unparseable label %r at row %d" % (row[1], row_num)) from None
+        if not labels:
+            raise DataError("no label rows")
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.min() < 0:
+            raise DataError("negative class label")
+        lv = LabelVector(labels, np.full(labels.shape, TRAIN, dtype=np.int8),
+                         int(labels.max()) + 1)
     return lv, row_ids
+
+
+def _normalized(normalizer: Normalizer, values: np.ndarray, row_ids) -> np.ndarray:
+    """normalizer.transform(values), unless a row's sum of squares overflows,
+    so that no unit-length scaling of the row is finite (Normalizer.fit
+    refuses such cells in the column it fits; a stored transform meets them
+    in new rows)."""
+    with np.errstate(over="ignore"):
+        out = normalizer.transform(values)
+        finite = np.isfinite(np.einsum("ij,ij->i", out, out))
+    if not finite.all():
+        raise DataError("row %s: sum of squares is not finite after normalization (cells too "
+                        "large)" % row_ids[int(np.argmin(finite))])
+    return out
 
 
 def normalize_columns(table: FeatureTable, normalizer: Normalizer | None = None):
@@ -443,7 +479,7 @@ def normalize_columns(table: FeatureTable, normalizer: Normalizer | None = None)
         if normalizer.column_names != table.column_names:
             raise DataError("normalizer was fitted on different columns")
     out = FeatureTable(
-        values=normalizer.transform(table.values),
+        values=_normalized(normalizer, table.values, table.row_ids),
         column_names=list(table.column_names),
         column_kinds=list(table.column_kinds),
         row_ids=list(table.row_ids),
@@ -459,7 +495,8 @@ def normalize_embeddings(table: EmbeddingTable, normalizer: Normalizer | None = 
         normalizer = Normalizer.fit(values, ["e%d" % j for j in range(values.shape[1])])
     if values.shape[1] != normalizer.mean.shape[0]:
         raise DataError("embedding width does not match stored transform")
-    return EmbeddingTable(normalizer.transform(values), list(table.row_ids)), normalizer
+    return EmbeddingTable(_normalized(normalizer, values, table.row_ids),
+                          list(table.row_ids)), normalizer
 
 
 def prepare_tables(table: FeatureTable, embeddings: EmbeddingTable,
@@ -577,9 +614,9 @@ class SynthConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict, source: str = "synthetic config") -> "SynthConfig":
-        """A config from its JSON object; source names the file in errors."""
-        return config_from_json(cls, d, source)
+    def from_dict(cls, d: dict) -> "SynthConfig":
+        """A config from its JSON object."""
+        return config_from_json(cls, d)
 
 
 def generate_synthetic_cohort(cfg: SynthConfig):

@@ -15,7 +15,12 @@ class UsageError(MedplexError):
 
 
 class DataError(MedplexError):
-    """Malformed or inconsistent input data."""
+    """Malformed or inconsistent input data. path is the input file that the
+    message names, or None while it names none (see data.reading)."""
+
+    def __init__(self, message, path=None):
+        super().__init__(message)
+        self.path = path
 
 
 class NumericError(MedplexError):

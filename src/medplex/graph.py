@@ -20,7 +20,8 @@ from .data import (
     NodeAttributes,
     Normalizer,
     concat_attributes,
-    prepare_tables,
+    normalize_columns,
+    normalize_embeddings,
     write_json,
 )
 from .clustering import ClusterPartition
@@ -361,18 +362,9 @@ def build_multiplex(
     )
 
 
-def attach_new_nodes(
-    g: MultiplexGraph,
-    new_features: FeatureTable,
-    new_embeddings: EmbeddingTable,
-) -> MultiplexGraph:
-    """Extend the multiplex with unseen patients, appended after existing rows.
-
-    New rows are normalized with the stored training transforms, then linked
-    to existing nodes wherever the per-type similarity clears that type's
-    threshold. New nodes never link to each other, matching the inductive
-    setting where each arrival is scored against the training cohort.
-    """
+def arrival_features(g: MultiplexGraph, new_features: FeatureTable) -> FeatureTable:
+    """Unseen patients' features normalized by g's stored transform. They
+    must have g's columns and none of g's row ids."""
     if g.feat_normalizer is None:
         raise DataError("multiplex graph lacks a stored feature transform")
     if new_features.column_names != g.partition.column_names:
@@ -380,18 +372,41 @@ def attach_new_nodes(
     overlap = set(new_features.row_ids) & set(g.attributes.row_ids)
     if overlap:
         raise DataError("new row ids collide with existing: %s" % sorted(overlap)[:5])
-    if new_embeddings.row_ids != new_features.row_ids:
-        raise DataError("new embeddings and features disagree on row ids")
-    expected_width = g.attributes.n_embed_cols
-    if new_embeddings.n_cols != expected_width:
-        raise DataError(
-            "new embeddings have width %d, trained with %d"
-            % (new_embeddings.n_cols, expected_width)
-        )
+    return normalize_columns(new_features, g.feat_normalizer)[0]
 
-    new_norm, new_emb, _, _ = prepare_tables(
-        new_features, new_embeddings, g.feat_normalizer, g.embed_normalizer
-    )
+
+def arrival_embeddings(g: MultiplexGraph, new_embeddings: EmbeddingTable,
+                       row_ids) -> EmbeddingTable:
+    """Unseen patients' embeddings, for the rows row_ids in that order,
+    normalized by g's stored transform. They must have g's embedding width."""
+    if new_embeddings.row_ids != list(row_ids):
+        raise DataError("new embeddings and features disagree on row ids")
+    if new_embeddings.n_cols != g.attributes.n_embed_cols:
+        raise DataError("new embeddings have width %d, trained with %d"
+                        % (new_embeddings.n_cols, g.attributes.n_embed_cols))
+    if new_embeddings.n_cols == 0:
+        return new_embeddings
+    if g.embed_normalizer is None:
+        raise DataError("embeddings given, but no stored embedding transform")
+    return normalize_embeddings(new_embeddings, g.embed_normalizer)[0]
+
+
+def attach_new_nodes(
+    g: MultiplexGraph,
+    new_features: FeatureTable,
+    new_embeddings: EmbeddingTable,
+) -> MultiplexGraph:
+    """Extend the multiplex with unseen patients, appended after existing rows.
+
+    New rows are normalized with the stored training transforms
+    (arrival_features, arrival_embeddings), then linked to existing nodes
+    wherever the per-type similarity clears that type's threshold. New nodes
+    never link to each other, matching the inductive setting where each
+    arrival is scored against the training cohort.
+    """
+    new_norm = arrival_features(g, new_features)
+    new_emb = arrival_embeddings(g, new_embeddings, new_features.row_ids)
+    expected_width = g.attributes.n_embed_cols
 
     n_old = g.n_nodes
     m = new_norm.n_rows

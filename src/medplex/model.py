@@ -620,38 +620,38 @@ def load_checkpoint(path):
     """Returns (ModelState, header dict). Shape mismatches are hard errors."""
     with open_input(path, "rb") as fh:
         raw = fh.read()
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise DataError("%s: missing checkpoint header line" % path)
-    try:
-        header = json.loads(raw[:nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError("%s: bad checkpoint header (%s)" % (path, exc)) from None
-    if not isinstance(header, dict):
-        raise DataError("%s: checkpoint header is not a JSON object" % path)
-    if header.get("format_version") != CHECKPOINT_VERSION:
-        raise DataError("%s: unsupported checkpoint version %r" % (path, header.get("format_version")))
-    d, params, seed = header.get("dims"), header.get("params"), header.get("seed", 0)
-    if not (isinstance(d, dict) and sorted(d) == sorted(ModelDims.__dataclass_fields__)
-            and all(type(v) is int for v in [*d.values(), seed])):
-        raise DataError("%s: checkpoint header needs integer dims and seed" % path)
-    if not (isinstance(params, list) and all(isinstance(p, dict) for p in params)):
-        raise DataError("%s: checkpoint header lacks a params list" % path)
-    state = ModelState(ModelDims(**d), seed=seed)
-    if [p.get("name") for p in params] != state.param_order:
-        raise DataError("%s: parameter order does not match this version" % path)
-    for p in params:
-        shape = list(state.params[p["name"]].shape)
-        if p.get("shape") != shape:
-            raise DataError("%s: parameter %s has shape %s, expected %s"
-                            % (path, p["name"], p.get("shape"), shape))
-    blob = raw[nl + 1 :]
-    if len(blob) != 8 * state.flat.size:  # a truncated blob need not end on a whole value
-        raise DataError("%s: blob has %d bytes, header says %d values"
-                        % (path, len(blob), state.flat.size))
-    state.unflatten(np.frombuffer(blob, dtype="<f8").astype(np.float64))
-    try:
-        state.check_finite("value")
-    except NumericError as exc:  # a bad file, not a failed computation
-        raise DataError("%s: %s" % (path, exc)) from None
+        nl = raw.find(b"\n")
+        if nl < 0:
+            raise DataError("missing checkpoint header line")
+        try:
+            header = json.loads(raw[:nl].decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataError("bad checkpoint header (%s)" % exc) from None
+        if not isinstance(header, dict):
+            raise DataError("checkpoint header is not a JSON object")
+        if header.get("format_version") != CHECKPOINT_VERSION:
+            raise DataError("unsupported checkpoint version %r" % header.get("format_version"))
+        d, params, seed = header.get("dims"), header.get("params"), header.get("seed", 0)
+        if not (isinstance(d, dict) and sorted(d) == sorted(ModelDims.__dataclass_fields__)
+                and all(type(v) is int for v in [*d.values(), seed])):
+            raise DataError("checkpoint header needs integer dims and seed")
+        if not (isinstance(params, list) and all(isinstance(p, dict) for p in params)):
+            raise DataError("checkpoint header lacks a params list")
+        state = ModelState(ModelDims(**d), seed=seed)
+        if [p.get("name") for p in params] != state.param_order:
+            raise DataError("parameter order does not match this version")
+        for p in params:
+            shape = list(state.params[p["name"]].shape)
+            if p.get("shape") != shape:
+                raise DataError("parameter %s has shape %s, expected %s"
+                                % (p["name"], p.get("shape"), shape))
+        blob = raw[nl + 1 :]
+        if len(blob) != 8 * state.flat.size:  # a truncated blob need not end on a whole value
+            raise DataError("blob has %d bytes, header says %d values"
+                            % (len(blob), state.flat.size))
+        state.unflatten(np.frombuffer(blob, dtype="<f8").astype(np.float64))
+        try:
+            state.check_finite("value")
+        except NumericError as exc:  # a bad file, not a failed computation
+            raise DataError(str(exc)) from None
     return state, header

@@ -48,17 +48,13 @@ def assign_masks(labels: LabelVector, cfg: TrainingConfig) -> LabelVector:
 
 def build_graph_for(table: FeatureTable, embeddings: EmbeddingTable, cfg: TrainingConfig,
                     partition: ClusterPartition | None = None) -> MultiplexGraph:
-    """Normalize, partition (k-means unless given), and build the multiplex."""
+    """Normalize, partition (k-means unless given), and build the multiplex;
+    build_multiplex refuses a partition without one type per threshold."""
     c_norm, z_norm, feat_norm, emb_norm = prepare_tables(table, embeddings)
     if partition is None:
         partition = kmeans_columns(
             c_norm, cfg.n_relations,
             restarts=cfg.kmeans_restarts, max_iters=cfg.kmeans_max_iters, seed=cfg.seed,
-        )
-    elif partition.n_types != cfg.n_relations:
-        raise DataError(
-            "partition has %d types, config says %d relations"
-            % (partition.n_types, cfg.n_relations)
         )
     return build_multiplex(
         c_norm, partition, cfg.thetas, z_norm,

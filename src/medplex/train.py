@@ -102,8 +102,8 @@ class TrainingConfig:
         return asdict(self)
 
     @classmethod
-    def from_json_dict(cls, d: dict, source: str = "config") -> "TrainingConfig":
-        """A config from its JSON object; source names the file in errors.
+    def from_json_dict(cls, d: dict) -> "TrainingConfig":
+        """A config from its JSON object.
 
         Also reads configs from before tau and weighted_full were dropped:
         tau never entered the objective, and only weighted_full false built
@@ -113,8 +113,8 @@ class TrainingConfig:
             d = dict(d)
             d.pop("tau", None)
             if d.pop("weighted_full", False):
-                raise DataError("%s: weighted_full graphs are no longer supported" % source)
-        return D.config_from_json(cls, d, source)
+                raise DataError("weighted_full graphs are no longer supported")
+        return D.config_from_json(cls, d)
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_json_dict(), sort_keys=True).encode("utf-8")

@@ -2,9 +2,11 @@ import csv
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,8 +66,14 @@ def workdir(tmp_path_factory):
     rundir = root / "run"
     assert run(["--quiet", "train", "--data", str(data), "--preset", "synth",
                 "--epochs", "30", "--out", str(rundir)]) == 0
-    return {"root": root, "data": data, "partition": part,
-            "graph": gdir, "run": rundir, "synth_config": scfg_path}
+
+    # one arrival for infer: a copy of the first patient under a new id
+    arrivals = {}
+    for name in ("features", "embeddings"):
+        arrivals["new_" + name] = root / ("new_%s.csv" % name)
+        duplicate_first_row(data / ("%s.csv" % name), arrivals["new_" + name], "newcomer")
+    return {"root": root, "data": data, "partition": part, "graph": gdir, "run": rundir,
+            "synth_config": scfg_path, **arrivals}
 
 
 # ---------------------------------------------------------------- synth
@@ -93,87 +101,27 @@ def test_synth_seed_reproducibility(workdir, tmp_path):
     assert sha256(a / "features.csv") != sha256(c / "features.csv")
 
 
-@pytest.mark.parametrize("config, message", [
-    ({"n": "many"}, "{path}: n has the wrong type: 'many'"),
-    ({"noise_std": None}, "{path}: noise_std has the wrong type: None"),
-    ({"separations": [1, "x"]}, "{path}: separations has the wrong type: [1, 'x']"),
-    ({"n_types": 2.5}, "{path}: n_types has the wrong type: 2.5"),
-    ([1, 2], "{path}: a config must be a JSON object"),
-    # SynthConfig itself refuses class_groups, and knows no file name
-    ({"class_groups": [1, 2]}, "class_groups[0] must be a list of lists of class indices"),
-    ({"class_groups": [[[0], ["1"]], [[0, 1, 2]]]},
-     "class_groups[0] must be a list of lists of class indices"),
-], ids=["n_a_word", "noise_null", "separation_a_word", "n_types_a_float", "a_list",
-        "class_groups_flat", "class_group_a_string"])
-def test_malformed_synth_config_exits_2(tmp_path, capsys, config, message):
-    path = tmp_path / "synth.json"
-    path.write_text(json.dumps(config))
-    assert run(["--quiet", "synth", "--out", str(tmp_path / "cohort"), "--config", str(path)]) == 2
-    assert capsys.readouterr().err.splitlines() == ["data error: " + message.format(path=path)]
+# the exact lines of a JSON and of a CSV file that is a directory or not
+# UTF-8 (the input-fault table below asserts only that each names the file)
+DECODE = "('utf-8' codec can't decode byte 0xff in position 0: invalid start byte)"
+UNREADABLE = {"a_directory": ("{path}: cannot read (Is a directory)",) * 2,
+              "not_utf8": ("{path}: not valid JSON " + DECODE, "{path}: not UTF-8 text " + DECODE)}
 
 
-def _unreadable(path, kind):
-    """Makes path a directory, or a file whose bytes are not UTF-8."""
-    if kind == "a_directory":
-        path.mkdir()
-    else:
-        path.write_bytes(b"\xff\xfe{")
-
-
-UNREADABLE = [("a_directory", "{path}: cannot read (Is a directory)"),
-              ("not_utf8", "{path}: not valid JSON ('utf-8' codec can't decode byte 0xff"
-                           " in position 0: invalid start byte)")]
-
-
-@pytest.mark.parametrize("kind, message", UNREADABLE, ids=[k for k, _ in UNREADABLE])
-def test_unreadable_json_exits_2(workdir, tmp_path, capsys, kind, message):
+@pytest.mark.parametrize("kind", UNREADABLE)
+def test_unreadable_json_exits_2(workdir, tmp_path, capsys, kind):
     # a synth --config, and a JSON file of the run directory eval reads
-    path = tmp_path / "synth.json"
-    _unreadable(path, kind)
-    assert run(["--quiet", "synth", "--out", str(tmp_path / "cohort"), "--config", str(path)]) == 2
-    assert capsys.readouterr().err.splitlines() == ["data error: " + message.format(path=path)]
-    run_dir = tmp_path / "run"
-    shutil.copytree(workdir["run"], run_dir)
-    path = run_dir / "resolved_config.json"
-    path.unlink()
-    _unreadable(path, kind)
-    assert run(["--quiet", "eval", "--run", str(run_dir), "--data", str(workdir["data"]),
-                "--split", "test", "--out", str(tmp_path / "eval.json")]) == 2
-    assert capsys.readouterr().err.splitlines() == ["data error: " + message.format(path=path)]
+    for command, name in (("synth", "synth_config.json"), ("eval", "resolved_config.json")):
+        check_fault_cell(workdir, tmp_path / command, capsys, command, name, kind,
+                         KINDS[kind][0], UNREADABLE[kind][0])
 
 
-UNREADABLE_CSV = [("a_directory", "{path}: cannot read (Is a directory)"),
-                  ("not_utf8", "{path}: not UTF-8 text ('utf-8' codec can't decode byte 0xff"
-                               " in position 0: invalid start byte)")]
-
-
-@pytest.mark.parametrize("kind, message", UNREADABLE_CSV, ids=[k for k, _ in UNREADABLE_CSV])
-def test_unreadable_cohort_file_exits_2(workdir, tmp_path, capsys, kind, message):
+@pytest.mark.parametrize("kind", UNREADABLE)
+def test_unreadable_cohort_file_exits_2(workdir, tmp_path, capsys, kind):
     # the labels.csv that train and eval read
-    data = tmp_path / "cohort"
-    shutil.copytree(workdir["data"], data)
-    path = data / "labels.csv"
-    path.unlink()
-    _unreadable(path, kind)
-    for argv in (["train", "--data", str(data), "--preset", "synth", "--epochs", "2",
-                  "--out", str(tmp_path / "run")],
-                 ["eval", "--run", str(workdir["run"]), "--data", str(data),
-                  "--split", "test", "--out", str(tmp_path / "eval.json")]):
-        assert run(["--quiet"] + argv) == 2, argv[0]
-        assert capsys.readouterr().err.splitlines() == ["data error: " + message.format(path=path)]
-    assert not (tmp_path / "run").exists() and not (tmp_path / "eval.json").exists()
-
-
-def test_checkpoint_a_directory_exits_2(workdir, tmp_path, capsys):
-    run_dir = tmp_path / "run"
-    shutil.copytree(workdir["run"], run_dir)
-    path = run_dir / "checkpoint.bin"
-    path.unlink()
-    path.mkdir()
-    assert run(["--quiet", "eval", "--run", str(run_dir), "--data", str(workdir["data"]),
-                "--split", "test", "--out", str(tmp_path / "eval.json")]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "data error: %s: cannot read (Is a directory)" % path]
+    for command in ("train", "eval"):
+        check_fault_cell(workdir, tmp_path / command, capsys, command, "labels.csv", kind,
+                         KINDS[kind][0], UNREADABLE[kind][1])
 
 
 # ---------------------------------------------------------------- cluster
@@ -482,7 +430,28 @@ def test_infer_needs_matching_embeddings(workdir, tmp_path, capsys):
     duplicate_first_row(workdir["data"] / "embeddings.csv", new_emb, "stranger")
     assert run(argv + ["--new-embeddings", str(new_emb)]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "data error: new embeddings and features disagree on row ids"]
+        "data error: %s: new embeddings and features disagree on row ids" % new_emb]
+
+
+def test_infer_fills_a_missing_cell_with_the_training_mean(workdir, tmp_path):
+    """An arrival's missing cell takes the column's stored training mean, so
+    it scores as it does with that mean written in."""
+    mean = json.loads((workdir["run"] / "normalizers.json").read_text())["features"]["mean"]
+    written = []
+    for name, cell in (("missing", "na"), ("mean", repr(mean[0]))):
+        new_feat = tmp_path / ("%s.csv" % name)
+        shutil.copy(workdir["new_features"], new_feat)
+
+        def edit(rows):
+            assert rows[0][1] == "t0c0"
+            rows[1][1] = cell
+        rewrite_csv(new_feat, edit)
+        out = tmp_path / name
+        assert run(["--quiet", "infer", "--run", str(workdir["run"]),
+                    "--data", str(workdir["data"]), "--new-features", str(new_feat),
+                    "--new-embeddings", str(workdir["new_embeddings"]), "--out", str(out)]) == 0
+        written.append((out / "predictions.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 # ---------------------------------------------------------------- run loader
@@ -524,146 +493,15 @@ def test_eval_and_explain_build_no_relation_graph(workdir, tmp_path, monkeypatch
     assert run(["--quiet", "explain"] + common + ["--out", str(tmp_path / "explain")]) == 0
 
 
-def drop_checkpoint(rundir, data):
-    (rundir / "checkpoint.bin").unlink()
-    return "data error: missing file: %s" % (rundir / "checkpoint.bin")
-
-
-def truncate_checkpoint(rundir, data):
-    raw = (rundir / "checkpoint.bin").read_bytes()
-    (rundir / "checkpoint.bin").write_bytes(raw[:-5])
-    values = (len(raw) - raw.index(b"\n") - 1) // 8
-    return "data error: %s: blob has %d bytes, header says %d values" % (
-        rundir / "checkpoint.bin", 8 * values - 5, values)
-
-
-def drop_embeddings(rundir, data):
-    # the run was trained on 4 embedding and 8 feature columns
-    (data / "embeddings.csv").unlink()
-    return "data error: data dir has 8 attribute columns, checkpoint was trained on 12"
-
-
-def nan_in_checkpoint(rundir, data):
-    raw = (rundir / "checkpoint.bin").read_bytes()
-    blob = raw.index(b"\n") + 1  # the first value is enc_w_0's
-    (rundir / "checkpoint.bin").write_bytes(
-        raw[:blob] + np.array([np.nan], "<f8").tobytes() + raw[blob + 8:])
-    return "data error: %s: non-finite value: enc_w_0" % (rundir / "checkpoint.bin")
-
-
-def foreign_cohort(rundir, data):
-    """One feature cell changed: the cohort keeps its shape, not its digest."""
-    def edit(rows):
-        rows[1][1] = repr(float(rows[1][1]) + 1.0)
-    rewrite_csv(data / "features.csv", edit)
-    return ("data error: features.csv of the data dir is not the one %s was trained on "
-            "(see %s)" % (rundir, rundir / "manifest.json"))
-
-
-def rewrite_checkpoint_header(rundir, edit):
-    raw = (rundir / "checkpoint.bin").read_bytes()
-    nl = raw.index(b"\n")
-    header = edit(json.loads(raw[:nl]))
-    (rundir / "checkpoint.bin").write_bytes(json.dumps(header).encode() + raw[nl:])
-
-
-def checkpoint_without_dims(rundir, data):
-    rewrite_checkpoint_header(rundir, lambda h: {k: v for k, v in h.items() if k != "dims"})
-    return ("data error: %s: checkpoint header needs integer dims and seed"
-            % (rundir / "checkpoint.bin"))
-
-
-def checkpoint_seed_a_word(rundir, data):
-    rewrite_checkpoint_header(rundir, lambda h: dict(h, seed="x"))
-    return ("data error: %s: checkpoint header needs integer dims and seed"
-            % (rundir / "checkpoint.bin"))
-
-
-def checkpoint_header_a_list(rundir, data):
-    rewrite_checkpoint_header(rundir, lambda h: [h])
-    return "data error: %s: checkpoint header is not a JSON object" % (rundir / "checkpoint.bin")
-
-
-def config_a_list(rundir, data):
-    (rundir / "resolved_config.json").write_text("[1, 2]\n")
-    return "data error: %s: a config must be a JSON object" % (rundir / "resolved_config.json")
-
-
-def config_epochs_a_word(rundir, data):
-    path = rundir / "resolved_config.json"
-    path.write_text(json.dumps(dict(json.loads(path.read_text()), epochs="many")))
-    return "data error: %s: epochs has the wrong type: 'many'" % path
-
-
-def normalizers_empty(rundir, data):
-    (rundir / "normalizers.json").write_text("{}\n")
-    return "data error: %s: no feature transform" % (rundir / "normalizers.json")
-
-
-def normalizer_without_std(rundir, data):
-    path = rundir / "normalizers.json"
-    norms = json.loads(path.read_text())
-    del norms["features"]["std"]
-    path.write_text(json.dumps(norms))
-    return ("data error: %s: a transform needs lists mean, std and column_names, with one "
-            "number per column, and a number n_rows" % path)
-
-
-def checkpoint_of_two_relations_in_a_one_relation_run(rundir, data):
-    """The config and partition of a 1-relation run of the same cohort."""
-    config = rundir / "resolved_config.json"
-    config.write_text(json.dumps(dict(json.loads(config.read_text()), n_relations=1,
-                                      thetas=[0.5])))
-    part = json.loads((rundir / "partition.json").read_text())
-    (rundir / "partition.json").write_text(json.dumps(
-        {k: v if k == "source" else 0 for k, v in part.items()}))
-    return ("data error: %s holds 2 relations, the partition has 1 types"
-            % (rundir / "checkpoint.bin"))
-
-
-@pytest.mark.parametrize("command, fault", [
-    ("eval", drop_checkpoint),
-    ("explain", drop_checkpoint),
-    ("infer", drop_checkpoint),
-    ("eval", truncate_checkpoint),
-    ("infer", truncate_checkpoint),
-    ("eval", drop_embeddings),
-    ("explain", drop_embeddings),
-    ("infer", drop_embeddings),
-    ("eval", foreign_cohort),
-    ("explain", foreign_cohort),
-    ("infer", foreign_cohort),
-    ("eval", checkpoint_of_two_relations_in_a_one_relation_run),
-    ("explain", checkpoint_of_two_relations_in_a_one_relation_run),
-    ("infer", checkpoint_of_two_relations_in_a_one_relation_run),
-] + [(command, fault) for fault in (nan_in_checkpoint, checkpoint_without_dims,
-                                    checkpoint_seed_a_word, checkpoint_header_a_list,
-                                    config_a_list,
-                                    config_epochs_a_word, normalizers_empty,
-                                    normalizer_without_std)
-     for command in ("eval", "infer")])
-def test_run_directory_faults_are_data_errors(workdir, tmp_path, capsys, command, fault):
-    rundir, data = tmp_path / "run", tmp_path / "cohort"
-    shutil.copytree(workdir["run"], rundir)
-    shutil.copytree(workdir["data"], data)
-    line = fault(rundir, data)
-    argv = ["--quiet", command, "--run", str(rundir), "--data", str(data)]
-    if command == "infer":
-        new_feat = tmp_path / "new_features.csv"
-        duplicate_first_row(workdir["data"] / "features.csv", new_feat, "newcomer")
-        argv += ["--new-features", str(new_feat)]
-    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.splitlines() == [line]
-
-
 # ---------------------------------------------------------------- manifests
 
 RUN_FILES = ("resolved_config.json", "checkpoint.bin", "normalizers.json", "partition.json")
 EXTRA = {"synth": "synth_config", "graph": "config_hash", "train": "config_hash"}
 
 
-def command_case(command, w, tmp_path):
-    """(arguments before --out, the paths the command reads)."""
+def command_case(command, w):
+    """(arguments before --out, the paths the command reads), for the
+    workdir fixture's files, or others that w names alike."""
     data, rundir, part = w["data"], w["run"], w["partition"]
     cohort = [data / "features.csv", data / "embeddings.csv"]
     labeled = cohort + [data / "labels.csv"]
@@ -680,10 +518,7 @@ def command_case(command, w, tmp_path):
     if command in ("eval", "explain"):
         return ["--run", rundir, "--data", data], trained
     if command == "infer":
-        new_feat = tmp_path / "new_features.csv"
-        new_emb = tmp_path / "new_embeddings.csv"
-        duplicate_first_row(data / "features.csv", new_feat, "newcomer")
-        duplicate_first_row(data / "embeddings.csv", new_emb, "newcomer")
+        new_feat, new_emb = w["new_features"], w["new_embeddings"]
         return (["--run", rundir, "--data", data, "--new-features", new_feat,
                  "--new-embeddings", new_emb], trained + [new_feat, new_emb])
     return (["--data", data, "--kind", "label_fraction", "--values", "1.0", "--seeds", "0",
@@ -693,7 +528,7 @@ def command_case(command, w, tmp_path):
 @pytest.mark.parametrize("command", ["synth", "cluster", "graph", "train",
                                      "eval", "explain", "infer", "sweep"])
 def test_manifest_records_what_the_command_read_and_wrote(workdir, tmp_path, command):
-    args, inputs = command_case(command, workdir, tmp_path)
+    args, inputs = command_case(command, workdir)
     out = tmp_path / "out"
     assert run(["--quiet", command] + [str(a) for a in args] + ["--out", str(out)]) == 0
     if command in ("cluster", "eval"):  # --out names a file
@@ -739,10 +574,239 @@ def test_failing_command_leaves_no_manifest(workdir, tmp_path):
     assert not (out / "manifest.json").exists()
 
 
-def test_missing_partition_file_is_data_error(workdir, tmp_path, capsys):
-    assert run(["--quiet", "graph", "--data", str(workdir["data"]), "--preset", "synth",
-                "--partition", str(tmp_path / "absent.json"), "--out", str(tmp_path / "g")]) == 2
-    assert "missing file" in capsys.readouterr().err
+# ---------------------------------------------------------------- input faults
+#
+# One table of (command, file it reads, fault): every file of command_case's,
+# plus the manifest.json of the run that eval, explain and infer read. A cell
+# exits 0 with finite outputs (HARMLESS), or exits 2 with exactly one
+# "data error:" line: the fault's own line where it has one, else any line
+# that holds the faulted file's path. A huge cell in a column that a cohort
+# command fits overflows its statistics once loaded, and gives
+# test_degenerate_cohorts_exit_with_a_message's line for that (one_huge_cell).
+
+
+def put(path, value):
+    """value as the file's one number: the last cell of a CSV's first data
+    row, the FIELD of a JSON file, or a checkpoint's first value (enc_w_0's)."""
+    if path.suffix == ".csv":
+        def edit(rows):
+            rows[1][-1] = str(value)
+        rewrite_csv(path, edit)
+    elif path.suffix == ".json":
+        doc = json.loads(path.read_text())
+        *outer, last = FIELD[path.name]
+        node = doc
+        for key in outer:
+            node = node[key]
+        node[last] = value
+        path.write_text(json.dumps(doc))
+    else:
+        raw = path.read_bytes()
+        blob = raw.index(b"\n") + 1
+        path.write_bytes(raw[:blob] + np.array([value], "<f8").tobytes() + raw[blob + 8:])
+
+
+FIELD = {"synth_config.json": ["noise_std"], "resolved_config.json": ["learning_rate"],
+         "normalizers.json": ["features", "mean", 0], "partition.json": ["t0c0"],
+         "manifest.json": ["inputs"]}
+
+
+def rewrite(path, edit):
+    """Lets edit replace the JSON value of a file, or of a checkpoint's header line."""
+    raw = path.read_bytes()
+    end = raw.index(b"\n") if path.suffix == ".bin" else len(raw)
+    path.write_bytes(json.dumps(edit(json.loads(raw[:end]))).encode() + raw[end:])
+
+
+def cut(path):
+    """A cell that is not a number; the JSON text, or a checkpoint's header
+    line, cut in half."""
+    if path.suffix == ".csv":
+        return put(path, "x")
+    raw = path.read_bytes()
+    end = raw.index(b"\n") if path.suffix == ".bin" else len(raw)
+    path.write_bytes(raw[:end // 2] + raw[end:])
+
+
+# fault kind: (edit of the file at path, given the copied fixture w; the line
+# it gives in every file, or None)
+KINDS = {
+    "drop": (lambda path, w: path.unlink(), "missing file: {path}"),
+    "a_directory": (lambda path, w: path.unlink() or path.mkdir(),
+                    "{path}: cannot read (Is a directory)"),
+    "not_utf8": (lambda path, w: path.write_bytes(b"\xff\xfe{"), None),
+    "empty": (lambda path, w: path.write_bytes(b""), None),
+    "header_only": (lambda path, w: path.write_bytes(path.read_bytes().split(b"\n")[0] + b"\n"),
+                    None),
+    "unparseable": (lambda path, w: cut(path), None),
+    "wrong_type": (lambda path, w: put(path, "x"), None),
+    "inf": (lambda path, w: put(path, float("inf")), None),
+    "huge": (lambda path, w: put(path, 1e200), None),
+}
+KINDS_OF = {".csv": [k for k in KINDS if k != "wrong_type"],
+            ".json": [k for k in KINDS if k != "header_only"],
+            ".bin": [k for k in KINDS if k != "wrong_type"]}
+
+
+def truncate_checkpoint(path, w):
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-5])
+
+
+def one_relation_run(path, w):
+    """The config and partition of a 1-relation run of the same cohort."""
+    rewrite(w["run"] / "resolved_config.json", lambda d: dict(d, n_relations=1, thetas=[0.5]))
+    rewrite(w["run"] / "partition.json",
+            lambda d: {k: v if k == "source" else 0 for k, v in d.items()})
+
+
+def synth_config(config):
+    return lambda path, w: rewrite(path, lambda d: config)
+
+
+CLASS_GROUPS = "{path}: class_groups[0] must be a list of lists of class indices"
+# faults of one file beyond its format's kinds, as (id, edit, line); the run
+# directory's are faults of eval, explain and infer only
+NAMED_FAULTS = {
+    "synth_config.json": [
+        ("n_a_word", synth_config({"n": "many"}), "{path}: n has the wrong type: 'many'"),
+        ("noise_null", synth_config({"noise_std": None}),
+         "{path}: noise_std has the wrong type: None"),
+        ("separation_a_word", synth_config({"separations": [1, "x"]}),
+         "{path}: separations has the wrong type: [1, 'x']"),
+        ("n_types_a_float", synth_config({"n_types": 2.5}),
+         "{path}: n_types has the wrong type: 2.5"),
+        ("a_list", synth_config([1, 2]), "{path}: a config must be a JSON object"),
+        ("class_groups_flat", synth_config({"class_groups": [1, 2]}), CLASS_GROUPS),
+        ("class_group_a_string", synth_config({"class_groups": [[[0], ["1"]], [[0, 1, 2]]]}),
+         CLASS_GROUPS)],
+    "checkpoint.bin": [
+        # the synth preset's model of the 45 patients holds 4324 values
+        ("truncate_checkpoint", truncate_checkpoint,
+         "{path}: blob has 34587 bytes, header says 4324 values"),
+        ("nan_in_checkpoint", lambda path, w: put(path, np.nan),
+         "{path}: non-finite value: enc_w_0"),
+        ("checkpoint_without_dims",
+         lambda path, w: rewrite(path, lambda h: {k: v for k, v in h.items() if k != "dims"}),
+         "{path}: checkpoint header needs integer dims and seed"),
+        ("checkpoint_seed_a_word", lambda path, w: rewrite(path, lambda h: dict(h, seed="x")),
+         "{path}: checkpoint header needs integer dims and seed"),
+        ("checkpoint_header_a_list", lambda path, w: rewrite(path, lambda h: [h]),
+         "{path}: checkpoint header is not a JSON object"),
+        ("checkpoint_of_two_relations_in_a_one_relation_run", one_relation_run,
+         "{path} holds 2 relations, the partition has 1 types")],
+    "resolved_config.json": [
+        ("config_a_list", lambda path, w: rewrite(path, lambda d: [1, 2]),
+         "{path}: a config must be a JSON object"),
+        ("config_epochs_a_word", lambda path, w: rewrite(path, lambda d: dict(d, epochs="many")),
+         "{path}: epochs has the wrong type: 'many'")],
+    "normalizers.json": [
+        ("normalizers_empty", lambda path, w: rewrite(path, lambda d: {}),
+         "{path}: no feature transform"),
+        ("normalizer_without_std",
+         lambda path, w: rewrite(path, lambda d: dict(d, features=dict(
+             d["features"], std=None))),
+         "{path}: a transform needs lists mean, std and column_names, with one number per "
+         "column, and a number n_rows")],
+    # a cohort that keeps its shape, not its digest
+    "features.csv": [("foreign_cohort", lambda path, w: put(path, 12.5),
+                      "{path}: not the file {run} was trained on (see {run}/manifest.json)")],
+    # cells whose squares still fit a float64
+    "new_features.csv": [("large", lambda path, w: put(path, 1e150), None)],
+    "new_embeddings.csv": [("large", lambda path, w: put(path, 1e150), None)],
+}
+
+RUN_COMMANDS = ("eval", "explain", "infer")
+COHORT_COMMANDS = ("cluster", "graph", "train", "sweep")
+# the workdir fixture's paths, relative to its root
+FIXTURE = {"data": Path("cohort"), "run": Path("run"), "partition": Path("partition.json"),
+           "synth_config": Path("synth_config.json"),
+           "new_features": Path("new_features.csv"), "new_embeddings": Path("new_embeddings.csv")}
+
+
+def fault_cells(commands):
+    """pytest params (command, file name, fault id, edit, line) of the cells
+    of commands, with ids command-kind_file or command-fault id."""
+    cells = []
+    for command in commands:
+        names = [p.name for p in command_case(command, FIXTURE)[1]]
+        if command in RUN_COMMANDS:
+            names.append("manifest.json")
+        for name in names:
+            path = Path(name)
+            for kind in KINDS_OF[path.suffix]:
+                cells.append(pytest.param(command, name, kind, *KINDS[kind],
+                                          id="%s-%s_%s" % (command, kind, path.stem)))
+            if command in COHORT_COMMANDS:
+                continue
+            for fault in NAMED_FAULTS.get(name, []):
+                cells.append(pytest.param(command, name, *fault, id="%s-%s" % (command, fault[0])))
+    return cells
+
+
+# cells that are no fault for their command: each exits 0 with finite outputs
+HARMLESS = {
+    ("synth", "synth_config.json", "huge"),  # a cohort of huge but finite values
+    ("cluster", "embeddings.csv", "huge"),  # which cluster does not normalize
+    *((command, "embeddings.csv", "drop") for command in COHORT_COMMANDS),  # no imaging
+    # a learning rate that only training reads, and a finite weight
+    *((command, name, "huge") for command in RUN_COMMANDS
+      for name in ("resolved_config.json", "checkpoint.bin")),
+    # a run without a manifest is not compared with the cohort
+    *((command, "manifest.json", "drop") for command in RUN_COMMANDS),
+    ("infer", "new_features.csv", "large"), ("infer", "new_embeddings.csv", "large"),
+}
+
+
+def check_fault_cell(workdir, tmp_path, capsys, command, name, fault, edit, line):
+    """Runs command on a copy of the workdir fixture's files, after edit
+    made the fault in its file name, and checks the cell's outcome."""
+    root = tmp_path / "w"
+    shutil.copytree(workdir["root"], root)
+    w = {key: root / path for key, path in FIXTURE.items()}
+    args, inputs = command_case(command, w)
+    path = {p.name: p for p in inputs + [w["run"] / "manifest.json"]}[name]
+    edit(path, w)
+    out = tmp_path / "out"
+    code = run(["--quiet", command] + [str(a) for a in args] + ["--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    if (command, name, fault) in HARMLESS:
+        assert (code, err) == (0, [])
+        manifest = out / "manifest.json" if out.is_dir() else tmp_path / "out.manifest.json"
+        for written in json.loads(manifest.read_text())["outputs"]:
+            if written.endswith(".bin"):
+                load_checkpoint(written)  # refuses a non-finite value
+            else:
+                assert not re.search(r"(?i)\b(nan|inf|infinity)\b", Path(written).read_text())
+        return
+    fitted = ["features.csv"] if command == "cluster" else ["features.csv", "embeddings.csv"]
+    if command in COHORT_COMMANDS and name in fitted and fault == "huge":
+        with open(path, newline="") as fh:
+            line = "column %s: mean or std is not finite (cells too large)" % next(csv.reader(fh))[-1]
+    assert code == 2
+    if line is None:
+        assert len(err) == 1 and err[0].startswith("data error: ") and str(path) in err[0], err
+    else:
+        assert err == ["data error: " + line.format(path=path, run=w["run"])]
+    assert not out.exists() and not (tmp_path / "out.manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, name, fault, edit, line", [
+    pytest.param(*cell.values, id=cell.id.split("-", 1)[1]) for cell in fault_cells(["synth"])])
+def test_malformed_synth_config_exits_2(workdir, tmp_path, capsys, command, name, fault, edit,
+                                        line):
+    check_fault_cell(workdir, tmp_path, capsys, command, name, fault, edit, line)
+
+
+@pytest.mark.parametrize("command, name, fault, edit, line", fault_cells(COHORT_COMMANDS))
+def test_cohort_input_faults(workdir, tmp_path, capsys, command, name, fault, edit, line):
+    check_fault_cell(workdir, tmp_path, capsys, command, name, fault, edit, line)
+
+
+@pytest.mark.parametrize("command, name, fault, edit, line", fault_cells(RUN_COMMANDS))
+def test_run_directory_faults_are_data_errors(workdir, tmp_path, capsys, command, name, fault,
+                                              edit, line):
+    check_fault_cell(workdir, tmp_path, capsys, command, name, fault, edit, line)
 
 
 # ---------------------------------------------------------------- sweep
@@ -832,14 +896,6 @@ def test_no_subcommand_is_usage_error():
     assert run([]) == 1
 
 
-def test_missing_cohort_is_data_error(tmp_path, capsys):
-    empty = tmp_path / "empty"
-    empty.mkdir()
-    assert run(["--quiet", "train", "--data", str(empty),
-                "--out", str(tmp_path / "x")]) == 2
-    assert "data error" in capsys.readouterr().err
-
-
 def test_divergent_training_is_numeric_error(workdir, tmp_path, capsys):
     cfg = {"learning_rate": 1e8, "embed_dim": 8, "n_relations": 2,
            "thetas": [0.5, 0.5], "alpha": 10.0, "beta": 1.0, "gamma": 0.0001,
@@ -863,7 +919,8 @@ def synth_cohort(tmp_path, **overrides):
 
 def rewrite_csv(path, edit):
     """Reads a CSV into a list of rows, lets edit change them, writes it back."""
-    rows = list(csv.reader(path.open()))
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
     edit(rows)
     with path.open("w", newline="") as fh:
         csv.writer(fh).writerows(rows)
