@@ -10,7 +10,6 @@ Exit codes: 0 ok, 1 usage, 2 bad data, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import logging
@@ -94,7 +93,8 @@ def _load_cohort(data_dir: str, need_labels: bool = True, need_embeddings: bool 
     if need_embeddings or os.path.exists(paths["embeddings"]):
         embeddings = D.load_embedding_csv(paths["embeddings"])
         if embeddings.row_ids != table.row_ids:
-            raise DataError("embeddings.csv row ids do not match features.csv")
+            with D.reading(paths["embeddings"]):
+                raise DataError("row ids do not match those of features.csv")
         inputs.append(paths["embeddings"])
     else:
         embeddings = D.empty_embeddings(table.row_ids)
@@ -102,7 +102,8 @@ def _load_cohort(data_dir: str, need_labels: bool = True, need_embeddings: bool 
     if need_labels:
         labels, label_ids = D.load_label_csv(paths["labels"])
         if label_ids != table.row_ids:
-            raise DataError("labels.csv row ids do not match features.csv")
+            with D.reading(paths["labels"]):
+                raise DataError("row ids do not match those of features.csv")
         inputs.append(paths["labels"])
     return table, embeddings, labels, inputs
 
@@ -379,11 +380,8 @@ def _cmd_explain(args) -> dict:
     outputs.append(att_path)
 
     def _write_matrix(path, matrix):
-        with open(path, "w") as fh:
-            c = matrix.shape[0]
-            fh.write(",".join("class_%d" % k for k in range(c)) + "\n")
-            for row in matrix:
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
+        D.write_numeric_csv(path, ["class_%d" % k for k in range(matrix.shape[0])], matrix,
+                            newline="\n")
         outputs.append(path)
 
     sim_all = pairwise_class_similarity(table, labels)
@@ -416,17 +414,17 @@ def _cmd_infer(args) -> dict:
             new_emb = D.load_embedding_csv(args.new_embeddings)
             arrival_embeddings(graph, new_emb, new_table.row_ids)
         inputs.append(args.new_embeddings)
+    elif trained.embeddings.n_cols:
+        raise DataError("the run was trained with %d embedding columns: give the new rows' "
+                        "with --new-embeddings" % trained.embeddings.n_cols)
     else:
         new_emb = D.empty_embeddings(new_table.row_ids)
     probs, _ = pipeline.inductive_predict(trained.state, graph, new_table, new_emb)
     os.makedirs(args.out, exist_ok=True)
     pred_path = os.path.join(args.out, "predictions.csv")
-    c = probs.shape[1]
-    with open(pred_path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["id", "predicted_class"] + ["prob_%d" % k for k in range(c)])
-        for rid, row in zip(new_table.row_ids, probs):
-            w.writerow([rid, int(np.argmax(row))] + ["%.17g" % v for v in row])
+    D.write_numeric_csv(pred_path, ["id", "predicted_class"]
+                        + ["prob_%d" % k for k in range(probs.shape[1])], probs,
+                        new_table.row_ids, classes=np.argmax(probs, axis=1), newline="\n")
     log.info("scored %d new rows against %d training rows",
              new_table.n_rows, graph.n_nodes)
     return dict(path=os.path.join(args.out, "manifest.json"), inputs=inputs, outputs=[pred_path],

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -349,39 +350,86 @@ def _parse_cell(text: str, row_num: int, col_name: str) -> float:
         ) from None
 
 
-def _read_numeric_csv(path):
-    with open_input(path, newline="") as fh:
-        reader = csv.reader(fh)
+def _parse_rows(rows):
+    """(values, column names, row ids) of a CSV given as csv.reader's rows,
+    converted row by row: the per-row rule. Each row's cells go through
+    float() in one map call, and a row where that fails through _parse_cell,
+    which reads the missing tokens and makes every parse error. Blank rows
+    are skipped."""
+    header = next(rows, None)
+    if header is None:
+        raise DataError("empty file")
+    if len(header) < 1:
+        raise DataError("header has no columns")
+    col_names = [h.strip() for h in header[1:]]
+    row_ids, values = [], []
+    for row_num, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(
+                "row %d has %d cells, expected %d" % (row_num, len(row), len(header))
+            )
+        row_ids.append(row[0].strip())
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty file") from None
-        if len(header) < 1:
-            raise DataError("header has no columns")
-        col_names = [h.strip() for h in header[1:]]
-        row_ids, rows = [], []
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    "row %d has %d cells, expected %d" % (row_num, len(row), len(header))
-                )
-            row_ids.append(row[0].strip())
-            try:
-                # float() strips and parses each cell as _parse_cell does
-                rows.append(tuple(map(float, row[1:])))
-            except ValueError:  # a missing token or a bad cell: the per-cell rule decides
-                rows.append([_parse_cell(cell, row_num, col_names[j])
-                             for j, cell in enumerate(row[1:])])
-        if not rows:
-            raise DataError("no data rows")
+            # float() strips and parses each cell as _parse_cell does
+            values.append(tuple(map(float, row[1:])))
+        except ValueError:  # a missing token or a bad cell: the per-cell rule decides
+            values.append([_parse_cell(cell, row_num, col_names[j])
+                           for j, cell in enumerate(row[1:])])
+    if not values:
+        raise DataError("no data rows")
+    return np.asarray(values, dtype=np.float64), col_names, row_ids
+
+
+def _parse_block(text):
+    """_parse_rows's result for a CSV text, its numbers parsed by one
+    np.loadtxt call, or None where the per-row rule must decide.
+
+    The text's lines end in LF or CRLF; blank lines are skipped. loadtxt
+    reads every token float() reads to the same bits, except that it refuses
+    some (underscores, non-ASCII digits, the missing tokens), so None is
+    returned for a text with a quote or a lone CR, without a value column or
+    data row, or one that loadtxt refuses or reads to another shape.
+    """
+    if '"' in text or text.count("\r") != text.count("\r\n"):
+        return None
+    lines = text.split("\n")
+    header = lines[0].rstrip("\r").split(",")
+    body = [line for line in lines[1:] if line and line != "\r"]
+    k = len(header) - 1
+    # with loadtxt finding column k on every line, k commas on each
+    if k < 1 or not body or text.count(",") != k * (len(body) + 1):
+        return None
+    try:
+        values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2, usecols=range(1, k + 1))
+    except ValueError:
+        return None
+    if values.shape != (len(body), k):
+        return None
+    return (values, [h.strip() for h in header[1:]],
+            [line[:line.index(",")].strip() for line in body])
+
+
+def _read_numeric_csv(path):
+    """(values, column names, row ids) of a numeric CSV with an id column
+    first: _parse_block's, else the per-row rule's."""
+    with open_input(path, newline="") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:  # the per-row rule fails where it did, at the same byte
+            fh.seek(0)
+            text = None
+        parsed = _parse_block(text) if text else None
+        if parsed is None:
+            parsed = _parse_rows(csv.reader(fh if text is None else io.StringIO(text, newline="")))
+        values, col_names, row_ids = parsed
         seen = set()
         for rid in row_ids:
             if rid in seen:
                 raise DataError("duplicate row id %r" % rid)
             seen.add(rid)
-    return np.asarray(rows, dtype=np.float64), col_names, row_ids
+    return values, col_names, row_ids
 
 
 def load_feature_csv(path, fill: dict | None = None) -> FeatureTable:
@@ -670,20 +718,50 @@ def generate_synthetic_cohort(cfg: SynthConfig):
     return table, embeddings, lv, truth
 
 
-def write_feature_csv(path, table: FeatureTable) -> None:
+def _csv_fields(texts, newline: str, alone: bool = False) -> list:
+    """texts (each str()) as csv.writer's default dialect writes fields, with
+    newline as its line terminator: a text that holds a comma, a quote or a
+    character of newline is quoted, its quotes doubled; so is an empty text
+    alone in its row."""
+    texts = [str(t) for t in texts]
+    special = ',"' + newline
+    joined = "".join(texts)
+    if not any(c in joined for c in special) and not (alone and "" in texts):
+        return texts
+    return ['"%s"' % t.replace('"', '""') if any(c in t for c in special) or (alone and not t)
+            else t for t in texts]
+
+
+def write_numeric_csv(path, header, values, row_ids=None, classes=None,
+                      newline: str = "\r\n") -> None:
+    """Write header, then one line per row of values: its row id and its
+    integer class where given, then its cells as "%.17g", all in one %
+    format per row. Header names and ids are quoted as csv.writer quotes
+    them (_csv_fields), so the bytes are csv.writer's."""
+    values = np.asarray(values, dtype=np.float64)
+    k = values.shape[1]
+    columns, formats = [], []
+    if row_ids is not None:
+        columns.append(_csv_fields(row_ids, newline, alone=k == 0 and classes is None))
+        formats.append("%s")
+    if classes is not None:
+        columns.append(np.asarray(classes).tolist())
+        formats.append("%d")
+    fmt = ",".join(formats + ["%.17g"] * k) + newline
+    columns += values.T.tolist()
+    text = ",".join(_csv_fields(header, newline, alone=len(header) == 1)) + newline
+    text += "".join([fmt % row for row in zip(*columns)])
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id"] + list(table.column_names))
-        for i, rid in enumerate(table.row_ids):
-            w.writerow([rid] + ["%.17g" % v for v in table.values[i]])
+        fh.write(text)
+
+
+def write_feature_csv(path, table: FeatureTable) -> None:
+    write_numeric_csv(path, ["id"] + list(table.column_names), table.values, table.row_ids)
 
 
 def write_embedding_csv(path, table: EmbeddingTable) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id"] + ["e%d" % j for j in range(table.n_cols)])
-        for i, rid in enumerate(table.row_ids):
-            w.writerow([rid] + ["%.17g" % v for v in table.values[i]])
+    write_numeric_csv(path, ["id"] + ["e%d" % j for j in range(table.n_cols)], table.values,
+                      table.row_ids)
 
 
 def write_label_csv(path, labels: LabelVector, row_ids) -> None:

@@ -101,6 +101,15 @@ def test_synth_seed_reproducibility(workdir, tmp_path):
     assert sha256(a / "features.csv") != sha256(c / "features.csv")
 
 
+def test_default_synth_cohort_bytes_are_pinned(tmp_path):
+    assert run(["--quiet", "synth", "--out", str(tmp_path)]) == 0
+    assert {name: sha256(tmp_path / name) for name in
+            ("features.csv", "embeddings.csv", "labels.csv")} == {
+        "features.csv": "d7a1adc1acf5cac9364269fb5baa76e6c2794cc6903f21360a7ce6cf13ddc7c0",
+        "embeddings.csv": "314806658c0116e99e3398533146a04c139dc92acb3ff4adc2d0ebcb5a1db603",
+        "labels.csv": "80fd2c10deeefe7daff67ed59ab544d98cf6564bd86d3ff676db2ed0573144a3"}
+
+
 # the exact lines of a JSON and of a CSV file that is a directory or not
 # UTF-8 (the input-fault table below asserts only that each names the file)
 DECODE = "('utf-8' codec can't decode byte 0xff in position 0: invalid start byte)"
@@ -424,7 +433,9 @@ def test_infer_needs_matching_embeddings(workdir, tmp_path, capsys):
     argv = ["--quiet", "infer", "--run", str(workdir["run"]), "--data", str(workdir["data"]),
             "--new-features", str(new_feat), "--out", str(tmp_path / "x")]
     assert run(argv) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: the run was trained with 4 embedding columns: give the new rows' with "
+        "--new-embeddings"]
     # embeddings of the right width, but for another patient
     new_emb = tmp_path / "new_embeddings.csv"
     duplicate_first_row(workdir["data"] / "embeddings.csv", new_emb, "stranger")
@@ -642,10 +653,19 @@ KINDS = {
     "wrong_type": (lambda path, w: put(path, "x"), None),
     "inf": (lambda path, w: put(path, float("inf")), None),
     "huge": (lambda path, w: put(path, 1e200), None),
+    # two data rows swapped, in a file whose row ids must be features.csv's
+    "swapped_rows": (lambda path, w: rewrite_csv(path, swap_first_rows),
+                     "{path}: row ids do not match those of features.csv"),
 }
-KINDS_OF = {".csv": [k for k in KINDS if k != "wrong_type"],
-            ".json": [k for k in KINDS if k != "header_only"],
-            ".bin": [k for k in KINDS if k != "wrong_type"]}
+# every file of a suffix gets its kinds; swapped_rows goes to SWAPPABLE files only
+SWAPPABLE = ("labels.csv", "embeddings.csv")
+KINDS_OF = {suffix: [k for k in KINDS if k not in (skip, "swapped_rows")]
+            for suffix, skip in ((".csv", "wrong_type"), (".json", "header_only"),
+                                 (".bin", "wrong_type"))}
+
+
+def swap_first_rows(rows):
+    rows[1], rows[2] = rows[2], rows[1]
 
 
 def truncate_checkpoint(path, w):
@@ -734,7 +754,7 @@ def fault_cells(commands):
             names.append("manifest.json")
         for name in names:
             path = Path(name)
-            for kind in KINDS_OF[path.suffix]:
+            for kind in KINDS_OF[path.suffix] + ["swapped_rows"] * (name in SWAPPABLE):
                 cells.append(pytest.param(command, name, kind, *KINDS[kind],
                                           id="%s-%s_%s" % (command, kind, path.stem)))
             if command in COHORT_COMMANDS:

@@ -1,4 +1,5 @@
 import csv
+import io
 import os
 import tempfile
 import warnings
@@ -219,23 +220,90 @@ def test_load_feature_csv_unparseable_cell():
         os.unlink(path)
 
 
-@pytest.mark.parametrize("token", [" 1.5 ", "1e-3", "-0", "1_0", "nan", "NaN", "",
-                                   "na", "n/a", "x", "inf"])
-def test_row_parse_matches_the_per_cell_rule(tmp_path, token):
-    path = tmp_path / "cells.csv"
-    with path.open("w", newline="") as fh:
-        csv.writer(fh).writerows([["id", "a", "b"], ["p1", "2", "3"], ["p2", "4", token]])
-    try:
-        expected = D._parse_cell(token, 3, "b")
-    except DataError as err:
+def per_row_outcome(path):
+    """What the per-row rule reads from path: (values, names, ids), or the
+    one DataError line it gives."""
+    with open(path, newline="") as fh:
+        try:
+            return D._parse_rows(csv.reader(fh))
+        except DataError as err:
+            return "%s: %s" % (path, err)
+
+
+def assert_reads_as_per_row(path):
+    """_read_numeric_csv gives the per-row rule's float64 bytes, names and
+    ids, or its one DataError line."""
+    expected = per_row_outcome(path)
+    if isinstance(expected, str):
         with pytest.raises(DataError) as got:
             D._read_numeric_csv(path)
-        assert str(got.value) == "%s: %s" % (path, err)
+        assert str(got.value) == expected
+        return expected
+    values, names, ids = D._read_numeric_csv(path)
+    assert (values.dtype, values.shape) == (np.float64, expected[0].shape)
+    assert values.tobytes() == expected[0].tobytes()
+    assert (names, ids) == (expected[1], expected[2])
+    return values
+
+
+@pytest.mark.parametrize("token", [" 1.5 ", "1e-3", "-0", "1_0", "nan", "NaN", "",
+                                   "na", "n/a", "x", "inf", "\u0661\u0662", "#1", "\t3\t",
+                                   "+inf", "-nan", "1e400", "4.9e-324", '"1.5"'])
+def test_row_parse_matches_the_per_cell_rule(tmp_path, token):
+    path = tmp_path / "cells.csv"
+    # the token is the cell's text in the file: '"1.5"' is a quoted cell
+    path.write_bytes(("id,a,b\r\np1,2,3\r\np2,4,%s\r\n" % token).encode())
+    cell = next(csv.reader([token]))[0] if token else ""
+    try:
+        expected = D._parse_cell(cell, 3, "b")
+    except DataError as err:
+        assert assert_reads_as_per_row(path) == "%s: %s" % (path, err)
     else:
-        values, _, _ = D._read_numeric_csv(path)
+        values = assert_reads_as_per_row(path)
         assert values.tolist()[0] == [2.0, 3.0]
         assert values[1, 0] == 4.0
         assert values[1, 1].tobytes() == np.float64(expected).tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    "id,a,b\np1,1,2\np2,3,4\n",  # LF
+    "id,a,b\r\np1,1,2\r\np2,3,4\r\n",  # CRLF
+    "id,a,b\rp1,1,2\rp2,3,4\r",  # lone CR
+    "id,a,b\np1,1,2\n\np2,3,4\n",  # a blank middle line
+    "id,a,b\r\np1,1,2\r\n\r\np2,3,4\r\n",
+    "id,a,b\np1,1,2\np2,3,4",  # no final newline
+    "\ufeffid,a,b\r\np1,1,2\r\np2,3,4\r\n",  # a UTF-8 BOM
+    "id,a,b\np1,1,2\n\np2,3\n",  # a short row after a blank line
+    "id,a,b\np1,1,2\n \np2,3,4\n",  # a line of one space is a row
+    "id,a,b\np1,1,2,\np2,3,4\n",  # a long row
+    "id,a,b\np1, 1 ,2\r\n p2 ,3,4\n",  # mixed line ends, spaces
+    'id,a,b\n"p ""1""",1,2\np2,3,4\n',  # a quoted id
+    "id\np1\np2\n",  # no value column
+    "id,a,b\n",
+    "\nid,a\np1,1\n",
+    "",
+], ids=["lf", "crlf", "cr", "blank_line", "blank_crlf_line", "no_final_newline", "bom",
+        "short_row", "space_line", "long_row", "mixed", "quoted_id", "ids_only", "header_only",
+        "blank_header", "empty"])
+def test_file_shapes_read_as_per_row(tmp_path, text):
+    path = tmp_path / "shape.csv"
+    path.write_bytes(text.encode())
+    assert_reads_as_per_row(path)
+
+
+def test_a_bad_byte_past_the_first_chunk_is_reported_as_before(tmp_path):
+    """A file that is not UTF-8 is read row by row, so an unparseable row
+    before the bad byte is the error, and the bad byte's position is the one
+    that line-by-line decoding gives."""
+    rows = "".join("p%d,%d\n" % (i, i) for i in range(3000)).encode()
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(b"id,a\n" + rows + b"p9,\xff\n")
+    with pytest.raises(DataError, match=r"not UTF-8 text .*in position \d+") as got:
+        D._read_numeric_csv(path)
+    position = int(str(got.value).split("position ")[1].split(":")[0])
+    assert position < len(rows)  # relative to the decoded chunk, not the file
+    path.write_bytes(b"id,a\np0,x\n" + rows + b"\xff")
+    assert assert_reads_as_per_row(path) == "%s: unparseable value 'x' at row 2, column a" % path
 
 
 def test_errors_are_reported_in_row_order(tmp_path):
@@ -307,6 +375,64 @@ def test_embedding_csv_roundtrip():
     finally:
         os.unlink(path)
     assert np.array_equal(back.values, e.values)
+
+
+ODD_NAMES = ["a,b", 'say "hi"', "cr\rhere", "lf\nhere", " lead", "plain"]
+ODD_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, 3.0, -2.0, 1e16, 0.1]
+
+
+def csv_writer_bytes(header, rows, lineterminator="\r\n"):
+    """The bytes csv.writer's default dialect makes of header and rows."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf, lineterminator=lineterminator)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def test_writers_match_csv_writer_bytes(tmp_path):
+    values = np.array([ODD_VALUES[i:] + ODD_VALUES[:i] for i in range(len(ODD_NAMES))])[:, :6]
+    t = FeatureTable(values, ODD_NAMES, ["numeric"] * 6, ODD_NAMES[::-1])
+    write_feature_csv(tmp_path / "f.csv", t)
+    assert (tmp_path / "f.csv").read_bytes() == csv_writer_bytes(
+        ["id"] + ODD_NAMES,
+        [[rid] + ["%.17g" % v for v in row] for rid, row in zip(t.row_ids, values)])
+    write_embedding_csv(tmp_path / "e.csv", EmbeddingTable(values, t.row_ids))
+    assert (tmp_path / "e.csv").read_bytes() == csv_writer_bytes(
+        ["id"] + ["e%d" % j for j in range(6)],
+        [[rid] + ["%.17g" % v for v in row] for rid, row in zip(t.row_ids, values)])
+    # predictions.csv's layout: LF line ends and an integer class after the id
+    classes = np.argmax(values, axis=1)
+    D.write_numeric_csv(tmp_path / "p.csv", ["id", "k"] + ODD_NAMES, values, t.row_ids,
+                        classes=classes, newline="\n")
+    assert (tmp_path / "p.csv").read_bytes() == csv_writer_bytes(
+        ["id", "k"] + ODD_NAMES,
+        [[rid, int(c)] + ["%.17g" % v for v in row]
+         for rid, c, row in zip(t.row_ids, classes, values)], "\n")
+
+
+def test_an_empty_field_alone_in_its_row_is_quoted(tmp_path):
+    D.write_numeric_csv(tmp_path / "x.csv", [""], np.zeros((2, 0)), ["", "a"])
+    assert (tmp_path / "x.csv").read_bytes() == csv_writer_bytes([""], [[""], ["a"]])
+
+
+def test_write_then_read_returns_identical_bits(tmp_path):
+    rng = np.random.default_rng(5)
+    values = np.vstack([np.array(ODD_VALUES)[None, :6], rng.normal(size=(40, 6)) * 1e-3,
+                        rng.standard_cauchy(size=(40, 6))])
+    for ids, kind in ((["p%03d" % i for i in range(len(values))], "plain"),
+                      ([n + "_%d" % i for i in range(len(values)) for n in ODD_NAMES[:4]][
+                          :len(values)], "quoted")):
+        t = FeatureTable(values, ["c%d" % j for j in range(6)], ["numeric"] * 6, ids)
+        path = tmp_path / ("%s.csv" % kind)
+        write_feature_csv(path, t)
+        # quoted ids take the per-row rule, plain ones the one-call parse
+        assert (D._parse_block(path.read_text()) is None) == (kind == "quoted")
+        back = load_feature_csv(path)
+        assert back.values.tobytes() == values.tobytes()
+        assert (back.row_ids, back.column_names) == (ids, t.column_names)
+        emb = load_embedding_csv(path)
+        assert emb.values.tobytes() == values.tobytes()
 
 
 def test_label_csv_roundtrip_and_inference():
