@@ -57,7 +57,11 @@ def _digests(paths: list) -> dict:
 def _write_manifest(path, command: str, inputs: list, outputs: list,
                     wall_s: float, extra: dict | None = None,
                     digests: dict | None = None) -> None:
-    """digests: {path: sha256} of files already hashed, which are not read again."""
+    """Writes the run's manifest with the sha256 digest of each input and
+    output. digests: {path: sha256} of files already hashed, which are not
+    read again: the cohort files that a run's loader checked, or the edge
+    lists that `medplex graph` hashed as it wrote them. The other files are
+    read back and hashed here (_digests)."""
     known = digests or {}
     digests = {**known, **_digests([p for p in inputs + outputs if p not in known])}
     manifest = {
@@ -282,14 +286,15 @@ def _cmd_graph(args) -> dict:
     partition = _read_partition(args.partition, table, inputs, cfg.n_relations)
     graph = pipeline.build_graph_for(table, embeddings, cfg, partition)
     os.makedirs(args.out, exist_ok=True)
-    manifest = write_multiplex(args.out, graph)
+    digests = {}  # the edge lists', hashed as they are written
+    manifest = write_multiplex(args.out, graph, digests)
     for rel in manifest["relations"]:
         log.info("relation %d: %d edges, mean degree %.2f, %d isolated",
                  rel["relation"], rel["n_edges"], rel["mean_degree"], rel["isolated_nodes"])
     outputs = [os.path.join(args.out, r["file"]) for r in manifest["relations"]]
     outputs.append(os.path.join(args.out, "multiplex.json"))
     return dict(path=os.path.join(args.out, "manifest.json"), inputs=inputs, outputs=outputs,
-                extra={"config_hash": cfg.config_hash()})
+                extra={"config_hash": cfg.config_hash()}, digests=digests)
 
 
 def _cmd_train(args) -> dict:

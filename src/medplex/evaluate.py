@@ -8,7 +8,6 @@ predictions; the code keeps that equality exact.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -259,14 +258,12 @@ def sweep(kind: str, values, table, embeddings, labels, base_cfg, seeds=(0, 1, 2
 
 
 def write_sweep_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["grid_value", "seed", "macro_f1", "micro_f1"])
-        for row in rows:
-            w.writerow(
-                ["%.17g" % row["grid_value"], row["seed"],
-                 "%.17g" % row["macro_f1"], "%.17g" % row["micro_f1"]]
-            )
+    """One CSV line per run: its grid value (as "%.17g", in the id field),
+    its seed (the class field) and its two F1 scores."""
+    D.write_numeric_csv(path, ["grid_value", "seed", "macro_f1", "micro_f1"],
+                        np.reshape([[r["macro_f1"], r["micro_f1"]] for r in rows], (-1, 2)),
+                        ["%.17g" % r["grid_value"] for r in rows],
+                        classes=[r["seed"] for r in rows])
 
 
 def summarize_sweep(rows) -> dict:

@@ -7,6 +7,7 @@ edge sets differ.
 
 from __future__ import annotations
 
+import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -83,6 +84,8 @@ _BAND = 32
 # Kept of a band's first _BAND columns when pairing a's rows with themselves:
 # there column c is row lo + c, so only cells above the diagonal have i < j.
 _ABOVE_DIAGONAL = ~np.tri(_BAND, dtype=bool)
+# Set bits of each byte value: np.bitwise_count needs numpy 2.
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 
 def _tiles(rows: int):
@@ -105,8 +108,9 @@ def _mask_bits(a: np.ndarray, theta: float, b: np.ndarray | None = None):
     every column (len(b) or len(a) of them), row_counts the set cells of each
     row and col_counts, without b only (else None), those of each column.
     The tiles of a's rows map over _map_threads; each compares its bands
-    once, packs each band's mask into the band's rows of bits and counts the
-    mask's rows and columns while it holds it.
+    once, unclipped, with a cut, packs each band's mask into the band's
+    rows of bits, counts its columns while it holds the mask and its rows
+    from the packed bytes.
     """
     ua = _unit_rows(np.asarray(a, dtype=np.float64))
     ub = ua if b is None else _unit_rows(np.asarray(b, dtype=np.float64))
@@ -114,21 +118,24 @@ def _mask_bits(a: np.ndarray, theta: float, b: np.ndarray | None = None):
     row_counts = np.zeros(ua.shape[0], dtype=np.int64)
     col_counts = np.zeros(ub.shape[0], dtype=np.int64) if b is None else None
     starts, workers = _tiles(ua.shape[0])
+    # similarities are compared unclipped: s > cut is clip(s, -1, 1) > theta
+    # for every s within rounding of [-1, 1]; a theta outside [-1, 1) passes
+    # every cell or none, and a NaN none
+    cut = 2.0 if theta >= 1.0 else -2.0 if theta < -1.0 else theta
 
     def mask(tile):
         cols = []  # each band's column counts, added up on the calling thread
         for lo in range(tile, min(tile + starts.step, ua.shape[0]), _BAND):
             first = lo if b is None else 0  # columns before lo lie below the diagonal
-            sims = ua[lo:lo + _BAND] @ ub[first:].T
-            np.clip(sims, -1.0, 1.0, out=sims)
-            keep = sims > theta
-            del sims  # before the mask's counts and bits are made
+            keep = ua[lo:lo + _BAND] @ ub[first:].T > cut
             if b is None:
                 rows = keep.shape[0]
                 keep[:, :rows] &= _ABOVE_DIAGONAL[:rows, :rows]
-                cols.append((lo, np.count_nonzero(keep, axis=0)))
-            bits[lo:lo + _BAND, first // 8:] = np.packbits(keep, axis=1)
-            row_counts[lo:lo + _BAND] = np.count_nonzero(keep, axis=1)
+                # at most _BAND set cells per column of a band: uint8 holds them
+                cols.append((lo, np.add.reduce(keep.view(np.uint8), axis=0, dtype=np.uint8)))
+            packed = np.packbits(keep, axis=1)
+            bits[lo:lo + _BAND, first // 8:] = packed
+            row_counts[lo:lo + _BAND] = _POPCOUNT.take(packed).sum(axis=1, dtype=np.int64)
         return cols
 
     for cols in _map_threads(mask, starts, workers):
@@ -137,30 +144,36 @@ def _mask_bits(a: np.ndarray, theta: float, b: np.ndarray | None = None):
     return bits, row_counts, col_counts
 
 
+def _read_rows(bits: np.ndarray, counts: np.ndarray, lo: int, first: int, width: int):
+    """The set cells of the counts.size rows of bits from row lo on (counts:
+    their set cells), over columns first..width-1 (first a multiple of 8), as
+    row-major int32 (rows, columns): row ids repeated by the counts, column
+    ids compressed out of an int32 column range. So no cell index is split
+    into row and column by a divide and a remainder.
+    """
+    keep = np.unpackbits(bits[lo:lo + counts.size, first // 8:], axis=1,
+                         count=width - first).view(bool)
+    rows = np.repeat(np.arange(lo, lo + counts.size, dtype=np.int32), counts)
+    columns = np.arange(first, width, dtype=np.int32)
+    # np.compress (nonzero, then take) is several times faster here than
+    # indexing with keep, whose copy loop is slow on scattered masks
+    return rows, np.compress(keep.ravel(), np.tile(columns, counts.size))
+
+
 def _read_pairs(bits: np.ndarray, row_counts: np.ndarray, width: int, upper: bool) -> np.ndarray:
     """The set cells of _mask_bits' bits (upper: made without b; width
     columns) as an exact-size (E, 2) int32 array of (row, column) pairs,
-    row-major. Each tile of rows reads its pairs straight into its slice of
-    the result, found from the counts: row ids repeated by the counts, column
-    ids compressed out of an int32 column range. So no pair is held twice,
-    and no cell index is split into row and column by a divide and a
-    remainder. The tiles map over _map_threads.
+    row-major. Each tile of rows reads its pairs (_read_rows) into its slice
+    of the result, found from the counts. The tiles map over _map_threads.
     """
     ends = np.concatenate([[0], np.cumsum(row_counts)])
     pairs = np.empty((int(ends[-1]), 2), dtype=np.int32)
     starts, workers = _tiles(bits.shape[0])
 
     def read_out(lo):
-        first = lo if upper else 0
         counts = row_counts[lo:lo + starts.step]
-        at, end = ends[lo], ends[lo + counts.size]
-        keep = np.unpackbits(bits[lo:lo + starts.step, first // 8:], axis=1,
-                             count=width - first).view(bool)
-        pairs[at:end, 0] = np.repeat(np.arange(lo, lo + counts.size, dtype=np.int32), counts)
-        columns = np.arange(first, width, dtype=np.int32)
-        # np.compress (nonzero, then take) is several times faster here than
-        # indexing with keep, whose copy loop is slow on scattered masks
-        pairs[at:end, 1] = np.compress(keep.ravel(), np.tile(columns, counts.size))
+        out = pairs[ends[lo]:ends[lo + counts.size]]
+        out[:, 0], out[:, 1] = _read_rows(bits, counts, lo, lo if upper else 0, width)
 
     _map_threads(read_out, starts, workers)
     return pairs
@@ -184,6 +197,18 @@ _MAX_NODES = np.iinfo(np.int32).max
 _KEY_CHUNK = 1 << 16  # edges per temporary in the checks, degrees and packing
 
 
+def _row_major(i: np.ndarray, j: np.ndarray) -> bool:
+    """Refuses edges (i, j) with i >= j; returns whether they strictly
+    increase in row-major order."""
+    if np.any(i >= j):
+        raise DataError("edges must satisfy i < j (no self loops)")
+    if i.size < 2:
+        return True
+    di, dj = np.diff(i), np.diff(j)  # ids < 2^31: no int32 overflow
+    # with di >= 0, (i, j) grows exactly where di > 0 or dj > 0
+    return bool(di.min() >= 0 and np.maximum(di, dj).min() > 0)
+
+
 class RelationGraph:
     """Undirected simple graph over n nodes, each edge (i, j) stored once as
     i < j.
@@ -194,9 +219,12 @@ class RelationGraph:
     an edge (i, j) (n^2/8 bytes), with each row's and each column's count.
     n_edges and degrees() come from the counts, upper_bits() from the bits.
     Its int32 `edges` are read out of the bits only when something asks for
-    them (the edge-list writer, attach_new_nodes, edge_set, a CSR relation's
-    operator) and pass the same checks as given edges. They then replace the
-    bits, which outweigh the edges of a sparse relation.
+    them (attach_new_nodes, edge_set, a CSR relation's operator) and pass
+    the same checks as given edges. They then replace the bits, which
+    outweigh the edges of a sparse relation. The edge-list writer makes no
+    edge array: it reads a block of edges at a time out of the bits
+    (_edge_blocks), checked as the read-out edges are, and the graph keeps
+    its bits.
     """
 
     def __init__(self, n: int, edges=None, relation_index: int = 0, upper=None):
@@ -230,13 +258,7 @@ class RelationGraph:
         # inputs pay for a sort of all the edges.
         increasing = True
         for lo in range(0, edges.shape[0], _KEY_CHUNK):
-            i, j = edges[lo:lo + _KEY_CHUNK + 1].T
-            if np.any(i >= j):
-                raise DataError("edges must satisfy i < j (no self loops)")
-            if increasing and i.size > 1:
-                di, dj = np.diff(i), np.diff(j)  # ids < 2^31: no int32 overflow
-                # with di >= 0, (i, j) grows exactly where di > 0 or dj > 0
-                increasing = di.min() >= 0 and np.maximum(di, dj).min() > 0
+            increasing &= _row_major(*edges[lo:lo + _KEY_CHUNK + 1].T)
         if not increasing:
             # each (i, j) row read as one int64: equal rows give equal values
             keys = np.sort(edges.view(np.int64).ravel())
@@ -277,6 +299,37 @@ class RelationGraph:
             i, j = self._edges[lo:lo + _KEY_CHUNK].astype(np.int64).T
             np.bitwise_or.at(flat, i * width + (j >> 3), (128 >> (j & 7)).astype(np.uint8))
         return flat.reshape(self.n, width)
+
+    def _edge_blocks(self):
+        """The edges in the graph's order as int32 (i, j) arrays of about
+        _WRITE_CHUNK edges each: slices of the edges held, or a built
+        graph's read out of its bits a block of rows at a time (which keeps
+        the bits) and checked as read-out edges are: ids in [0, n), i < j
+        and strictly row-major, also across blocks."""
+        if self._bits is None:
+            for lo in range(0, self.n_edges, _WRITE_CHUNK):
+                yield self._edges[lo:lo + _WRITE_CHUNK].T
+            return
+        ends = np.cumsum(self._row_counts)
+        # blocks end every _TILE rows and where the running edge count passes
+        # a multiple of _WRITE_CHUNK: each unpacks at most _TILE * n cells
+        # and holds at most _WRITE_CHUNK + n edges
+        stops = np.union1d(np.arange(_TILE, self.n, _TILE), np.searchsorted(
+            ends, np.arange(_WRITE_CHUNK, ends[-1], _WRITE_CHUNK), "right"))
+        last = (-1, -1)  # the edge before the block
+        lo = 0
+        for hi in [*stops[stops > 0], self.n]:
+            i, j = _read_rows(self._bits, self._row_counts[lo:hi], lo, lo - lo % 8, self.n)
+            lo = hi
+            if i.size == 0:
+                continue
+            # once row-major, i[0] is the least id and j > i
+            if (i[0], j[0]) <= last or not _row_major(i, j):
+                raise DataError("edges read out of bits are not row-major")
+            if i[0] < 0 or j.max() >= self.n:
+                raise DataError("edge endpoint outside [0, n)")
+            last = (i[-1], j[-1])
+            yield i, j
 
     def edge_set(self) -> set:
         return {(int(i), int(j)) for i, j in self.edges}
@@ -476,12 +529,12 @@ _WRITE_CHUNK = 1 << 16  # edges gathered per write
 
 def _id_table(n: int) -> np.ndarray:
     """The 2n byte strings of ids 0..n-1, "k " at k and "k\\n" at n + k, each
-    NUL-padded to one 8-byte item (16 from 8 digits on), so that a gather
-    moves one fixed-size item per id. Digits come from numpy arithmetic over
-    each digit count's id range, not from one Python string per id."""
+    one item of D + 1 bytes, D the digits of n - 1: an id with fewer digits
+    is NUL-padded, one with D has no padding. So a gather moves one item per
+    id. Digits come from numpy arithmetic over each digit count's id range,
+    not from one Python string per id."""
     digits = len(str(n - 1))
-    width = 8 if digits < 8 else 16
-    table = np.zeros((2, n, width), dtype=np.uint8)
+    table = np.zeros((2, n, digits + 1), dtype=np.uint8)
     lo = 0
     for d in range(1, digits + 1):
         hi = min(n, 10 ** d)  # ids lo..hi-1 have d digits
@@ -492,42 +545,59 @@ def _id_table(n: int) -> np.ndarray:
         table[0, lo:hi, d] = ord(" ")
         table[1, lo:hi, d] = ord("\n")
         lo = hi
-    return table.reshape(2 * n, width).view(np.dtype((np.void, width))).ravel()
+    return table.reshape(2 * n, digits + 1).view(np.dtype((np.void, digits + 1))).ravel()
 
 
-def write_edge_list(path, graph: RelationGraph, table: np.ndarray | None = None) -> None:
-    """One `i j` line per edge, i < j, in the graph's edge order, which
-    is row-major for every built graph. No id is formatted per edge: table is
-    _id_table(graph.n), built here unless a caller writing several graphs over
-    the same nodes passes it, so a chunk of edges is one gather of its ids'
-    items into one buffer, written with the NUL padding dropped.
+def write_edge_list(path, graph: RelationGraph, table: np.ndarray | None = None) -> str:
+    """One `i j` line per edge, i < j, in the graph's edge order, which is
+    row-major for every built graph; returns the sha256 hex digest of the
+    file, hashed as it is written. A built graph's edges are read out of its
+    bits a block at a time (RelationGraph._edge_blocks), and it keeps its
+    bits. No id is formatted per edge: table is _id_table(graph.n), built
+    here unless a caller writing several graphs over the same nodes passes
+    it, so each block of edges is one gather of its ids' items into one
+    buffer, written as gathered where every id has the most digits, else
+    with the NUL padding dropped.
     """
     if table is None:
         table = _id_table(graph.n)
+    n = graph.n
+    full = 10 ** (len(str(n - 1)) - 1) if n > 10 else 0  # the least id with the most digits
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        for lo in range(0, graph.n_edges, _WRITE_CHUNK):
-            items = graph.edges[lo:lo + _WRITE_CHUNK].astype(np.intp)
-            items[:, 1] += graph.n  # j's item is the one ending in a newline
-            fh.write(table[items].tobytes().translate(None, b"\0"))
+        for i, j in graph._edge_blocks():
+            items = np.empty((i.size, 2), dtype=np.intp)
+            items[:, 0] = i
+            items[:, 1] = j
+            items[:, 1] += n  # j's item is the one ending in a newline
+            lines = table.take(items).view(np.uint8).ravel()
+            if i.min() < full:  # i < j: all ids have the most digits where all i do
+                lines = lines.compress(lines != 0)  # in numpy: other writers run meanwhile
+            fh.write(lines)
+            digest.update(lines)
+    return digest.hexdigest()
 
 
-def write_multiplex(out_dir, g: MultiplexGraph) -> dict:
+def write_multiplex(out_dir, g: MultiplexGraph, digests: dict | None = None) -> dict:
     """Write per-relation edge lists plus a JSON manifest; returns the manifest.
 
-    Each relation's edges are read out (a built graph's, from its bits) on
-    this thread, so their checks run here and no pool starts inside the
-    writers'; the edge lists are then written on _map_threads. Degrees come
-    from each graph's degrees(), a built graph's kernel counts."""
+    The edge lists are written on _map_threads. Each writer reads a built
+    graph's edges out of its bits a block at a time and checks them itself,
+    so no edge array is made and RelationGraph's own checks (__post_init__)
+    run on no pool thread. digests, when given, gets {path: sha256 hex
+    digest} of each edge list, from its writer. Degrees come from each
+    graph's degrees(), a built graph's kernel counts."""
     os.makedirs(out_dir, exist_ok=True)
     table = _id_table(g.n_nodes)
     files = ["edges_r%d.txt" % r for r in range(g.n_relations)]
-    for graph in g.relations:
-        graph.edges  # read out before the writers start
+    paths = [os.path.join(out_dir, name) for name in files]
 
     def write(r):
-        write_edge_list(os.path.join(out_dir, files[r]), g.relations[r], table)
+        return write_edge_list(paths[r], g.relations[r], table)
 
-    _map_threads(write, range(g.n_relations))
+    written = _map_threads(write, range(g.n_relations))
+    if digests is not None:
+        digests.update(zip(paths, written))
     rel_meta = []
     for r, graph in enumerate(g.relations):
         deg = graph.degrees()

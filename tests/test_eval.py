@@ -299,6 +299,25 @@ def test_sweep_csv_header_and_roundtrip(tmp_path):
     assert int(parsed[2][1]) == 1
 
 
+def test_sweep_csv_bytes_are_csv_writers(tmp_path):
+    # the bytes csv.writer wrote, CRLF line ends included, one cell format
+    # per column; nan for a run without TEST rows
+    rows = [
+        {"grid_value": 0.1, "seed": 0, "macro_f1": 2 / 3, "micro_f1": 0.7},
+        {"grid_value": -1e-300, "seed": 12, "macro_f1": float("nan"), "micro_f1": 1.0},
+        {"grid_value": 3.0, "seed": 7, "macro_f1": 0.0, "micro_f1": float("nan")},
+    ]
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(path, rows)
+    assert path.read_bytes() == (
+        b"grid_value,seed,macro_f1,micro_f1\r\n"
+        b"0.10000000000000001,0,0.66666666666666663,0.69999999999999996\r\n"
+        b"-1e-300,12,nan,1\r\n"
+        b"3,7,0,nan\r\n")
+    write_sweep_csv(path, [])
+    assert path.read_bytes() == b"grid_value,seed,macro_f1,micro_f1\r\n"
+
+
 def test_summarize_sweep_median_and_iqr():
     rows = [
         {"grid_value": 0.5, "seed": s, "macro_f1": v, "micro_f1": v}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import threading
@@ -257,6 +258,44 @@ def test_similar_pairs_equal_argwhere_over_full_matrix(n, m):
             assert np.array_equal(check_built_graph(a, theta).edges, pairs)
 
 
+def clipped_mask_bits(a, theta, b=None):
+    """Reference mask pass: each band's product as the kernel makes it,
+    clipped to [-1, 1], then compared with theta."""
+    band = graph_module._BAND
+    ua = graph_module._unit_rows(a)
+    ub = ua if b is None else graph_module._unit_rows(b)
+    keep = np.zeros((len(ua), len(ub)), dtype=bool)
+    for lo in range(0, len(ua), band):
+        first = lo if b is None else 0
+        keep[lo:lo + band, first:] = np.clip(ua[lo:lo + band] @ ub[first:].T, -1.0, 1.0) > theta
+    if b is None:
+        keep[np.tri(len(ua), dtype=bool)] = False  # pairs i < j only
+    return (np.packbits(keep, axis=1), keep.sum(axis=1),
+            keep.sum(axis=0) if b is None else None)
+
+
+@pytest.mark.parametrize("with_b", [False, True])
+def test_mask_bits_equal_clip_then_compare(with_b):
+    rng = np.random.default_rng(25)
+    rows = rng.normal(size=(30, 3))
+    # duplicates, scaled copies and opposites score within rounding of +-1
+    a = np.concatenate([rows, rows[:10], 3 * rows[10:20], -rows[:15], -7 * rows[20:],
+                        np.zeros((3, 3))])
+    b = np.concatenate([rows[5:25], -rows[:6], np.zeros((1, 3))]) if with_b else None
+    ua = graph_module._unit_rows(a)
+    sims = ua @ (ua if b is None else graph_module._unit_rows(b)).T
+    assert sims.max() > 1.0 and sims.min() < -1.0  # the clip changes some cells
+    ulp = np.spacing(1.0)
+    for theta in (-2.0, -1.0 - ulp, -1.0, -0.5, 0.0, 0.5, 1.0 - ulp, 1.0, 1.0 + ulp, 2.0,
+                  float("nan")):
+        bits, row_counts, col_counts = graph_module._mask_bits(a, theta, b)
+        ref_bits, ref_rows, ref_cols = clipped_mask_bits(a, theta, b)
+        assert np.array_equal(bits, ref_bits), theta
+        assert np.array_equal(row_counts, ref_rows), theta
+        assert (col_counts is None) == with_b
+        assert with_b or np.array_equal(col_counts, ref_cols), theta
+
+
 def test_build_memory_stays_below_full_matrix():
     n = 3000
     block = np.random.default_rng(17).normal(size=(n, 4))
@@ -365,13 +404,20 @@ def test_write_edge_list_ids_across_digit_widths(tmp_path):
     assert path.read_text() == line_by_line(g)
 
 
-@pytest.mark.parametrize("n", [1, 2, 10, 11, 100, 101, 1001])
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 1500])
 def test_write_edge_list_equals_percent_formatting(tmp_path, n):
     path = tmp_path / "edges.txt"
+    block = np.random.default_rng(n).normal(size=(n, 3))
     for g in (RelationGraph(n=n, edges=np.stack(np.triu_indices(n, k=1), axis=1)),
-              RelationGraph(n=n, edges=np.empty((0, 2)))):
+              RelationGraph(n=n, edges=np.empty((0, 2))),
+              # built graphs: no edge, a sparse and a dense relation
+              build_relation_graph(block, 1.0), build_relation_graph(block, 0.95),
+              build_relation_graph(block, -0.5)):
+        built = g._bits is not None
         write_edge_list(path, g)
-        # as lists of lines, so that a failure reports its first wrong line
+        assert built == (g._bits is not None)  # written from the bits, which it keeps
+        # as lists of lines, so that a failure reports its first wrong line;
+        # a built graph's edges are read out here, with their checks
         assert path.read_text().splitlines(True) == line_by_line(g).splitlines(True)
 
 
@@ -402,15 +448,79 @@ def test_write_edge_list_memory_stays_below_output(tmp_path):
 
 
 def test_write_multiplex_builds_the_id_table_once(tmp_path, monkeypatch):
-    calls = []
-    real = graph_module._id_table
-    monkeypatch.setattr(graph_module, "_id_table", lambda n: calls.append(n) or real(n))
+    tables, given = [], []
+    real_table, real_write = graph_module._id_table, graph_module.write_edge_list
+    monkeypatch.setattr(graph_module, "_id_table",
+                        lambda n: tables.append(real_table(n)) or tables[-1])
+    monkeypatch.setattr(graph_module, "write_edge_list",
+                        lambda path, graph, table=None: given.append(table)
+                        or real_write(path, graph, table))
     g, _ = make_trained_multiplex()
-    manifest = write_multiplex(tmp_path, g)
-    assert calls == [g.n_nodes]
-    for r, rel in enumerate(g.relations):
-        assert (tmp_path / ("edges_r%d.txt" % r)).read_text() == line_by_line(rel)
+    digests = {}
+    manifest = write_multiplex(tmp_path, g, digests)
+    # one table, of g.n_nodes ids, which every relation's writer is given
+    assert len(tables) == 1 and tables[0].size == 2 * g.n_nodes
+    assert len(given) == g.n_relations and all(t is tables[0] for t in given)
+    paths = [os.path.join(tmp_path, "edges_r%d.txt" % r) for r in range(g.n_relations)]
+    assert sorted(digests) == sorted(paths)
+    for path, rel in zip(paths, g.relations):
+        with open(path, "rb") as fh:
+            text = fh.read()
+        assert text.decode() == line_by_line(rel)
+        assert digests[path] == hashlib.sha256(text).hexdigest()
     assert json.loads((tmp_path / "multiplex.json").read_text()) == manifest
+
+
+def test_built_edge_list_blocks_split_rows_anywhere(tmp_path, monkeypatch):
+    # blocks of 5 edges end on rows that are not on a byte of the bits, and
+    # one row of up to 36 edges is a block alone
+    monkeypatch.setattr(graph_module, "_WRITE_CHUNK", 5)
+    block = np.random.default_rng(22).normal(size=(37, 2))
+    for theta in (-2.0, 0.3):
+        g = build_relation_graph(block, theta)
+        blocks = list(g._edge_blocks())
+        assert any(i[0] % 8 for i, _ in blocks) and max(i.size for i, _ in blocks) > 5
+        write_edge_list(tmp_path / "edges.txt", g)
+        assert (tmp_path / "edges.txt").read_text() == line_by_line(g)
+        assert np.array_equal(np.concatenate([np.stack(b, axis=1) for b in blocks]), g.edges)
+
+
+def test_write_edge_list_returns_the_file_digest(tmp_path):
+    block = np.random.default_rng(23).normal(size=(300, 3))
+    made = RelationGraph(n=300, edges=build_relation_graph(block, 0.2).edges[::2])
+    for g in (build_relation_graph(block, 0.2), made, RelationGraph(n=3, edges=[])):
+        path = tmp_path / "edges.txt"
+        digest = write_edge_list(path, g)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_writing_a_built_graph_makes_no_pair_array(tmp_path):
+    n = 2000
+    g = build_relation_graph(np.random.default_rng(24).normal(size=(n, 3)), -2.0)
+    assert g.n_edges == n * (n - 1) // 2
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        write_edge_list(tmp_path / "edges.txt", g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # (E, 2) int32 pairs would take E * 8 bytes
+    assert peak < g.n_edges * 8, peak
+    assert g._edges is None and g._bits is not None
+
+
+def test_writer_refuses_bits_that_read_out_to_a_bad_edge(tmp_path):
+    # a cell below the diagonal, (2, 1): the writer's checks refuse it as the
+    # read-out edges' checks do
+    bits = np.zeros((5, 1), dtype=np.uint8)
+    bits[2, 0] = 128 >> 1
+    counts = np.array([0, 0, 1, 0, 0])
+    for ask in (lambda g: write_edge_list(tmp_path / "edges.txt", g), lambda g: g.edges):
+        g = RelationGraph(n=5, upper=(bits, counts, np.roll(counts, -1)))
+        with pytest.raises(DataError, match="i < j"):
+            ask(g)
 
 
 # ---------------------------------------------------------------- multiplex
@@ -715,13 +825,17 @@ def graph_run_bytes(tmp_path, name):
 
 
 def test_graph_command_writes_equal_bytes_at_one_and_two_cpus(tmp_path, monkeypatch):
+    # and at 3 and 8 CPUs; the manifest's digests, the edge lists' made as
+    # they were written, are those of the files
     made = {}
-    for cpus in (1, 2):
+    for cpus in (1, 2, 3, 8):
         at_cpus(monkeypatch, cpus)
         made[cpus] = graph_run_bytes(tmp_path, "graph%d" % cpus)
     assert sorted(made[1][0]) == ["edges_r0.txt", "edges_r1.txt", "multiplex.json"]
     assert sorted(made[1][1]) == sorted(made[1][0])
-    assert made[1] == made[2]
+    assert made[1][1] == {name: hashlib.sha256(text).hexdigest()
+                          for name, text in made[1][0].items()}
+    assert made[1] == made[2] == made[3] == made[8]
 
 
 def test_one_cpu_starts_no_thread(tmp_path, monkeypatch):
@@ -737,8 +851,10 @@ def test_one_cpu_starts_no_thread(tmp_path, monkeypatch):
         at_cpus(monkeypatch, cpus)
         pools.clear()
         graph_run_bytes(tmp_path, "graph%d" % cpus)
-        # two passes of the kernel per relation, the edge lists, the digests
-        assert pools == ([] if cpus == 1 else [2] * 6), cpus
+        # the kernel's mask pass per relation, the edge lists, the inputs'
+        # digests: the edge lists are read out of the bits and hashed by
+        # their writers, on the edge lists' pool
+        assert pools == ([] if cpus == 1 else [2] * 4), cpus
 
 
 def test_map_threads_keeps_order_and_the_first_error(tmp_path, monkeypatch):
